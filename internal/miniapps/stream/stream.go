@@ -108,24 +108,41 @@ func (a App) Run(cfg common.RunConfig) (common.Result, error) {
 
 		var myTriad float64
 		for r := 0; r < reps; r++ {
+			// The chunk bodies reslice the arrays to [lo,hi) so the
+			// compiler drops the bounds checks in the element loops.
 			// copy: c = a
-			env.Team.ParallelFor(sched, n, func(_, i int) { C[i] = A[i] }, nil)
+			env.Team.ParallelRange(sched, n, func(_, lo, hi int) { copy(C[lo:hi], A[lo:hi]) }, nil)
 			if err := env.Charge(ks[0], float64(n)); err != nil {
 				return err
 			}
 			// scale: b = s*c
-			env.Team.ParallelFor(sched, n, func(_, i int) { B[i] = scalar * C[i] }, nil)
+			env.Team.ParallelRange(sched, n, func(_, lo, hi int) {
+				b, c := B[lo:hi], C[lo:hi]
+				for i := range b {
+					b[i] = scalar * c[i]
+				}
+			}, nil)
 			if err := env.Charge(ks[1], float64(n)); err != nil {
 				return err
 			}
 			// add: c = a + b
-			env.Team.ParallelFor(sched, n, func(_, i int) { C[i] = A[i] + B[i] }, nil)
+			env.Team.ParallelRange(sched, n, func(_, lo, hi int) {
+				a, b, c := A[lo:hi], B[lo:hi], C[lo:hi]
+				for i := range c {
+					c[i] = a[i] + b[i]
+				}
+			}, nil)
 			if err := env.Charge(ks[2], float64(n)); err != nil {
 				return err
 			}
 			// triad: a = b + s*c
 			before := env.Comm.Clock().Now()
-			env.Team.ParallelFor(sched, n, func(_, i int) { A[i] = B[i] + scalar*C[i] }, nil)
+			env.Team.ParallelRange(sched, n, func(_, lo, hi int) {
+				a, b, c := A[lo:hi], B[lo:hi], C[lo:hi]
+				for i := range a {
+					a[i] = b[i] + scalar*c[i]
+				}
+			}, nil)
 			if err := env.Charge(ks[3], float64(n)); err != nil {
 				return err
 			}

@@ -9,6 +9,14 @@
 // overhead that grows with team size and with the number of NUMA
 // domains the team spans. That overhead is the mechanism behind the
 // paper's thread-stride findings.
+//
+// Execution contract: a region runs on at most min(GOMAXPROCS, threads)
+// goroutines, the calling rank goroutine included, and a 1-thread team
+// or GOMAXPROCS=1 runs it inline on the caller. Each virtual thread's
+// chunks run in order on one goroutine, but one goroutine may run
+// several virtual threads one after another, so a body must not wait
+// on another virtual thread of the same region. Critical and Single are
+// the only synchronization a body may use.
 package omp
 
 import (
@@ -139,14 +147,10 @@ func NewTeam(m *arch.Machine, cores []int, clock *vtime.Clock, over Overheads) (
 	if clock == nil {
 		return nil, fmt.Errorf("omp: team needs a clock")
 	}
-	workers := len(cores)
-	if max := runtime.GOMAXPROCS(0); workers > max {
-		workers = max // functional concurrency cap; virtual threads stay len(cores)
-	}
 	return &Team{
 		machine: m, cores: append([]int(nil), cores...), clock: clock,
 		over: over, domains: len(domains), maxDomains: len(m.Domains),
-		workers: workers,
+		workers: min(len(cores), runtime.GOMAXPROCS(0)),
 	}, nil
 }
 
@@ -224,9 +228,15 @@ func (s *Stats) Imbalance() float64 {
 	return ser.Imbalance()
 }
 
-// Body is a loop body: thread is the executing virtual thread id, i the
-// iteration index.
+// Body is a per-element loop body: thread is the executing virtual
+// thread id, i the iteration index.
 type Body func(thread, i int)
+
+// RangeBody is a chunk-granular loop body: it runs iterations [lo,hi)
+// as virtual thread thread. Loops whose per-element work is a few
+// instructions use it, so the call costs once per chunk, not per
+// element.
+type RangeBody func(thread, lo, hi int)
 
 // CostFn models the virtual cost, in seconds, of iteration i. A nil
 // CostFn charges nothing per iteration (callers then charge a
@@ -236,15 +246,26 @@ type CostFn func(i int) float64
 // chunk is a half-open iteration range dealt to a thread.
 type chunk struct{ lo, hi int }
 
+// plan is a region's chunk assignment: thread th runs
+// chunks[off[th]:off[th+1]], in order.
+type plan struct {
+	chunks []chunk
+	off    []int // len threads+1
+}
+
+// of returns thread th's chunks.
+func (p plan) of(th int) []chunk { return p.chunks[p.off[th]:p.off[th+1]] }
+
 // chunksFor materializes the chunk list for a schedule over n
 // iterations and k threads. Static chunks are pre-assigned (returned
-// per thread); dynamic/guided return a shared ordered list.
-func chunksFor(s Schedule, n, k int) (perThread [][]chunk, shared []chunk) {
+// as a plan); dynamic/guided return a shared ordered list.
+func chunksFor(s Schedule, n, k int) (static plan, shared []chunk) {
 	switch s.Kind {
 	case Static:
-		perThread = make([][]chunk, k)
+		static.off = make([]int, k+1)
 		if s.Chunk <= 0 {
 			// One contiguous block per thread, remainder spread left.
+			static.chunks = make([]chunk, 0, min(n, k))
 			base, rem := n/k, n%k
 			lo := 0
 			for t := 0; t < k; t++ {
@@ -253,26 +274,30 @@ func chunksFor(s Schedule, n, k int) (perThread [][]chunk, shared []chunk) {
 					sz++
 				}
 				if sz > 0 {
-					perThread[t] = append(perThread[t], chunk{lo, lo + sz})
+					static.chunks = append(static.chunks, chunk{lo, lo + sz})
 				}
 				lo += sz
+				static.off[t+1] = len(static.chunks)
 			}
 		} else {
-			for lo, idx := 0, 0; lo < n; lo, idx = lo+s.Chunk, idx+1 {
-				hi := lo + s.Chunk
-				if hi > n {
-					hi = n
+			// Round-robin: chunk idx goes to thread idx%k.
+			m := (n + s.Chunk - 1) / s.Chunk
+			static.chunks = make([]chunk, 0, m)
+			for t := 0; t < k; t++ {
+				for idx := t; idx < m; idx += k {
+					lo := idx * s.Chunk
+					static.chunks = append(static.chunks, chunk{lo, min(lo+s.Chunk, n)})
 				}
-				t := idx % k
-				perThread[t] = append(perThread[t], chunk{lo, hi})
+				static.off[t+1] = len(static.chunks)
 			}
 		}
-		return perThread, nil
+		return static, nil
 	case Dynamic:
 		c := s.Chunk
 		if c <= 0 {
 			c = 1
 		}
+		shared = make([]chunk, 0, (n+c-1)/c)
 		for lo := 0; lo < n; lo += c {
 			hi := lo + c
 			if hi > n {
@@ -280,7 +305,7 @@ func chunksFor(s Schedule, n, k int) (perThread [][]chunk, shared []chunk) {
 			}
 			shared = append(shared, chunk{lo, hi})
 		}
-		return nil, shared
+		return plan{}, shared
 	case Guided:
 		minC := s.Chunk
 		if minC <= 0 {
@@ -300,16 +325,31 @@ func chunksFor(s Schedule, n, k int) (perThread [][]chunk, shared []chunk) {
 			lo += c
 			remaining -= c
 		}
-		return nil, shared
+		return plan{}, shared
 	default:
 		panic(fmt.Sprintf("omp: unknown schedule kind %d", int(s.Kind)))
 	}
 }
 
-// ParallelFor executes body for every i in [0,n) across the team using
-// the given schedule, charges virtual time (per-iteration costs from
-// cost plus fork/join overhead) to the rank clock, and returns the
-// region statistics.
+// ParallelFor is ParallelRange with a per-element body: body runs once
+// for every i of each chunk, in order. A nil body is allowed for
+// timing-only loops.
+func (t *Team) ParallelFor(s Schedule, n int, body Body, cost CostFn) *Stats {
+	var rb RangeBody
+	if body != nil {
+		rb = func(th, lo, hi int) {
+			for i := lo; i < hi; i++ {
+				body(th, i)
+			}
+		}
+	}
+	return t.ParallelRange(s, n, rb, cost)
+}
+
+// ParallelRange executes body over [0,n) across the team using the
+// given schedule, one call per planned chunk, charges virtual time
+// (per-iteration costs from cost plus fork/join overhead) to the rank
+// clock, and returns the region statistics.
 //
 // The iteration→thread assignment is computed deterministically: static
 // schedules pre-assign chunks; dynamic/guided schedules are simulated
@@ -318,20 +358,18 @@ func chunksFor(s Schedule, n, k int) (perThread [][]chunk, shared []chunk) {
 // rather than the host's scheduler. Bodies then execute concurrently
 // with that assignment; they must be race-free. A nil body is allowed
 // for timing-only loops.
-func (t *Team) ParallelFor(s Schedule, n int, body Body, cost CostFn) *Stats {
+func (t *Team) ParallelRange(s Schedule, n int, body RangeBody, cost CostFn) *Stats {
 	k := t.Threads()
 	st := &Stats{
 		ThreadTime:  make([]float64, k),
 		ThreadIters: make([]int64, k),
 	}
-	var perThread [][]chunk
 	if n > 0 {
-		var shared []chunk
-		perThread, shared = chunksFor(s, n, k)
-		if perThread != nil {
+		p, shared := chunksFor(s, n, k)
+		if p.off != nil {
 			// Static: busy time is the serial sum of the thread's costs.
-			for th, chunks := range perThread {
-				for _, ch := range chunks {
+			for th := 0; th < k; th++ {
+				for _, ch := range p.of(th) {
 					st.ThreadIters[th] += int64(ch.hi - ch.lo)
 					if cost != nil {
 						for i := ch.lo; i < ch.hi; i++ {
@@ -341,9 +379,11 @@ func (t *Team) ParallelFor(s Schedule, n int, body Body, cost CostFn) *Stats {
 				}
 			}
 		} else {
-			perThread = t.assignDemand(shared, cost, st)
+			p = t.assignDemand(shared, cost, st)
 		}
-		t.execute(perThread, body)
+		if body != nil {
+			t.execute(p, body)
+		}
 	}
 	st.Overhead = t.regionOverhead()
 	// Flush the serialization cost of Critical sections entered during
@@ -377,7 +417,7 @@ func (t *Team) ParallelFor(s Schedule, n int, body Body, cost CostFn) *Stats {
 }
 
 // Critical runs body under the team's mutex, the OpenMP critical
-// construct: safe to call from inside ParallelFor bodies. The
+// construct: safe to call from inside region bodies. The
 // serialization cost accumulates and is charged when the enclosing
 // region completes.
 func (t *Team) Critical(body func()) {
@@ -389,8 +429,8 @@ func (t *Team) Critical(body func()) {
 
 // Single runs body on whichever caller arrives first in the current
 // parallel region and reports whether this caller executed it (the
-// OpenMP single construct, nowait flavour). ParallelFor re-arms it at
-// region end.
+// OpenMP single construct, nowait flavour). Every region re-arms it at
+// its end.
 func (t *Team) Single(body func()) bool {
 	if t.singleDone.CompareAndSwap(false, true) {
 		body()
@@ -404,10 +444,11 @@ func (t *Team) Single(body func()) bool {
 // smallest accumulated busy time, which pays a grab cost plus the
 // chunk's iteration costs. This is deterministic and mirrors how a
 // dynamic schedule balances skewed work.
-func (t *Team) assignDemand(shared []chunk, cost CostFn, st *Stats) [][]chunk {
+func (t *Team) assignDemand(shared []chunk, cost CostFn, st *Stats) plan {
 	k := t.Threads()
-	perThread := make([][]chunk, k)
-	for _, ch := range shared {
+	owner := make([]int, len(shared))
+	off := make([]int, k+1)
+	for c, ch := range shared {
 		// Least-busy thread; ties broken by lowest id, as a real runtime's
 		// first-waiter-wins race roughly does.
 		th := 0
@@ -423,51 +464,59 @@ func (t *Team) assignDemand(shared []chunk, cost CostFn, st *Stats) [][]chunk {
 			}
 		}
 		st.ThreadIters[th] += int64(ch.hi - ch.lo)
-		perThread[th] = append(perThread[th], ch)
+		owner[c] = th
+		off[th]++
 	}
-	return perThread
+	// Stable counting sort by owner: off[th] first marks the end of
+	// thread th's range, then counts down to its start as it fills.
+	for th := 1; th < k; th++ {
+		off[th] += off[th-1]
+	}
+	off[k] = len(shared)
+	chunks := make([]chunk, len(shared))
+	for c := len(shared) - 1; c >= 0; c-- {
+		off[owner[c]]--
+		chunks[off[owner[c]]] = shared[c]
+	}
+	return plan{chunks, off}
 }
 
-// execute runs the bodies of pre-assigned chunks concurrently, capped
-// at the team's worker count.
-func (t *Team) execute(perThread [][]chunk, body Body) {
-	if body == nil {
+// execute hands each planned chunk to body once. Virtual threads are
+// claimed from an atomic counter by t.workers goroutines, the caller
+// and t.workers-1 helpers; with one worker the region runs inline. A
+// thread's chunks run in order on the goroutine that claimed it, so
+// thread ids, chunk assignment and per-thread order never depend on
+// the host.
+func (t *Team) execute(p plan, body RangeBody) {
+	k := t.Threads()
+	if t.workers <= 1 {
+		for th := 0; th < k; th++ {
+			runThread(p, th, body)
+		}
 		return
 	}
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, t.workers)
-	for th := range perThread {
-		if len(perThread[th]) == 0 {
-			continue
+	work := func() {
+		defer wg.Done()
+		for th := int(next.Add(1)) - 1; th < k; th = int(next.Add(1)) - 1 {
+			runThread(p, th, body)
 		}
-		wg.Add(1)
-		go func(th int) {
-			sem <- struct{}{}
-			defer func() { <-sem; wg.Done() }()
-			for _, ch := range perThread[th] {
-				for i := ch.lo; i < ch.hi; i++ {
-					body(th, i)
-				}
-			}
-		}(th)
 	}
+	wg.Add(1) // the caller's share
+	for w := 1; w < t.workers; w++ {
+		wg.Add(1)
+		go work()
+	}
+	work()
 	wg.Wait()
 }
 
-// ParallelForSum is ParallelFor with a deterministic sum reduction:
-// body returns each iteration's contribution; contributions are
-// accumulated per iteration-index block and folded in index order, so
-// the result does not depend on the (real) execution interleaving.
-func (t *Team) ParallelForSum(s Schedule, n int, body func(thread, i int) float64, cost CostFn) (float64, *Stats) {
-	partial := make([]float64, n)
-	st := t.ParallelFor(s, n, func(th, i int) {
-		partial[i] = body(th, i)
-	}, cost)
-	var sum float64
-	for _, v := range partial {
-		sum += v
+// runThread runs virtual thread th's chunks in order.
+func runThread(p plan, th int, body RangeBody) {
+	for _, ch := range p.of(th) {
+		body(th, ch.lo, ch.hi)
 	}
-	return sum, st
 }
 
 // Charge advances the rank clock by a region-level modelled duration,

@@ -2,6 +2,8 @@ package omp
 
 import (
 	"math"
+	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -11,7 +13,7 @@ import (
 	"fibersim/internal/vtime"
 )
 
-func team(t *testing.T, cores []int) *Team {
+func team(t testing.TB, cores []int) *Team {
 	t.Helper()
 	tm, err := NewTeam(arch.MustLookup("a64fx"), cores, &vtime.Clock{}, DefaultOverheads())
 	if err != nil {
@@ -216,25 +218,125 @@ func TestBarrierCharges(t *testing.T) {
 	}
 }
 
-func TestParallelForSumDeterministic(t *testing.T) {
-	tm := team(t, coresRange(8, 1))
-	body := func(_, i int) float64 { return 1.0 / float64(i+1) }
-	want, _ := tm.ParallelForSum(Schedule{Kind: Static}, 1000, body, nil)
-	for trial := 0; trial < 5; trial++ {
-		got, _ := tm.ParallelForSum(Schedule{Kind: Dynamic, Chunk: 7}, 1000, body, nil)
-		if got != want {
-			t.Fatalf("sum not deterministic across schedules: %.17g vs %.17g", got, want)
+// visits records, per index, how often a body ran it and as which
+// thread, plus a per-index contribution for an index-order reduction.
+type visits struct {
+	count, thread []int64
+	partial       []float64
+}
+
+func newVisits(n int) *visits {
+	return &visits{make([]int64, n), make([]int64, n), make([]float64, n)}
+}
+
+func (v *visits) visit(th, i int) {
+	atomic.AddInt64(&v.count[i], 1)
+	atomic.StoreInt64(&v.thread[i], int64(th))
+	v.partial[i] = 1 / float64(i+1)
+}
+
+// sum folds the contributions in index order.
+func (v *visits) sum() float64 {
+	var s float64
+	for _, p := range v.partial {
+		s += p
+	}
+	return s
+}
+
+func TestParallelRangeMatchesParallelFor(t *testing.T) {
+	scheds := []Schedule{{Kind: Static}, {Kind: Static, Chunk: 5}, {Kind: Dynamic, Chunk: 3}, {Kind: Guided}}
+	cost := func(i int) float64 { return float64(i%7+1) * 1e-6 }
+	serial := newVisits(1000)
+	for i := 0; i < 1000; i++ {
+		serial.visit(0, i)
+	}
+	for _, k := range []int{1, 3, 48} {
+		for _, s := range scheds {
+			for _, n := range []int{0, 1, 47, 1000} {
+				byElem, byRange := newVisits(n), newVisits(n)
+				stFor := team(t, coresRange(k, 1)).ParallelFor(s, n, byElem.visit, cost)
+				stRange := team(t, coresRange(k, 1)).ParallelRange(s, n, func(th, lo, hi int) {
+					for i := lo; i < hi; i++ {
+						byRange.visit(th, i)
+					}
+				}, cost)
+				if !reflect.DeepEqual(stFor, stRange) {
+					t.Errorf("k=%d %v n=%d: Stats differ:\nfor   %+v\nrange %+v", k, s, n, stFor, stRange)
+				}
+				for i := 0; i < n; i++ {
+					if byElem.count[i] != 1 || byRange.count[i] != 1 {
+						t.Fatalf("k=%d %v n=%d: index %d ran %d/%d times, want 1", k, s, n, i, byElem.count[i], byRange.count[i])
+					}
+					if byElem.thread[i] != byRange.thread[i] {
+						t.Fatalf("k=%d %v n=%d: index %d ran on thread %d and %d", k, s, n, i, byElem.thread[i], byRange.thread[i])
+					}
+				}
+				// A per-index reduction folded in index order does not
+				// depend on the schedule or the host interleaving.
+				if n == 1000 && (byElem.sum() != serial.sum() || byRange.sum() != serial.sum()) {
+					t.Errorf("k=%d %v: sums %.17g/%.17g, want %.17g", k, s, byElem.sum(), byRange.sum(), serial.sum())
+				}
+			}
 		}
 	}
 }
 
-func TestParallelForSumValue(t *testing.T) {
-	tm := team(t, coresRange(4, 1))
-	got, _ := tm.ParallelForSum(Schedule{Kind: Static}, 100, func(_, i int) float64 {
-		return float64(i)
+func TestRangeBodyGetsPlannedChunks(t *testing.T) {
+	// Static,4 over 3 threads deals chunks round-robin; each thread must
+	// see exactly its chunks, in order, one call per chunk.
+	tm := team(t, coresRange(3, 1))
+	got := make([][]chunk, 3)
+	tm.ParallelRange(Schedule{Kind: Static, Chunk: 4}, 26, func(th, lo, hi int) {
+		got[th] = append(got[th], chunk{lo, hi})
 	}, nil)
-	if got != 4950 {
-		t.Errorf("sum = %g, want 4950", got)
+	want := [][]chunk{
+		{{0, 4}, {12, 16}, {24, 26}},
+		{{4, 8}, {16, 20}},
+		{{8, 12}, {20, 24}},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("chunks = %v, want %v", got, want)
+	}
+}
+
+func TestRegionAllocs(t *testing.T) {
+	empty := func(int, int) {}
+	t1 := team(t, []int{0})
+	// A 1-thread region runs inline on the caller: no goroutine is
+	// spawned, and it allocates only its Stats, plan and body adapter.
+	before := runtime.NumGoroutine()
+	t1.ParallelFor(Schedule{}, 1, func(int, int) {
+		if g := runtime.NumGoroutine(); g > before {
+			t.Errorf("1-thread region body sees %d goroutines, caller had %d", g, before)
+		}
+	}, nil)
+	if a := testing.AllocsPerRun(100, func() { t1.ParallelFor(Schedule{}, 1, empty, nil) }); a > 6 {
+		t.Errorf("1-thread region allocates %v, want <= 6", a)
+	}
+	t48 := team(t, coresRange(48, 1))
+	if a := testing.AllocsPerRun(100, func() { t48.ParallelFor(Schedule{}, 48, empty, nil) }); a >= 60 {
+		t.Errorf("48-thread region allocates %v, want < 60", a)
+	}
+}
+
+func TestRangeCriticalAndSingle(t *testing.T) {
+	for _, procs := range []int{1, 2} {
+		prev := runtime.GOMAXPROCS(procs)
+		tm := team(t, coresRange(8, 1))
+		covered, singles := 0, 0
+		st := tm.ParallelRange(Schedule{Kind: Dynamic, Chunk: 3}, 100, func(_, lo, hi int) {
+			tm.Critical(func() { covered += hi - lo })
+			tm.Single(func() { singles++ })
+		}, nil)
+		runtime.GOMAXPROCS(prev)
+		if covered != 100 || singles != 1 {
+			t.Errorf("GOMAXPROCS=%d: covered %d (want 100), Single ran %d times (want 1)", procs, covered, singles)
+		}
+		// 34 chunks of 3, each entering Critical once.
+		if want := 34 * DefaultOverheads().Critical; st.Overhead < want {
+			t.Errorf("GOMAXPROCS=%d: overhead %g should include %g of critical cost", procs, st.Overhead, want)
+		}
 	}
 }
 
