@@ -114,10 +114,39 @@ func (s *solver) applyOp(dst, src Field) error {
 	return s.matvec(dst, src)
 }
 
-// interiorIndex maps a linear interior index to a storage site.
-func (s *solver) interiorIndex(i int) int {
-	x, y, z, t := s.geo.SiteOfLinear(i)
-	return s.geo.Index(x, y, z, t)
+// newSolver builds one rank's Wilson-Clover solver for the size's
+// lattice, with the gauge field drawn from seed.
+func newSolver(env *common.Env, size common.Size, seed int64) (*solver, error) {
+	lx, ly, lz, lt := latticeFor(size)
+	geo, err := NewGeometry(lx, ly, lz, lt, env.Procs(), env.Rank())
+	if err != nil {
+		return nil, err
+	}
+	return &solver{
+		env: env, geo: geo,
+		op:  NewDiracClover(geo, NewGauge(geo, seed), Kappa, Csw),
+		kD:  dslashKernel(geo.LocalVol(), size),
+		kL:  linalgKernel(geo.LocalVol(), size),
+		sch: omp.Schedule{Kind: omp.Static},
+		vol: geo.LocalVol(),
+	}, nil
+}
+
+// noiseSource returns the deterministic noise right-hand side,
+// generated from global coordinates so every decomposition solves the
+// identical system.
+func (s *solver) noiseSource(seed int64) Field {
+	geo := s.geo
+	b := geo.NewField()
+	for i := 0; i < s.vol; i++ {
+		x, y, z, t := geo.SiteOfLinear(i)
+		off := (geo.SliceVol() + i) * spinorLen
+		rng := common.NewRNG(siteSeed(seed, x, y, z, geo.GlobalT(t)))
+		for k := 0; k < spinorLen; k++ {
+			b[off+k] = complex(rng.Float64()*2-1, rng.Float64()*2-1)
+		}
+	}
+	return b
 }
 
 // exchangeHalo fills src's two halo slices from the neighbouring ranks
@@ -174,26 +203,33 @@ func (s *solver) matvec(dst, src Field) error {
 		return err
 	}
 	g := s.geo
-	s.env.Team.ParallelFor(s.sch, s.vol, func(_, i int) {
-		x, y, z, t := g.SiteOfLinear(i)
-		s.op.ApplySite(dst, src, x, y, z, t)
+	s.env.Team.ParallelRange(s.sch, s.vol, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			x, y, z, t := g.SiteOfLinear(i)
+			s.op.ApplySite(dst, src, x, y, z, t)
+		}
 	}, nil)
 	s.flops += (FlopsPerSite + CloverFlopsPerSite) * float64(s.vol)
 	return s.env.Charge(s.kD, float64(s.vol))
 }
 
 // dot computes the global complex inner product <a,b> over interior
-// sites.
+// sites: per site, then per thread in site order, then across threads.
 func (s *solver) dot(a, b Field) (complex128, error) {
 	partial := make([]complex128, s.env.Threads())
-	s.env.Team.ParallelFor(s.sch, s.vol, func(th, i int) {
-		off := s.interiorIndex(i) * spinorLen
-		var acc complex128
-		for k := 0; k < spinorLen; k++ {
-			av := a[off+k]
-			acc += complex(real(av), -imag(av)) * b[off+k]
+	base := s.geo.SliceVol()
+	s.env.Team.ParallelRange(s.sch, s.vol, func(th, lo, hi int) {
+		sum := partial[th]
+		for i := lo; i < hi; i++ {
+			off := (base + i) * spinorLen
+			var acc complex128
+			for k := 0; k < spinorLen; k++ {
+				av := a[off+k]
+				acc += complex(real(av), -imag(av)) * b[off+k]
+			}
+			sum += acc
 		}
-		partial[th] += acc
+		partial[th] = sum
 	}, nil)
 	var local complex128
 	for _, p := range partial {
@@ -209,11 +245,13 @@ func (s *solver) dot(a, b Field) (complex128, error) {
 	return complex(out[0], out[1]), nil
 }
 
-// axpyGen runs dst[i] = f(i) elementwise over interior spinor entries
-// and charges the linalg kernel.
-func (s *solver) forEach(body func(off int)) error {
-	s.env.Team.ParallelFor(s.sch, s.vol, func(_, i int) {
-		body(s.interiorIndex(i) * spinorLen)
+// forEach runs body once per chunk of interior sites, passing the
+// chunk's field entries [lo, hi) (interior sites are contiguous in
+// storage, from SliceVol() on), and charges the linalg kernel.
+func (s *solver) forEach(body func(lo, hi int)) error {
+	base := s.geo.SliceVol()
+	s.env.Team.ParallelRange(s.sch, s.vol, func(_, lo, hi int) {
+		body((base+lo)*spinorLen, (base+hi)*spinorLen)
 	}, nil)
 	return s.env.Charge(s.kL, float64(s.vol))
 }
@@ -239,11 +277,9 @@ func (s *solver) bicgstab(x, b Field, maxIter int) (float64, error) {
 	tv := g.NewField()
 
 	// r = b (x = 0), rhat = r.
-	if err := s.forEach(func(off int) {
-		for k := 0; k < spinorLen; k++ {
-			r[off+k] = b[off+k]
-			rhat[off+k] = b[off+k]
-		}
+	if err := s.forEach(func(lo, hi int) {
+		copy(r[lo:hi], b[lo:hi])
+		copy(rhat[lo:hi], b[lo:hi])
 	}); err != nil {
 		return 0, err
 	}
@@ -268,9 +304,9 @@ func (s *solver) bicgstab(x, b Field, maxIter int) (float64, error) {
 		}
 		beta := (rhoNew / rho) * (alpha / omega)
 		// p = r + beta*(p - omega*v)
-		if err := s.forEach(func(off int) {
-			for k := 0; k < spinorLen; k++ {
-				p[off+k] = r[off+k] + beta*(p[off+k]-omega*v[off+k])
+		if err := s.forEach(func(lo, hi int) {
+			for k := lo; k < hi; k++ {
+				p[k] = r[k] + beta*(p[k]-omega*v[k])
 			}
 		}); err != nil {
 			return 0, err
@@ -287,9 +323,9 @@ func (s *solver) bicgstab(x, b Field, maxIter int) (float64, error) {
 		}
 		alpha = rhoNew / rv
 		// s = r - alpha v
-		if err := s.forEach(func(off int) {
-			for k := 0; k < spinorLen; k++ {
-				sv[off+k] = r[off+k] - alpha*v[off+k]
+		if err := s.forEach(func(lo, hi int) {
+			for k := lo; k < hi; k++ {
+				sv[k] = r[k] - alpha*v[k]
 			}
 		}); err != nil {
 			return 0, err
@@ -299,9 +335,9 @@ func (s *solver) bicgstab(x, b Field, maxIter int) (float64, error) {
 			return 0, err
 		}
 		if math.Sqrt(sn/bnorm) < Tol {
-			if err := s.forEach(func(off int) {
-				for k := 0; k < spinorLen; k++ {
-					x[off+k] += alpha * p[off+k]
+			if err := s.forEach(func(lo, hi int) {
+				for k := lo; k < hi; k++ {
+					x[k] += alpha * p[k]
 				}
 			}); err != nil {
 				return 0, err
@@ -324,10 +360,10 @@ func (s *solver) bicgstab(x, b Field, maxIter int) (float64, error) {
 		}
 		omega = ts / complex(tt, 0)
 		// x += alpha p + omega s ; r = s - omega t
-		if err := s.forEach(func(off int) {
-			for k := 0; k < spinorLen; k++ {
-				x[off+k] += alpha*p[off+k] + omega*sv[off+k]
-				r[off+k] = sv[off+k] - omega*tv[off+k]
+		if err := s.forEach(func(lo, hi int) {
+			for k := lo; k < hi; k++ {
+				x[k] += alpha*p[k] + omega*sv[k]
+				r[k] = sv[k] - omega*tv[k]
 			}
 		}); err != nil {
 			return 0, err
@@ -347,9 +383,9 @@ func (s *solver) bicgstab(x, b Field, maxIter int) (float64, error) {
 	if err := s.applyOp(ax, x); err != nil {
 		return 0, err
 	}
-	if err := s.forEach(func(off int) {
-		for k := 0; k < spinorLen; k++ {
-			ax[off+k] = b[off+k] - ax[off+k]
+	if err := s.forEach(func(lo, hi int) {
+		for k := lo; k < hi; k++ {
+			ax[k] = b[k] - ax[k]
 		}
 	}); err != nil {
 		return 0, err
@@ -364,7 +400,7 @@ func (s *solver) bicgstab(x, b Field, maxIter int) (float64, error) {
 // Run implements common.App.
 func (a App) Run(cfg common.RunConfig) (common.Result, error) {
 	cfg = cfg.Normalized()
-	lx, ly, lz, lt := latticeFor(cfg.Size)
+	_, _, _, lt := latticeFor(cfg.Size)
 	if cfg.Procs == 0 {
 		cfg.Procs = 1
 	}
@@ -377,33 +413,12 @@ func (a App) Run(cfg common.RunConfig) (common.Result, error) {
 	var totalFlops float64
 
 	res, err := common.Launch(cfg, func(env *common.Env) error {
-		geo, err := NewGeometry(lx, ly, lz, lt, env.Procs(), env.Rank())
+		s, err := newSolver(env, cfg.Size, cfg.Seed)
 		if err != nil {
 			return err
 		}
-		gauge := NewGauge(geo, cfg.Seed)
-		op := NewDiracClover(geo, gauge, Kappa, Csw)
-		s := &solver{
-			env: env, geo: geo, op: op,
-			kD:  dslashKernel(geo.LocalVol(), cfg.Size),
-			kL:  linalgKernel(geo.LocalVol(), cfg.Size),
-			sch: omp.Schedule{Kind: omp.Static},
-			vol: geo.LocalVol(),
-		}
-
-		// Deterministic noise source generated from global coordinates,
-		// so every decomposition solves the identical system.
-		b := geo.NewField()
-		for i := 0; i < s.vol; i++ {
-			x0, y0, z0, t0 := geo.SiteOfLinear(i)
-			off := geo.Index(x0, y0, z0, t0) * spinorLen
-			rng := common.NewRNG(siteSeed(cfg.Seed, x0, y0, z0, geo.GlobalT(t0)))
-			for k := 0; k < spinorLen; k++ {
-				b[off+k] = complex(rng.Float64()*2-1, rng.Float64()*2-1)
-			}
-		}
-		x := geo.NewField()
-		rr, err := s.bicgstab(x, b, 200)
+		x := s.geo.NewField()
+		rr, err := s.bicgstab(x, s.noiseSource(cfg.Seed), 200)
 		if err != nil {
 			return err
 		}

@@ -48,6 +48,10 @@ func TestIndexLinearRoundTrip(t *testing.T) {
 		if site < 0 || site >= g.StoredVol() {
 			t.Fatalf("site %d out of range", site)
 		}
+		// t is outermost, so the interior is one contiguous run.
+		if site != g.SliceVol()+i {
+			t.Fatalf("interior index %d at storage site %d, want %d", i, site, g.SliceVol()+i)
+		}
 	}
 	if len(seen) != g.LocalVol() {
 		t.Errorf("covered %d sites, want %d", len(seen), g.LocalVol())

@@ -35,6 +35,23 @@ func sigmaMunu() [6]spinMat {
 	return out
 }
 
+// sigmaRows returns the one nonzero entry of each row of every
+// sigma_{mu nu}, so the clover term needs one colour multiply per
+// (plane, spin row); TestSigmaRowsOneNonzero checks the shape.
+func sigmaRows() [6][4]spinTerm {
+	var out [6][4]spinTerm
+	for p, s := range sigmaMunu() {
+		for a := range s {
+			for b, c := range s[a] {
+				if c != 0 {
+					out[p][a] = spinTerm{b, c}
+				}
+			}
+		}
+	}
+	return out
+}
+
 // mul3 multiplies 3x3 color matrices.
 func mul3(a, b *SU3) SU3 {
 	var c SU3
@@ -65,7 +82,8 @@ func dag3(a *SU3) SU3 {
 // Clover holds the per-site field-strength matrices iF_{mu nu}.
 type Clover struct {
 	g *Geometry
-	// F[p][site] is i*F for plane p (hermitian 3x3).
+	// F[p][site-SliceVol()] is i*F for plane p (hermitian 3x3) at an
+	// interior storage site; halo sites have no entry.
 	F [6][]SU3
 }
 
@@ -92,7 +110,7 @@ func (g *Geometry) neighbor(x, y, z, t, mu, sign int) (int, int, int, int) {
 func NewClover(g *Geometry, u *Gauge) *Clover {
 	cl := &Clover{g: g}
 	for p := range cl.F {
-		cl.F[p] = make([]SU3, g.StoredVol())
+		cl.F[p] = make([]SU3, g.LocalVol())
 	}
 	link := func(mu, x, y, z, t int) *SU3 {
 		return &u.U[mu][g.Index(x, y, z, t)]
@@ -150,7 +168,7 @@ func NewClover(g *Geometry, u *Gauge) *Clover {
 						for i := range f {
 							f[i] = complex(0, 1) * (q[i] - qd[i]) / 8
 						}
-						cl.F[p][site] = f
+						cl.F[p][site-g.SliceVol()] = f
 					}
 				}
 			}
@@ -178,29 +196,20 @@ func ptrDag(a *SU3) *SU3 {
 const CloverFlopsPerSite = 504
 
 // applyClover accumulates -coef * sum_p sigma_p (x) iF_p(site) psi into
-// out.
+// out. Each sigma row has one nonzero, so every (plane, spin row) is a
+// single colour multiply of the matching source spin.
 func (d *Dirac) applyClover(out, in []complex128, site int) {
 	coef := complex(d.Csw*d.Kappa/2, 0)
+	i := site - d.G.SliceVol()
 	for p := range cloverPairs {
-		f := &d.clover.F[p][site]
-		sg := &d.sigma[p]
-		// chi[b] = iF * psi[b] per spin component b.
-		var chi [4][3]complex128
-		for b := 0; b < 4; b++ {
-			v := [3]complex128{in[b*3], in[b*3+1], in[b*3+2]}
-			chi[b] = f.MulVec(&v)
-		}
-		for a := 0; a < 4; a++ {
-			for b := 0; b < 4; b++ {
-				s := sg[a][b]
-				if s == 0 {
-					continue
-				}
-				cs := coef * s
-				out[a*3+0] -= cs * chi[b][0]
-				out[a*3+1] -= cs * chi[b][1]
-				out[a*3+2] -= cs * chi[b][2]
-			}
+		f := &d.clover.F[p][i]
+		for a, tm := range d.sigma[p] {
+			chi := f.MulVec((*[3]complex128)(in[tm.s*3:]))
+			cs := coef * tm.c
+			o := (*[3]complex128)(out[a*3:])
+			o[0] -= cs * chi[0]
+			o[1] -= cs * chi[1]
+			o[2] -= cs * chi[2]
 		}
 	}
 }

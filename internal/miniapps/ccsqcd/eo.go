@@ -100,20 +100,14 @@ func (d *Dirac) localBlock(site int) block12 {
 		return b
 	}
 	coef := complex(d.Csw*d.Kappa/2, 0)
+	i := site - d.G.SliceVol()
 	for p := range cloverPairs {
-		f := &d.clover.F[p][site]
-		sg := &d.sigma[p]
-		for a := 0; a < 4; a++ {
-			for bspin := 0; bspin < 4; bspin++ {
-				s := sg[a][bspin]
-				if s == 0 {
-					continue
-				}
-				cs := coef * s
-				for c := 0; c < 3; c++ {
-					for c2 := 0; c2 < 3; c2++ {
-						b[(a*3+c)*12+(bspin*3+c2)] -= cs * f[3*c+c2]
-					}
+		f := &d.clover.F[p][i]
+		for a, tm := range d.sigma[p] {
+			cs := coef * tm.c
+			for c := 0; c < 3; c++ {
+				for c2 := 0; c2 < 3; c2++ {
+					b[(a*3+c)*12+(tm.s*3+c2)] -= cs * f[3*c+c2]
 				}
 			}
 		}
@@ -151,9 +145,7 @@ func newEOSolver(s *solver) (*eoSolver, error) {
 			continue
 		}
 		eo.odd = append(eo.odd, int32(i))
-		x, y, z, t := s.geo.SiteOfLinear(i)
-		site := s.geo.Index(x, y, z, t)
-		inv, err := invert12(s.op.localBlock(site))
+		inv, err := invert12(s.op.localBlock(s.geo.SliceVol() + i))
 		if err != nil {
 			return nil, err
 		}
@@ -169,29 +161,11 @@ func newEOSolver(s *solver) (*eoSolver, error) {
 func (eo *eoSolver) applyHopping(dst, src Field, sites []int32) {
 	s := eo.s
 	g := s.geo
-	d := s.op
 	s.env.Team.ParallelFor(s.sch, len(sites), func(_, idx int) {
-		i := int(sites[idx])
-		x, y, z, t := g.SiteOfLinear(i)
-		site := g.Index(x, y, z, t)
-		out := dst.At(site)
-		for k := range out {
-			out[k] = 0
-		}
-		xp, xm := (x+1)%g.LX, (x-1+g.LX)%g.LX
-		yp, ym := (y+1)%g.LY, (y-1+g.LY)%g.LY
-		zp, zm := (z+1)%g.LZ, (z-1+g.LZ)%g.LZ
-		nbs := [4][3]int{
-			{0, g.Index(xp, y, z, t), g.Index(xm, y, z, t)},
-			{1, g.Index(x, yp, z, t), g.Index(x, ym, z, t)},
-			{2, g.Index(x, y, zp, t), g.Index(x, y, zm, t)},
-			{3, g.Index(x, y, z, t+1), g.Index(x, y, z, t-1)},
-		}
-		for _, n := range nbs {
-			mu := n[0]
-			hop(out, &d.pm[mu], &d.U.U[mu][site], src.At(n[1]), false, d.Kappa)
-			hop(out, &d.pp[mu], &d.U.U[mu][n[2]], src.At(n[2]), true, d.Kappa)
-		}
+		x, y, z, t := g.SiteOfLinear(int(sites[idx]))
+		out := dst.At(g.Index(x, y, z, t))
+		clear(out)
+		s.op.addHops(out, src, x, y, z, t)
 	}, nil)
 }
 
@@ -199,11 +173,9 @@ func (eo *eoSolver) applyHopping(dst, src Field, sites []int32) {
 // sites.
 func (eo *eoSolver) applyLocal(dst, src Field, sites []int32) {
 	s := eo.s
-	g := s.geo
+	base := s.geo.SliceVol()
 	s.env.Team.ParallelFor(s.sch, len(sites), func(_, idx int) {
-		i := int(sites[idx])
-		x, y, z, t := g.SiteOfLinear(i)
-		site := g.Index(x, y, z, t)
+		site := base + int(sites[idx])
 		out := dst.At(site)
 		in := src.At(site)
 		copy(out, in)
@@ -216,11 +188,10 @@ func (eo *eoSolver) applyLocal(dst, src Field, sites []int32) {
 // applyInvOdd computes dst = A_oo^{-1} src on the odd sites.
 func (eo *eoSolver) applyInvOdd(dst, src Field) {
 	s := eo.s
-	g := s.geo
+	base := s.geo.SliceVol()
 	s.env.Team.ParallelFor(s.sch, len(eo.odd), func(_, idx int) {
 		i := eo.odd[idx]
-		x, y, z, t := g.SiteOfLinear(int(i))
-		site := g.Index(x, y, z, t)
+		site := base + int(i)
 		eo.invOdd[i].mulVec(dst.At(site), src.At(site))
 	}, nil)
 }
@@ -239,10 +210,9 @@ func (eo *eoSolver) schur(dst, src Field) error {
 	}
 	eo.applyHopping(eo.tmpE, eo.tmpO, eo.even) // t2 = H_eo t1
 	eo.applyLocal(dst, src, eo.even)           // dst = A_ee src
-	g := s.geo
+	base := s.geo.SliceVol()
 	s.env.Team.ParallelFor(s.sch, len(eo.even), func(_, idx int) {
-		x, y, z, t := g.SiteOfLinear(int(eo.even[idx]))
-		off := g.Index(x, y, z, t) * spinorLen
+		off := (base + int(eo.even[idx])) * spinorLen
 		for k := 0; k < spinorLen; k++ {
 			dst[off+k] -= eo.tmpE[off+k]
 		}
@@ -298,9 +268,9 @@ func (s *solver) SolveEO(x, b Field, maxIter int) (float64, error) {
 	if err := s.matvec(ax, x); err != nil {
 		return 0, err
 	}
-	if err := s.forEach(func(off int) {
-		for k := 0; k < spinorLen; k++ {
-			ax[off+k] = b[off+k] - ax[off+k]
+	if err := s.forEach(func(lo, hi int) {
+		for k := lo; k < hi; k++ {
+			ax[k] = b[k] - ax[k]
 		}
 	}); err != nil {
 		return 0, err
@@ -321,17 +291,17 @@ func (s *solver) SolveEO(x, b Field, maxIter int) (float64, error) {
 
 // copyOn / subOn / addOn operate on the listed interior sites only.
 func copyOn(dst, src Field, g *Geometry, sites []int32) {
+	base := g.SliceVol()
 	for _, i := range sites {
-		x, y, z, t := g.SiteOfLinear(int(i))
-		off := g.Index(x, y, z, t) * spinorLen
+		off := (base + int(i)) * spinorLen
 		copy(dst[off:off+spinorLen], src[off:off+spinorLen])
 	}
 }
 
 func subOn(dst, src Field, g *Geometry, sites []int32) {
+	base := g.SliceVol()
 	for _, i := range sites {
-		x, y, z, t := g.SiteOfLinear(int(i))
-		off := g.Index(x, y, z, t) * spinorLen
+		off := (base + int(i)) * spinorLen
 		for k := 0; k < spinorLen; k++ {
 			dst[off+k] -= src[off+k]
 		}
@@ -339,9 +309,9 @@ func subOn(dst, src Field, g *Geometry, sites []int32) {
 }
 
 func addOn(dst, src Field, g *Geometry, sites []int32) {
+	base := g.SliceVol()
 	for _, i := range sites {
-		x, y, z, t := g.SiteOfLinear(int(i))
-		off := g.Index(x, y, z, t) * spinorLen
+		off := (base + int(i)) * spinorLen
 		for k := 0; k < spinorLen; k++ {
 			dst[off+k] += src[off+k]
 		}

@@ -102,30 +102,12 @@ func runEO(t *testing.T, procs, threads int) (float64, int) {
 	var resid float64
 	var iters int
 	_, err := common.Launch(common.RunConfig{Procs: procs, Threads: threads}, func(env *common.Env) error {
-		geo, err := NewGeometry(4, 4, 4, 16, env.Procs(), env.Rank())
+		s, err := newSolver(env, common.SizeTest, 20210901)
 		if err != nil {
 			return err
 		}
-		gauge := NewGauge(geo, 20210901)
-		op := NewDiracClover(geo, gauge, Kappa, Csw)
-		s := &solver{
-			env: env, geo: geo, op: op,
-			kD:  dslashKernel(geo.LocalVol(), common.SizeTest),
-			kL:  linalgKernel(geo.LocalVol(), common.SizeTest),
-			sch: schedStatic(),
-			vol: geo.LocalVol(),
-		}
-		b := geo.NewField()
-		for i := 0; i < s.vol; i++ {
-			x0, y0, z0, t0 := geo.SiteOfLinear(i)
-			off := geo.Index(x0, y0, z0, t0) * spinorLen
-			rng := common.NewRNG(siteSeed(20210901, x0, y0, z0, geo.GlobalT(t0)))
-			for k := 0; k < spinorLen; k++ {
-				b[off+k] = complex(rng.Float64()*2-1, rng.Float64()*2-1)
-			}
-		}
-		x := geo.NewField()
-		rr, err := s.SolveEO(x, b, 200)
+		x := s.geo.NewField()
+		rr, err := s.SolveEO(x, s.noiseSource(20210901), 200)
 		if err != nil {
 			return err
 		}
