@@ -98,12 +98,29 @@ func (s *System) cellID(cx, cy, cz int) int {
 	return cx + m*(cy+m*cz)
 }
 
-// buildCells returns the particle list of every cell.
+// buildCells returns the particle list of every cell, each in
+// ascending particle order. The lists are capped windows of one
+// backing array, filled by a counting sort over the cell ids.
 func (s *System) buildCells() [][]int32 {
-	lists := make([][]int32, s.Cells*s.Cells*s.Cells)
-	for i := 0; i < s.N; i++ {
-		cx, cy, cz := s.cellOf(s.X[i])
-		id := s.cellID(cx, cy, cz)
+	nc := s.Cells * s.Cells * s.Cells
+	ids := make([]int32, s.N)
+	start := make([]int, nc+1)
+	for i := range ids {
+		id := s.cellID(s.cellOf(s.X[i]))
+		ids[i] = int32(id)
+		start[id+1]++
+	}
+	for c := 0; c < nc; c++ {
+		start[c+1] += start[c]
+	}
+	flat := make([]int32, s.N)
+	lists := make([][]int32, nc)
+	for c := range lists {
+		lists[c] = flat[start[c]:start[c]:start[c+1]]
+	}
+	// Each window's capacity is exactly its cell's count, so append
+	// fills it in place.
+	for i, id := range ids {
 		lists[id] = append(lists[id], int32(i))
 	}
 	return lists

@@ -2,6 +2,7 @@ package modylas
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"fibersim/internal/miniapps/common"
@@ -49,6 +50,38 @@ func TestCellsPartition(t *testing.T) {
 	}
 	if total != s.N {
 		t.Errorf("cells hold %d particles, want %d", total, s.N)
+	}
+}
+
+// appendCells is the reference cell-list build: one append per
+// particle into its cell's own slice.
+func appendCells(s *System) [][]int32 {
+	lists := make([][]int32, s.Cells*s.Cells*s.Cells)
+	for i := 0; i < s.N; i++ {
+		id := s.cellID(s.cellOf(s.X[i]))
+		lists[id] = append(lists[id], int32(i))
+	}
+	return lists
+}
+
+func TestBuildCellsMatchesAppend(t *testing.T) {
+	for _, c := range []struct {
+		n, cells int
+		seed     int64
+	}{{256, 6, 2}, {1000, 4, 7}, {2048, 8, 20210901}, {30, 5, 11}} {
+		s := NewSystem(c.n, c.cells, c.seed)
+		got, want := s.buildCells(), appendCells(s)
+		if len(got) != len(want) {
+			t.Fatalf("n=%d cells=%d: %d lists, want %d", c.n, c.cells, len(got), len(want))
+		}
+		for id := range want {
+			if !slices.Equal(got[id], want[id]) {
+				t.Errorf("n=%d cells=%d cell %d: %v, want %v", c.n, c.cells, id, got[id], want[id])
+			}
+			if cap(got[id]) != len(got[id]) {
+				t.Errorf("n=%d cells=%d cell %d: cap %d, len %d", c.n, c.cells, id, cap(got[id]), len(got[id]))
+			}
+		}
 	}
 }
 

@@ -331,9 +331,12 @@ func (a App) Run(cfg common.RunConfig) (common.Result, error) {
 
 	var recall, precision, alignRate, totalOps float64
 
+	// The reference and its k-mer index are host-side set-up, not
+	// modelled work: built once, read by every rank, never written.
+	genome := NewGenome(g, cfg.Seed)
+	idx := NewIndex(genome.Ref)
+
 	res, err := common.Launch(cfg, func(env *common.Env) error {
-		genome := NewGenome(g, cfg.Seed)
-		idx := NewIndex(genome.Ref)
 		sch := omp.Schedule{Kind: omp.Dynamic, Chunk: 16}
 
 		procs := env.Procs()

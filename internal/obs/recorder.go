@@ -1,8 +1,8 @@
 package obs
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 )
 
@@ -10,6 +10,11 @@ import (
 // runtimes call it from every rank concurrently; all methods are safe
 // for concurrent use and are no-ops on a nil receiver, so a disabled
 // recorder costs nothing on the hot paths.
+//
+// Each registry series is resolved once per (rank, kernel), (rank, op)
+// and rank, and its handles are cached until SetMeta changes the
+// labels. A hot-path call is then one cache lookup under mu followed
+// by atomic adds on the handles, with no label map built.
 type Recorder struct {
 	mu      sync.Mutex
 	kernels map[string]*kernelAcc
@@ -17,6 +22,10 @@ type Recorder struct {
 	peers   map[peerKey]*peerAcc
 	omp     OMPProfile
 	dropped int64
+
+	kernelSeries map[seriesKey]*kernelSeries
+	opSeries     map[seriesKey]*opSeries
+	rankSeries   map[int]*rankSeries
 
 	reg *Registry // lazily created metrics registry
 	app string
@@ -42,26 +51,60 @@ type peerAcc struct {
 	bytes int64
 }
 
+// seriesKey names the series cache entry of one rank's kernel or op.
+type seriesKey struct {
+	rank int
+	name string
+}
+
+// kernelSeries holds the registry handles of one (rank, kernel). A
+// seconds counter stays nil until its resource first gets time, so
+// the exposition lists only the resources a kernel used.
+type kernelSeries struct {
+	calls   *Counter
+	charge  *Histogram
+	seconds [numResources]*Counter
+}
+
+// opSeries holds the handles of one (rank, op); bytes and wait stay
+// nil until their first nonzero value.
+type opSeries struct {
+	ops, bytes, wait *Counter
+}
+
+// rankSeries holds one rank's OMP and trace-drop handles, each nil
+// until its first nonzero value.
+type rankSeries struct {
+	barrier, imbalance, dropped *Counter
+}
+
 // NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder {
 	return &Recorder{
-		kernels: map[string]*kernelAcc{},
-		ops:     map[string]*opAcc{},
-		peers:   map[peerKey]*peerAcc{},
-		reg:     NewRegistry(),
+		kernels:      map[string]*kernelAcc{},
+		ops:          map[string]*opAcc{},
+		peers:        map[peerKey]*peerAcc{},
+		kernelSeries: map[seriesKey]*kernelSeries{},
+		opSeries:     map[seriesKey]*opSeries{},
+		rankSeries:   map[int]*rankSeries{},
+		reg:          NewRegistry(),
 	}
 }
 
 // Enabled reports whether the recorder is collecting (non-nil).
 func (r *Recorder) Enabled() bool { return r != nil }
 
-// SetMeta attaches the run/app identity used as metric labels.
+// SetMeta attaches the run/app identity used as metric labels. Later
+// records go to series with the new labels.
 func (r *Recorder) SetMeta(app, run string) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	r.app, r.run = app, run
+	clear(r.kernelSeries)
+	clear(r.opSeries)
+	clear(r.rankSeries)
 	r.mu.Unlock()
 }
 
@@ -73,17 +116,18 @@ func (r *Recorder) Registry() *Registry {
 	return r.reg
 }
 
-// metaLabels returns the base label set; callers hold r.mu.
-func (r *Recorder) metaLabels(extra Labels) Labels {
-	l := Labels{}
+// metaLabels returns the base label set plus rank and the given
+// key/value pairs; callers hold r.mu.
+func (r *Recorder) metaLabels(rank int, kv ...string) Labels {
+	l := Labels{"rank": strconv.Itoa(rank)}
 	if r.app != "" {
 		l["app"] = r.app
 	}
 	if r.run != "" {
 		l["run"] = r.run
 	}
-	for k, v := range extra {
-		l[k] = v
+	for i := 0; i+1 < len(kv); i += 2 {
+		l[kv[i]] = kv[i+1]
 	}
 	return l
 }
@@ -104,23 +148,32 @@ func (r *Recorder) KernelCharge(rank int, kernel string, iters, flops float64, a
 	acc.iters += iters
 	acc.flops += flops
 	acc.attr = acc.attr.Add(attr)
-	labels := r.metaLabels(Labels{"kernel": kernel, "rank": fmt.Sprint(rank)})
-	r.mu.Unlock()
-
-	r.reg.Counter("fibersim_kernel_calls_total",
-		"modelled kernel charges", labels).Inc()
-	for _, res := range Resources() {
-		if v := attr.Get(res); v > 0 {
-			rl := Labels{"resource": res.String()}
-			for k, lv := range labels {
-				rl[k] = lv
-			}
-			r.reg.Counter("fibersim_kernel_seconds_total",
-				"virtual kernel time by bounding resource", rl).Add(v)
+	s := r.kernelSeries[seriesKey{rank, kernel}]
+	if s == nil {
+		l := r.metaLabels(rank, "kernel", kernel)
+		s = &kernelSeries{
+			calls:  r.reg.Counter("fibersim_kernel_calls_total", "modelled kernel charges", l),
+			charge: r.reg.Histogram("fibersim_kernel_charge_seconds", "virtual duration of one kernel charge", nil, l),
+		}
+		r.kernelSeries[seriesKey{rank, kernel}] = s
+	}
+	for res := ResCompute; res < numResources; res++ {
+		if attr.Get(res) > 0 && s.seconds[res] == nil {
+			s.seconds[res] = r.reg.Counter("fibersim_kernel_seconds_total",
+				"virtual kernel time by bounding resource",
+				r.metaLabels(rank, "kernel", kernel, "resource", res.String()))
 		}
 	}
-	r.reg.Histogram("fibersim_kernel_charge_seconds",
-		"virtual duration of one kernel charge", nil, labels).Observe(attr.Total())
+	h := *s
+	r.mu.Unlock()
+
+	h.calls.Inc()
+	for res := ResCompute; res < numResources; res++ {
+		if v := attr.Get(res); v > 0 {
+			h.seconds[res].Add(v)
+		}
+	}
+	h.charge.Observe(attr.Total())
 }
 
 // MPIOp records one MPI operation on one rank: op is the operation
@@ -157,17 +210,41 @@ func (r *Recorder) MPIOp(rank int, op string, peer int, bytes int64, wait float6
 			p.bytes += bytes
 		}
 	}
-	labels := r.metaLabels(Labels{"op": op, "rank": fmt.Sprint(rank)})
+	s := r.opSeries[seriesKey{rank, op}]
+	if s == nil {
+		s = &opSeries{ops: r.reg.Counter("fibersim_mpi_ops_total", "MPI operations",
+			r.metaLabels(rank, "op", op))}
+		r.opSeries[seriesKey{rank, op}] = s
+	}
+	if bytes > 0 && s.bytes == nil {
+		s.bytes = r.reg.Counter("fibersim_mpi_bytes_total", "MPI payload bytes",
+			r.metaLabels(rank, "op", op))
+	}
+	if wait > 0 && s.wait == nil {
+		s.wait = r.reg.Counter("fibersim_mpi_wait_seconds_total",
+			"virtual time spent inside MPI operations", r.metaLabels(rank, "op", op))
+	}
+	h := *s
 	r.mu.Unlock()
 
-	r.reg.Counter("fibersim_mpi_ops_total", "MPI operations", labels).Inc()
+	h.ops.Inc()
 	if bytes > 0 {
-		r.reg.Counter("fibersim_mpi_bytes_total", "MPI payload bytes", labels).Add(float64(bytes))
+		h.bytes.Add(float64(bytes))
 	}
 	if wait > 0 {
-		r.reg.Counter("fibersim_mpi_wait_seconds_total",
-			"virtual time spent inside MPI operations", labels).Add(wait)
+		h.wait.Add(wait)
 	}
+}
+
+// rankSeriesLocked returns rank's cached OMP/trace handles; callers
+// hold r.mu.
+func (r *Recorder) rankSeriesLocked(rank int) *rankSeries {
+	s := r.rankSeries[rank]
+	if s == nil {
+		s = &rankSeries{}
+		r.rankSeries[rank] = s
+	}
+	return s
 }
 
 // OMPRegion records one parallel region (or explicit barrier) on one
@@ -181,16 +258,23 @@ func (r *Recorder) OMPRegion(rank int, overhead, imbalance float64) {
 	r.omp.Regions++
 	r.omp.BarrierSeconds += overhead
 	r.omp.ImbalanceSeconds += imbalance
-	labels := r.metaLabels(Labels{"rank": fmt.Sprint(rank)})
+	s := r.rankSeriesLocked(rank)
+	if overhead > 0 && s.barrier == nil {
+		s.barrier = r.reg.Counter("fibersim_omp_barrier_seconds_total",
+			"fork/join and barrier overhead", r.metaLabels(rank))
+	}
+	if imbalance > 0 && s.imbalance == nil {
+		s.imbalance = r.reg.Counter("fibersim_omp_imbalance_seconds_total",
+			"critical-path excess over mean thread busy time", r.metaLabels(rank))
+	}
+	h := *s
 	r.mu.Unlock()
 
 	if overhead > 0 {
-		r.reg.Counter("fibersim_omp_barrier_seconds_total",
-			"fork/join and barrier overhead", labels).Add(overhead)
+		h.barrier.Add(overhead)
 	}
 	if imbalance > 0 {
-		r.reg.Counter("fibersim_omp_imbalance_seconds_total",
-			"critical-path excess over mean thread busy time", labels).Add(imbalance)
+		h.imbalance.Add(imbalance)
 	}
 }
 
@@ -202,10 +286,14 @@ func (r *Recorder) TraceDrops(rank int, dropped int64) {
 	}
 	r.mu.Lock()
 	r.dropped += dropped
-	labels := r.metaLabels(Labels{"rank": fmt.Sprint(rank)})
+	s := r.rankSeriesLocked(rank)
+	if s.dropped == nil {
+		s.dropped = r.reg.Counter("fibersim_trace_dropped_total",
+			"timeline events dropped at trace capacity", r.metaLabels(rank))
+	}
+	c := s.dropped
 	r.mu.Unlock()
-	r.reg.Counter("fibersim_trace_dropped_total",
-		"timeline events dropped at trace capacity", labels).Add(float64(dropped))
+	c.Add(float64(dropped))
 }
 
 // KernelProfile is the folded charge history of one kernel.

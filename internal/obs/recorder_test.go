@@ -3,6 +3,7 @@ package obs
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"fibersim/internal/core"
@@ -141,6 +142,98 @@ func TestRecorderConcurrent(t *testing.T) {
 	}
 }
 
+// TestRecorderSharedSeriesConcurrent has goroutines share ranks, so
+// they race to create the same lazily created series and then update
+// them; the totals must not depend on which goroutine created what.
+func TestRecorderSharedSeriesConcurrent(t *testing.T) {
+	r := NewRecorder()
+	r.SetMeta("ffvc", "48x1")
+	const workers, per = 8, 50
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				rank := i % 2
+				var a Attribution
+				switch (w + i) % 3 {
+				case 0:
+					a.Compute = 1
+				case 1:
+					a.L2 = 1
+				default:
+					a.Mem = 1
+				}
+				r.KernelCharge(rank, "sor", 1, 1, a)
+				r.MPIOp(rank, "send", 1-rank, int64(i%2), float64(w%2))
+				r.OMPRegion(rank, float64(i%2), float64(w%2))
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	got := map[string]float64{}
+	for _, s := range r.Registry().Samples() {
+		got[s.Name] += s.Value
+	}
+	for name, want := range map[string]float64{
+		"fibersim_kernel_calls_total":          workers * per,
+		"fibersim_kernel_seconds_total":        workers * per,
+		"fibersim_mpi_ops_total":               workers * per,
+		"fibersim_mpi_bytes_total":             workers * per / 2,
+		"fibersim_mpi_wait_seconds_total":      workers / 2 * per,
+		"fibersim_omp_barrier_seconds_total":   workers * per / 2,
+		"fibersim_omp_imbalance_seconds_total": workers / 2 * per,
+	} {
+		if got[name] != want {
+			t.Errorf("%s sums to %g, want %g", name, got[name], want)
+		}
+	}
+}
+
+// recorderScript drives a Recorder through a fixed sequence on one
+// goroutine that touches every series rule: records before any
+// SetMeta, zero attribution buckets, MPI ops without bytes or without
+// wait, regions without overhead, a SetMeta change mid-run and trace
+// drops (one of them zero).
+func recorderScript(r *Recorder) {
+	for rank := 0; rank < 3; rank++ {
+		r.OMPRegion(rank, 1e-7, 0)
+	}
+	r.SetMeta("ccsqcd", "48x1")
+	for rank := 0; rank < 3; rank++ {
+		peer := (rank + 1) % 3
+		r.KernelCharge(rank, "dslash", 1e4, 1.32e7, Attribution{Compute: 2e-6, L2: 5e-6})
+		r.KernelCharge(rank, "clover", 1e4, 5e6, Attribution{Compute: 1e-6, Stall: 2.5e-7, Mem: 4e-6})
+		r.KernelCharge(rank, "dslash", 1e4, 1.32e7, Attribution{})
+		r.MPIOp(rank, "send", peer, 4096, 0)
+		r.MPIOp(peer, "recv", rank, 4096, 3e-6)
+		r.MPIOp(rank, "barrier", -1, 0, 1.5e-6)
+		r.MPIOp(rank, "allreduce", -1, 8, 0)
+		r.OMPRegion(rank, 0, 2e-8)
+		r.OMPRegion(rank, 3e-7, 0)
+	}
+	r.TraceDrops(2, 17)
+	r.TraceDrops(1, 0)
+	r.SetMeta("ccsqcd", "4x12")
+	for rank := 0; rank < 3; rank++ {
+		r.KernelCharge(rank, "dslash", 2e4, 2.64e7, Attribution{Compute: 4e-6, L1: 1e-6})
+		r.KernelCharge(rank, "dslash", 2e4, 2.64e7, Attribution{Compute: 4e-6, L1: 1e-6})
+		r.MPIOp(rank, "send", (rank+2)%3, 0, 0)
+		r.MPIOp(rank, "send", (rank+2)%3, 512, 0)
+		r.OMPRegion(rank, 0, 0)
+	}
+}
+
+// TestRecorderExpositionGolden pins the series a Recorder creates, and
+// their values, byte for byte.
+func TestRecorderExpositionGolden(t *testing.T) {
+	r := NewRecorder()
+	recorderScript(r)
+	checkExpositionGolden(t, r.Registry(), "recorder.prom")
+}
+
 func TestProfileOrderingAndLookup(t *testing.T) {
 	r := NewRecorder()
 	r.KernelCharge(0, "minor", 1, 1, Attribution{Compute: 1e-6})
@@ -159,4 +252,63 @@ func TestProfileOrderingAndLookup(t *testing.T) {
 	if math.Abs(p.KernelSeconds()-6e-6) > 1e-18 {
 		t.Errorf("kernel seconds = %g", p.KernelSeconds())
 	}
+}
+
+// TestRecorderHotPathZeroAlloc pins that a call whose series are
+// already resolved allocates nothing.
+func TestRecorderHotPathZeroAlloc(t *testing.T) {
+	r := NewRecorder()
+	r.SetMeta("ccsqcd", "48x1")
+	attr := Attribution{Compute: 1e-6, Stall: 1e-7, L1: 1e-7, L2: 1e-7, Mem: 2e-6}
+	for _, c := range []struct {
+		name string
+		call func()
+	}{
+		{"KernelCharge", func() { r.KernelCharge(3, "dslash", 1e4, 1.32e7, attr) }},
+		{"MPIOp", func() { r.MPIOp(3, "send", 4, 4096, 1e-6) }},
+		{"OMPRegion", func() { r.OMPRegion(3, 2e-7, 1e-8) }},
+	} {
+		c.call() // resolves the series
+		if n := testing.AllocsPerRun(100, c.call); n != 0 {
+			t.Errorf("%s allocates %.1f objects per call once warm, want 0", c.name, n)
+		}
+	}
+}
+
+// BenchmarkRecorder measures the Recorder hot path with every series
+// already resolved, cycling over 48 ranks as a 48x1 run does.
+// mpi-op-parallel issues MPIOp from GOMAXPROCS goroutines, one rank
+// each, so it shows contention on the recorder lock.
+func BenchmarkRecorder(b *testing.B) {
+	const ranks = 48
+	attr := Attribution{Compute: 1e-6, Stall: 1e-7, Mem: 2e-6}
+	bench := func(name string, call func(r *Recorder, rank int)) {
+		b.Run(name, func(b *testing.B) {
+			r := NewRecorder()
+			r.SetMeta("ccsqcd", "48x1")
+			for rank := 0; rank < ranks; rank++ {
+				call(r, rank)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				call(r, i%ranks)
+			}
+		})
+	}
+	bench("kernel-charge", func(r *Recorder, rank int) { r.KernelCharge(rank, "dslash", 1e4, 1.32e7, attr) })
+	bench("mpi-op", func(r *Recorder, rank int) { r.MPIOp(rank, "send", (rank+1)%ranks, 4096, 1e-6) })
+	bench("omp-region", func(r *Recorder, rank int) { r.OMPRegion(rank, 2e-7, 1e-8) })
+	b.Run("mpi-op-parallel", func(b *testing.B) {
+		r := NewRecorder()
+		r.SetMeta("ccsqcd", "48x1")
+		var next atomic.Int64
+		b.ReportAllocs()
+		b.RunParallel(func(pb *testing.PB) {
+			rank := int(next.Add(1)-1) % ranks
+			for pb.Next() {
+				r.MPIOp(rank, "send", (rank+1)%ranks, 4096, 1e-6)
+			}
+		})
+	})
 }

@@ -189,11 +189,18 @@ func goldenReading() RuntimeReading {
 }
 
 func TestPrometheusGolden(t *testing.T) {
+	checkExpositionGolden(t, goldenRegistry(), "exposition.prom")
+}
+
+// checkExpositionGolden compares reg's Prometheus text exposition with
+// testdata/name byte for byte (-update rewrites the file).
+func checkExpositionGolden(t *testing.T, reg *Registry, name string) {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := goldenRegistry().WritePrometheus(&buf); err != nil {
+	if err := reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	golden := filepath.Join("testdata", "exposition.prom")
+	golden := filepath.Join("testdata", name)
 	if *update {
 		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
@@ -204,7 +211,7 @@ func TestPrometheusGolden(t *testing.T) {
 		t.Fatalf("read golden (run with -update to create): %v", err)
 	}
 	if buf.String() != string(want) {
-		t.Errorf("exposition drifted from golden file:\n--- got ---\n%s--- want ---\n%s", buf.String(), want)
+		t.Errorf("exposition drifted from %s:\n--- got ---\n%s--- want ---\n%s", golden, buf.String(), want)
 	}
 }
 
