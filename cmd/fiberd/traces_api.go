@@ -121,6 +121,11 @@ func (s *server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	ch, cancel := s.events.subscribe(keys...)
 	defer cancel()
 
+	// Snapshot before the headers go out: once the client sees them it
+	// may act on the job, and a snapshot taken after that could already
+	// be terminal although the subscription was live.
+	job, _ = s.jobs.Get(job.ID)
+
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
@@ -139,7 +144,6 @@ func (s *server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Current state first: every client sees at least one event.
-	job, _ = s.jobs.Get(job.ID)
 	if !send(jobEvent{Type: "state", Job: &job}) {
 		return
 	}

@@ -31,6 +31,12 @@
 //     sleeps is a retry/poll loop, and its wait must honour a context
 //     (jobs.Sleep or a select on ctx.Done()) so Ctrl-C and daemon
 //     drains abort it immediately.
+//   - replaysafe: miniapp code (internal/miniapps/<app>, not common)
+//     reads neither the virtual clock (Clock() on an mpi.Comm or
+//     omp.Team) nor the model axes of a RunConfig (Machine, Alloc,
+//     Bind, NodeStride, Compiler): common.LaunchApp replays a
+//     recorded launch across model configs, so the numerics may depend
+//     only on procs, threads, size and seed.
 //
 // On top of the per-file rules, a dataflow layer (dataflow.go: a
 // package-level call-graph approximation plus value-origin tracking
@@ -108,7 +114,7 @@ type Analyzer struct {
 func DefaultAnalyzers() []*Analyzer {
 	return []*Analyzer{
 		FloatCmp(), RawKernel(), MagicConst(), ErrCheckLite(), BarePanic(), NakedRetry(),
-		NonDet(), ConcSafety(), UnitCheck(),
+		ReplaySafe(), NonDet(), ConcSafety(), UnitCheck(),
 	}
 }
 

@@ -86,6 +86,9 @@ func TestAnalyzers(t *testing.T) {
 			asPath: "fibersim/cmd/httpserve_good", analyzer: lint.ErrCheckLite()},
 		{name: "barepanic_bad", dir: "internal/miniapps/barepanic_bad", analyzer: lint.BarePanic()},
 		{name: "barepanic_good", dir: "internal/miniapps/barepanic_good", analyzer: lint.BarePanic()},
+		{name: "replaysafe_bad", dir: "internal/miniapps/replaysafe_bad", analyzer: lint.ReplaySafe()},
+		{name: "replaysafe_good", dir: "internal/miniapps/replaysafe_good", analyzer: lint.ReplaySafe()},
+		{name: "suppress_replaysafe", dir: "internal/miniapps/suppress_replaysafe", analyzer: lint.ReplaySafe()},
 		{name: "nakedretry_bad", dir: "nakedretry_bad", analyzer: lint.NakedRetry()},
 		{name: "nakedretry_good", dir: "nakedretry_good", analyzer: lint.NakedRetry()},
 		{name: "suppress", dir: "suppress", analyzer: lint.FloatCmp()},
@@ -112,6 +115,10 @@ func TestAnalyzers(t *testing.T) {
 			asPath: "fibersim/cmd/fixture", analyzer: lint.ErrCheckLite(), wantNone: true},
 		{name: "barepanic_out_of_scope", dir: "internal/miniapps/barepanic_bad",
 			asPath: "fibersim/internal/mpi/fixture", analyzer: lint.BarePanic(), wantNone: true},
+		{name: "replaysafe_exempt_in_common", dir: "internal/miniapps/replaysafe_bad",
+			asPath: "fibersim/internal/miniapps/common", analyzer: lint.ReplaySafe(), wantNone: true},
+		{name: "replaysafe_out_of_scope", dir: "internal/miniapps/replaysafe_bad",
+			asPath: "fibersim/internal/harness/fixture", analyzer: lint.ReplaySafe(), wantNone: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -177,7 +184,7 @@ func TestDefaultAnalyzers(t *testing.T) {
 	}
 	sort.Strings(names)
 	want := []string{"barepanic", "concsafety", "errchecklite", "floatcmp", "magicconst",
-		"nakedretry", "nondet", "rawkernel", "unitcheck"}
+		"nakedretry", "nondet", "rawkernel", "replaysafe", "unitcheck"}
 	if !reflect.DeepEqual(names, want) {
 		t.Errorf("got %v, want %v", names, want)
 	}

@@ -408,11 +408,8 @@ func (a App) Run(cfg common.RunConfig) (common.Result, error) {
 		return common.Result{}, fmt.Errorf("ccsqcd: %d ranks do not divide LT=%d", cfg.Procs, lt)
 	}
 
-	var residual float64
-	var totalIters int
-	var totalFlops float64
-
-	res, err := common.Launch(cfg, func(env *common.Env) error {
+	var o outputs
+	res, err := common.LaunchApp(a.Name(), cfg, &o, func(env *common.Env) error {
 		s, err := newSolver(env, cfg.Size, cfg.Seed)
 		if err != nil {
 			return err
@@ -427,9 +424,7 @@ func (a App) Run(cfg common.RunConfig) (common.Result, error) {
 			return err
 		}
 		if env.Rank() == 0 {
-			residual = rr
-			totalIters = s.iters
-			totalFlops = fl
+			o = outputs{residual: rr, iters: s.iters, flops: fl}
 		}
 		return nil
 	})
@@ -438,12 +433,20 @@ func (a App) Run(cfg common.RunConfig) (common.Result, error) {
 	}
 
 	out := common.FinishResult(a.Name(), cfg, res)
-	out.Flops = totalFlops
-	out.Verified = residual < 1e-8
-	out.Check = residual
-	out.Figure = float64(totalIters)
+	out.Flops = o.flops
+	out.Verified = o.residual < 1e-8
+	out.Check = o.residual
+	out.Figure = float64(o.iters)
 	out.FigureUnit = "BiCGStab iterations"
 	return out, nil
+}
+
+// outputs are what a run's numerics decide: the true relative
+// residual, the solver iterations and the node's flops.
+type outputs struct {
+	residual float64
+	iters    int
+	flops    float64
 }
 
 func init() { common.Register(App{}) }

@@ -1,8 +1,10 @@
 // Package common defines the shared contract of the Fiber miniapps:
 // problem sizes, run configurations (the paper's experiment knobs), the
-// App interface, the registry, and the Launch helper that wires a
-// miniapp body into the MPI runtime, the OpenMP teams, the placement
-// and the performance model.
+// App interface, the registry, the Launch helper that wires a miniapp
+// body into the MPI runtime, the OpenMP teams, the placement and the
+// performance model, and LaunchApp, which executes an app's numerics
+// once per functional input and replays the recorded rank programs
+// for every other model config.
 package common
 
 import (
@@ -272,24 +274,30 @@ func Names() []string {
 }
 
 // Env is what a miniapp rank body receives from Launch: its MPI
-// communicator, its OpenMP team (bound per the placement), the machine
-// performance model and the rank's modelling context.
+// communicator and its OpenMP team (bound per the placement), plus the
+// charging entry points into the machine performance model.
 type Env struct {
 	// Comm is the rank's world communicator.
 	Comm *mpi.Comm
 	// Team is the rank's OpenMP thread team.
 	Team *omp.Team
-	// Model is the machine performance model.
-	Model *core.Model
-	// Exec is the rank's modelling context (placement + compiler).
-	Exec core.Exec
-	// Cfg echoes the run configuration.
-	Cfg RunConfig
 
-	prof map[string]KernelStats // per-rank kernel profile
-	rec  *obs.Recorder          // run recorder, nil when profiling is off
-	inj  *fault.Injector        // fault injector, nil on clean runs
-	cost *obs.CostRecorder      // self-cost recorder, nil when disabled
+	model *core.Model // machine performance model
+	exec  core.Exec   // the rank's modelling context (placement + compiler)
+
+	prof  map[string]KernelStats // per-rank kernel profile
+	spans []span                 // per-rank spans, in order of first use
+	log   *opLog                 // the rank program being recorded, nil otherwise
+	rec   *obs.Recorder          // run recorder, nil when profiling is off
+	inj   *fault.Injector        // fault injector, nil on clean runs
+	cost  *obs.CostRecorder      // self-cost recorder, nil when disabled
+}
+
+// span is one named span of a rank's virtual time: the start of its
+// open interval and the sum of its closed ones.
+type span struct {
+	name       string
+	start, sum float64
 }
 
 // Rank returns the MPI rank.
@@ -304,59 +312,79 @@ func (e *Env) Threads() int { return e.Team.Threads() }
 // Charge models iters iterations of k on this rank and advances its
 // clock, recording the charge in the rank's kernel profile.
 func (e *Env) Charge(k core.Kernel, iters float64) error {
-	return e.ChargeWith(k, iters, e.Exec)
+	return e.charge(k, iters, 0)
 }
 
-// ChargeWith is Charge under a modified execution context (e.g. a
-// capped thread team). Apps must route custom-context charges through
-// here rather than calling Model.Charge directly, or they dodge fault
-// injection and crash checkpoints.
-func (e *Env) ChargeWith(k core.Kernel, iters float64, ex core.Exec) error {
+// ChargeCapped is Charge with the rank's team cut to its first threads
+// threads, for kernels too narrow to use more; a cap of 0 or of at
+// least the team size leaves the team whole.
+func (e *Env) ChargeCapped(k core.Kernel, iters float64, threads int) error {
+	return e.charge(k, iters, threads)
+}
+
+// charge runs one kernel charge: the model estimate, fault injection,
+// the trace event and the profiles. A charge is also a crash
+// checkpoint, so a scheduled rank death fires here even in
+// compute-only phases.
+func (e *Env) charge(k core.Kernel, iters float64, threads int) error {
+	e.log.charge(k, iters, threads)
 	costStart := e.cost.Begin()
 	defer e.cost.End(obs.StageCharge, costStart)
+	ex := e.exec
+	if threads > 0 && threads < len(ex.ThreadCores) {
+		ex.ThreadCores = ex.ThreadCores[:threads]
+	}
 	start := e.Comm.Clock().Now()
-	est, err := e.Model.Charge(e.Comm.Clock(), k, iters, ex)
+	est, err := e.model.Charge(e.Comm.Clock(), k, iters, ex)
 	if err != nil {
 		return err
 	}
 	// Fault injection: stragglers/noise stretch the charge; the excess
-	// is runtime interference, not useful compute. A kernel charge is
-	// also a crash checkpoint, so a scheduled rank death fires here even
-	// in compute-only phases.
+	// is runtime interference, not useful compute.
 	if e.inj != nil {
 		if extra := e.inj.Perturb(e.Comm.Rank(), start, est.Total) - est.Total; extra > 0 {
 			e.Comm.Clock().Advance(extra, vtime.Runtime)
 		}
 	}
 	e.Comm.Trace(k.Name, "kernel", start, e.Comm.Clock().Now())
-	e.RecordEstimate(k.Name, iters, est)
+	s := e.prof[k.Name]
+	s.Calls++
+	s.Iters += iters
+	s.Seconds += est.Total
+	s.Flops += est.Flops
+	e.prof[k.Name] = s
+	e.rec.KernelCharge(e.Comm.Rank(), k.Name, iters, est.Flops, obs.Attribute(est))
 	if e.inj != nil {
 		return e.Comm.FaultCheck()
 	}
 	return nil
 }
 
-// RecordEstimate accumulates one externally computed estimate into the
-// rank profile and, when the run is being recorded, into the profiling
-// recorder with its ECM-style resource attribution.
-func (e *Env) RecordEstimate(name string, iters float64, est core.Estimate) {
-	e.Record(name, iters, est.Total, est.Flops)
-	e.rec.KernelCharge(e.Comm.Rank(), name, iters, est.Flops, obs.Attribute(est))
+// BeginSpan opens the named span of this rank's virtual time. Apps time
+// a phase with a span instead of reading the clock, so that a replay
+// re-times it under the replayed configuration.
+func (e *Env) BeginSpan(name string) {
+	e.log.span(name, false)
+	e.spanOf(name).start = e.Comm.Clock().Now()
 }
 
-// Record accumulates one externally computed charge into the rank
-// profile; apps that call the model directly (e.g. with a modified
-// execution context) use it to keep the profile complete.
-func (e *Env) Record(name string, iters, seconds, flops float64) {
-	if e.prof == nil {
-		return
+// EndSpan closes the named span and adds its virtual duration to the
+// rank's sum for that name, which RunStats.Spans reports.
+func (e *Env) EndSpan(name string) {
+	e.log.span(name, true)
+	s := e.spanOf(name)
+	s.sum += e.Comm.Clock().Now() - s.start
+}
+
+// spanOf returns the rank's span of that name, adding it on first use.
+func (e *Env) spanOf(name string) *span {
+	for i := range e.spans {
+		if e.spans[i].name == name {
+			return &e.spans[i]
+		}
 	}
-	s := e.prof[name]
-	s.Calls++
-	s.Iters += iters
-	s.Seconds += seconds
-	s.Flops += flops
-	e.prof[name] = s
+	e.spans = append(e.spans, span{name: name})
+	return &e.spans[len(e.spans)-1]
 }
 
 // RunStats couples the MPI timing result with the aggregated kernel
@@ -365,15 +393,24 @@ type RunStats struct {
 	*mpi.Result
 	// Kernels sums the per-rank kernel charges.
 	Kernels map[string]KernelStats
+	// Spans holds, per span name, every rank's summed span time
+	// (indexed by rank; zero for ranks that never closed the span).
+	Spans map[string][]float64
 	// Fault counts what the fault schedule injected (zero on clean runs).
 	Fault fault.Counters
 }
 
 // Launch plans the placement for cfg, spins up the MPI world, builds
 // each rank's team and modelling context, and runs body on every rank.
+// It always executes body; LaunchApp is the entry point that records
+// and replays app runs.
 func Launch(cfg RunConfig, body func(env *Env) error) (*RunStats, error) {
-	cfg = cfg.withDefaults()
+	return launch(cfg.withDefaults(), body, nil)
+}
 
+// launch is Launch on a normalized config. When logs is non-nil, rank
+// r's model-visible operations are recorded into logs[r].
+func launch(cfg RunConfig, body func(env *Env) error, logs []*opLog) (*RunStats, error) {
 	// Everything before the ranks start — placement, model, fabric,
 	// injector construction — is setup cost.
 	setupStart := cfg.Cost.Begin()
@@ -419,7 +456,7 @@ func Launch(cfg RunConfig, body func(env *Env) error) (*RunStats, error) {
 
 	cfg.Cost.End(obs.StageSetup, setupStart)
 
-	profiles := make([]map[string]KernelStats, cfg.Procs)
+	envs := make([]*Env, cfg.Procs)
 	res, err := mpi.Run(mpi.Config{
 		Ranks: cfg.Procs, Fabric: fabric, PairScale: pairScale,
 		TraceCapacity: cfg.TraceCapacity,
@@ -438,20 +475,24 @@ func Launch(cfg RunConfig, body func(env *Env) error) (*RunStats, error) {
 		env := &Env{
 			Comm:  c,
 			Team:  team,
-			Model: mdl,
-			Exec: core.Exec{
+			model: mdl,
+			exec: core.Exec{
 				ThreadCores: pl.ThreadCore[c.Rank()],
 				HomeDomain:  -1,
 				DomainLoad:  load,
 				Compiler:    cfg.Compiler,
 			},
-			Cfg:  cfg,
 			prof: map[string]KernelStats{},
 			rec:  cfg.Recorder,
 			inj:  inj,
 			cost: cfg.Cost,
 		}
-		profiles[c.Rank()] = env.prof
+		if logs != nil {
+			env.log = logs[c.Rank()]
+			team.LogTo(env.log)
+			c.LogTo(env.log)
+		}
+		envs[c.Rank()] = env
 		return body(env)
 	})
 	if res == nil {
@@ -462,18 +503,30 @@ func Launch(cfg RunConfig, body func(env *Env) error) (*RunStats, error) {
 			cfg.Recorder.TraceDrops(i, l.Dropped())
 		}
 	}
-	agg := map[string]KernelStats{}
-	for _, p := range profiles {
-		for name, s := range p {
-			a := agg[name]
+	stats := &RunStats{Result: res, Kernels: map[string]KernelStats{}, Fault: inj.Counters()}
+	for r, env := range envs {
+		if env == nil {
+			continue
+		}
+		for name, s := range env.prof {
+			a := stats.Kernels[name]
 			a.Calls += s.Calls
 			a.Iters += s.Iters
 			a.Seconds += s.Seconds
 			a.Flops += s.Flops
-			agg[name] = a
+			stats.Kernels[name] = a
+		}
+		for _, s := range env.spans {
+			if stats.Spans == nil {
+				stats.Spans = map[string][]float64{}
+			}
+			if stats.Spans[s.name] == nil {
+				stats.Spans[s.name] = make([]float64, cfg.Procs)
+			}
+			stats.Spans[s.name][r] = s.sum
 		}
 	}
-	return &RunStats{Result: res, Kernels: agg, Fault: inj.Counters()}, err
+	return stats, err
 }
 
 // FinishResult assembles the common fields of a Result from a run.

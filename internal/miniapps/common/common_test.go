@@ -47,7 +47,11 @@ func (f fakeApp) Kernels(Size) []core.Kernel        { return nil }
 func (f fakeApp) Run(cfg RunConfig) (Result, error) { return Result{App: f.name}, nil }
 
 func TestRegistry(t *testing.T) {
-	Register(fakeApp{name: "zz-fake"})
+	// The registry is process-wide: with -count above 1 the fake is
+	// already there from the previous run.
+	if _, err := Lookup("zz-fake"); err != nil {
+		Register(fakeApp{name: "zz-fake"})
+	}
 	a, err := Lookup("zz-fake")
 	if err != nil || a.Name() != "zz-fake" {
 		t.Fatalf("Lookup failed: %v", err)
@@ -85,7 +89,7 @@ func TestLaunchWiresEnv(t *testing.T) {
 		if env.Rank() < 0 || env.Rank() >= 4 {
 			t.Errorf("bad rank %d", env.Rank())
 		}
-		if env.Exec.DomainLoad == nil || len(env.Exec.ThreadCores) != 12 {
+		if env.exec.DomainLoad == nil || len(env.exec.ThreadCores) != 12 {
 			t.Error("exec context incomplete")
 		}
 		// Charge a kernel and confirm the clock moves.

@@ -38,7 +38,7 @@ func TestManifestFromRun(t *testing.T) {
 
 	exs := make([]core.Exec, cfg.Procs) // per-rank slots: no write race
 	res, err := Launch(cfg, func(env *Env) error {
-		exs[env.Rank()] = env.Exec
+		exs[env.Rank()] = env.exec
 		for i := 0; i < 8; i++ { // overflow the 4-event trace logs
 			if err := env.Charge(memKernel(), 1e5); err != nil {
 				return err

@@ -385,10 +385,8 @@ func (a App) Run(cfg common.RunConfig) (common.Result, error) {
 		return common.Result{}, fmt.Errorf("ffb: %d ranks do not divide %d element layers", cfg.Procs, nz-1)
 	}
 
-	var residual, totalFlops, maxU float64
-	var iters int
-
-	res, err := common.Launch(cfg, func(env *common.Env) error {
+	var o outputs
+	res, err := common.LaunchApp(a.Name(), cfg, &o, func(env *common.Env) error {
 		m, err := NewMesh(nx, ny, nz, env.Procs(), env.Rank())
 		if err != nil {
 			return err
@@ -437,10 +435,7 @@ func (a App) Run(cfg common.RunConfig) (common.Result, error) {
 			return err
 		}
 		if env.Rank() == 0 {
-			residual = rr
-			totalFlops = fl
-			iters = s.iters
-			maxU = mx
+			o = outputs{residual: rr, flops: fl, iters: s.iters, maxU: mx}
 		}
 		return nil
 	})
@@ -449,12 +444,20 @@ func (a App) Run(cfg common.RunConfig) (common.Result, error) {
 	}
 
 	out := common.FinishResult(a.Name(), cfg, res)
-	out.Flops = totalFlops
-	out.Check = residual
-	out.Verified = residual < 1e-8 && maxU > 0.03 && maxU < 0.09
-	out.Figure = float64(iters)
+	out.Flops = o.flops
+	out.Check = o.residual
+	out.Verified = o.residual < 1e-8 && o.maxU > 0.03 && o.maxU < 0.09
+	out.Figure = float64(o.iters)
 	out.FigureUnit = "CG iterations"
 	return out, nil
+}
+
+// outputs are what a run's numerics decide: the CG residual, the node's
+// flops, the CG iterations and the solution's peak.
+type outputs struct {
+	residual, flops float64
+	iters           int
+	maxU            float64
 }
 
 func init() { common.Register(App{}) }

@@ -408,9 +408,8 @@ func (a App) Run(cfg common.RunConfig) (common.Result, error) {
 		return common.Result{}, fmt.Errorf("ffvc: %d ranks do not divide NZ=%d", cfg.Procs, nz)
 	}
 
-	var finalDiv, preDiv, speed, totalFlops float64
-
-	res, err := common.Launch(cfg, func(env *common.Env) error {
+	var o outputs
+	res, err := common.LaunchApp(a.Name(), cfg, &o, func(env *common.Env) error {
 		g, err := NewGrid(nx, ny, nz, env.Procs(), env.Rank())
 		if err != nil {
 			return err
@@ -488,10 +487,7 @@ func (a App) Run(cfg common.RunConfig) (common.Result, error) {
 			return err
 		}
 		if env.Rank() == 0 {
-			finalDiv = dv
-			preDiv = pre
-			speed = sp
-			totalFlops = fl
+			o = outputs{finalDiv: dv, preDiv: pre, speed: sp, flops: fl}
 		}
 		return nil
 	})
@@ -500,15 +496,22 @@ func (a App) Run(cfg common.RunConfig) (common.Result, error) {
 	}
 
 	out := common.FinishResult(a.Name(), cfg, res)
-	out.Flops = totalFlops
-	out.Check = finalDiv
-	out.Verified = finalDiv < 0.6*preDiv && speed > 1e-6 && !math.IsNaN(finalDiv)
+	out.Flops = o.flops
+	out.Check = o.finalDiv
+	out.Verified = o.finalDiv < 0.6*o.preDiv && o.speed > 1e-6 && !math.IsNaN(o.finalDiv)
 	if out.Time > 0 {
 		cells := float64(nx*ny*nz) * steps
 		out.Figure = cells / out.Time / 1e6
 		out.FigureUnit = "Mcell-updates/s"
 	}
 	return out, nil
+}
+
+// outputs are what a run's numerics decide: the divergence after and
+// before the last projection, the flow speed under the lid and the
+// node's flops.
+type outputs struct {
+	finalDiv, preDiv, speed, flops float64
 }
 
 func init() { common.Register(App{}) }

@@ -431,10 +431,8 @@ func (a App) Run(cfg common.RunConfig) (common.Result, error) {
 	cfg = cfg.Normalized()
 	n, cells := sysFor(cfg.Size)
 
-	var drift, totalFlops float64
-	verified := true
-
-	res, err := common.Launch(cfg, func(env *common.Env) error {
+	var o outputs
+	res, err := common.LaunchApp(a.Name(), cfg, &o, func(env *common.Env) error {
 		sys := NewSystem(n, cells, cfg.Seed)
 		sch := omp.Schedule{Kind: omp.Dynamic, Chunk: 8} // MD imbalance wants dynamic
 		procs := env.Procs()
@@ -535,9 +533,8 @@ func (a App) Run(cfg common.RunConfig) (common.Result, error) {
 			return err
 		}
 		if env.Rank() == 0 {
-			drift = math.Abs(e1-e0) / math.Abs(e0)
-			totalFlops = fl
-			verified = drift < 0.02 && !math.IsNaN(e1)
+			drift := math.Abs(e1-e0) / math.Abs(e0)
+			o = outputs{drift: drift, flops: fl, verified: drift < 0.02 && !math.IsNaN(e1)}
 		}
 		return nil
 	})
@@ -546,14 +543,21 @@ func (a App) Run(cfg common.RunConfig) (common.Result, error) {
 	}
 
 	out := common.FinishResult(a.Name(), cfg, res)
-	out.Flops = totalFlops
-	out.Check = drift
-	out.Verified = verified
+	out.Flops = o.flops
+	out.Check = o.drift
+	out.Verified = o.verified
 	if out.Time > 0 {
 		out.Figure = float64(n) * steps / out.Time / 1e6
 		out.FigureUnit = "Mparticle-steps/s"
 	}
 	return out, nil
+}
+
+// outputs are what a run's numerics decide: the relative energy drift,
+// the node's flops and the verdict on the final energy.
+type outputs struct {
+	drift, flops float64
+	verified     bool
 }
 
 func init() { common.Register(App{}) }

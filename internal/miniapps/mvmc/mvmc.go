@@ -349,9 +349,8 @@ func (a App) Run(cfg common.RunConfig) (common.Result, error) {
 	cfg = cfg.Normalized()
 	l, n, totalSweeps := sysFor(cfg.Size)
 
-	var energyErr, invResid, accRate, totalFlops float64
-
-	res, err := common.Launch(cfg, func(env *common.Env) error {
+	var o outputs
+	res, err := common.LaunchApp(a.Name(), cfg, &o, func(env *common.Env) error {
 		m, err := NewModel(l, n)
 		if err != nil {
 			return err
@@ -367,17 +366,13 @@ func (a App) Run(cfg common.RunConfig) (common.Result, error) {
 
 		// Sweeps are split across rank-parallel chains; threads beyond
 		// the matrix dimension cannot help the O(N)/O(N^2) kernels, so
-		// the charging context caps the useful team size at N.
+		// every charge caps the useful team size at N.
 		sweeps := totalSweeps / env.Procs()
 		if sweeps < 1 {
 			sweeps = 1
 		}
-		chargeEx := env.Exec
-		if len(chargeEx.ThreadCores) > n {
-			chargeEx.ThreadCores = chargeEx.ThreadCores[:n]
-		}
 		charge := func(k core.Kernel, iters float64) error {
-			return env.ChargeWith(k, iters, chargeEx)
+			return env.ChargeCapped(k, iters, n)
 		}
 
 		var eSum float64
@@ -432,10 +427,8 @@ func (a App) Run(cfg common.RunConfig) (common.Result, error) {
 			return err
 		}
 		if env.Rank() == 0 {
-			energyErr = worstErr
-			invResid = worstResid
-			accRate = acc / float64(env.Procs()*sweeps*l)
-			totalFlops = fl
+			o = outputs{energyErr: worstErr, invResid: worstResid,
+				accRate: acc / float64(env.Procs()*sweeps*l), flops: fl}
 		}
 		return nil
 	})
@@ -444,14 +437,20 @@ func (a App) Run(cfg common.RunConfig) (common.Result, error) {
 	}
 
 	out := common.FinishResult(a.Name(), cfg, res)
-	out.Flops = totalFlops
-	out.Check = energyErr
+	out.Flops = o.flops
+	out.Check = o.energyErr
 	// Zero variance: every chain must reproduce the exact eigenvalue,
 	// and the updated inverse must agree with a fresh factorization.
-	out.Verified = energyErr < 1e-7 && invResid < 1e-7 && accRate > 0.05
-	out.Figure = accRate
+	out.Verified = o.energyErr < 1e-7 && o.invResid < 1e-7 && o.accRate > 0.05
+	out.Figure = o.accRate
 	out.FigureUnit = "acceptance rate"
 	return out, nil
+}
+
+// outputs are what a run's numerics decide: the worst chain's energy
+// error and inverse residual, the acceptance rate and the node's flops.
+type outputs struct {
+	energyErr, invResid, accRate, flops float64
 }
 
 func init() { common.Register(App{}) }

@@ -2,8 +2,10 @@ package ngsa
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
+	"fibersim/internal/core"
 	"fibersim/internal/miniapps/common"
 )
 
@@ -171,5 +173,36 @@ func TestKernelsAreBranchy(t *testing.T) {
 	}
 	if ks[0].NonFPFrac < 0.5 || ks[0].AutoVecFrac > 0.1 {
 		t.Error("smith-waterman kernel should be integer/branch dominated, barely vectorized as-is")
+	}
+}
+
+// allocated returns the bytes f allocates.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestReplayBuildsNoReference checks that a replayed launch skips the
+// host-side set-up: replaying a recorded run allocates less than
+// building its k-mer index alone would.
+func TestReplayBuildsNoReference(t *testing.T) {
+	const seed = 11
+	cfg := common.RunConfig{Procs: 2, Threads: 2, Size: common.SizeTest, Seed: seed}
+	if _, err := (App{}).Run(cfg); err != nil { // records the launch
+		t.Fatal(err)
+	}
+	cfg.Compiler = core.Tuned()
+	var err error
+	replay := allocated(func() { _, err = App{}.Run(cfg) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	index := allocated(func() { NewIndex(NewGenome(genomeFor(common.SizeTest), seed).Ref) })
+	t.Logf("replay %d B, index build %d B", replay, index)
+	if replay >= index {
+		t.Errorf("a replay allocated %d B, not less than the %d B of one index build", replay, index)
 	}
 }

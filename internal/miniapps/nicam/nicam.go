@@ -302,10 +302,8 @@ func (a App) Run(cfg common.RunConfig) (common.Result, error) {
 		return common.Result{}, fmt.Errorf("nicam: %d ranks do not divide NY=%d", cfg.Procs, ny)
 	}
 
-	var massErr, totalFlops float64
-	finite := true
-
-	res, err := common.Launch(cfg, func(env *common.Env) error {
+	var o outputs
+	res, err := common.LaunchApp(a.Name(), cfg, &o, func(env *common.Env) error {
 		g, err := NewGrid(nx, ny, env.Procs(), env.Rank())
 		if err != nil {
 			return err
@@ -358,14 +356,13 @@ func (a App) Run(cfg common.RunConfig) (common.Result, error) {
 			return err
 		}
 		if env.Rank() == 0 {
-			massErr = math.Abs(m1-m0) / math.Abs(m0)
+			massErr := math.Abs(m1-m0) / math.Abs(m0)
 			if q0 != 0 {
 				if qe := math.Abs(q1-q0) / math.Abs(q0); qe > massErr {
 					massErr = qe // report the worse of the two invariants
 				}
 			}
-			totalFlops = fl
-			finite = ok
+			o = outputs{massErr: massErr, flops: fl, finite: ok}
 		}
 		return nil
 	})
@@ -374,14 +371,22 @@ func (a App) Run(cfg common.RunConfig) (common.Result, error) {
 	}
 
 	out := common.FinishResult(a.Name(), cfg, res)
-	out.Flops = totalFlops
-	out.Check = massErr
-	out.Verified = massErr < 1e-12 && finite
+	out.Flops = o.flops
+	out.Check = o.massErr
+	out.Verified = o.massErr < 1e-12 && o.finite
 	if out.Time > 0 {
 		out.Figure = float64(nx*ny) * steps / out.Time / 1e6
 		out.FigureUnit = "Mcell-steps/s"
 	}
 	return out, nil
+}
+
+// outputs are what a run's numerics decide: the worse relative drift of
+// the two conserved masses, the node's flops and whether rank 0's
+// height field stayed finite and positive.
+type outputs struct {
+	massErr, flops float64
+	finite         bool
 }
 
 func init() { common.Register(App{}) }

@@ -178,9 +178,8 @@ func (a App) Run(cfg common.RunConfig) (common.Result, error) {
 	cfg = cfg.Normalized()
 	nocc, nvirt, naux := problemFor(cfg.Size)
 
-	var e2, totalFlops float64
-
-	res, err := common.Launch(cfg, func(env *common.Env) error {
+	var o outputs
+	res, err := common.LaunchApp(a.Name(), cfg, &o, func(env *common.Env) error {
 		p := NewProblem(nocc, nvirt, naux, cfg.Seed)
 		nov := p.NOV()
 		sch := omp.Schedule{Kind: omp.Static}
@@ -243,8 +242,7 @@ func (a App) Run(cfg common.RunConfig) (common.Result, error) {
 			return err
 		}
 		if env.Rank() == 0 {
-			e2 = total
-			totalFlops = 2*2*float64(nov)*float64(nov)*float64(naux) + 7*float64(nov)*float64(nov)
+			o = outputs{e2: total, flops: 2*2*float64(nov)*float64(nov)*float64(naux) + 7*float64(nov)*float64(nov)}
 		}
 		return nil
 	})
@@ -253,13 +251,19 @@ func (a App) Run(cfg common.RunConfig) (common.Result, error) {
 	}
 
 	out := common.FinishResult(a.Name(), cfg, res)
-	out.Flops = totalFlops
-	out.Check = e2
+	out.Flops = o.flops
+	out.Check = o.e2
 	// MP2 correlation energy is strictly negative and finite.
-	out.Verified = e2 < 0 && !math.IsNaN(e2) && !math.IsInf(e2, 0)
+	out.Verified = o.e2 < 0 && !math.IsNaN(o.e2) && !math.IsInf(o.e2, 0)
 	out.Figure = out.GFlops()
 	out.FigureUnit = "Gflop/s"
 	return out, nil
+}
+
+// outputs are what a run's numerics decide: the MP2 correlation energy
+// and the node's flops.
+type outputs struct {
+	e2, flops float64
 }
 
 func init() { common.Register(App{}) }

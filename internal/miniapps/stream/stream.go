@@ -93,11 +93,8 @@ func (a App) Run(cfg common.RunConfig) (common.Result, error) {
 	ks := kernels(n)
 	const scalar = 3.0
 
-	verified := true
-	var worstErr float64
-	var triadTime float64 // max over ranks, gathered below
-
-	res, err := common.Launch(cfg, func(env *common.Env) error {
+	var o outputs
+	res, err := common.LaunchApp(a.Name(), cfg, &o, func(env *common.Env) error {
 		A := make([]float64, n)
 		B := make([]float64, n)
 		C := make([]float64, n)
@@ -106,7 +103,6 @@ func (a App) Run(cfg common.RunConfig) (common.Result, error) {
 		}
 		sched := omp.Schedule{Kind: omp.Static}
 
-		var myTriad float64
 		for r := 0; r < reps; r++ {
 			// The chunk bodies reslice the arrays to [lo,hi) so the
 			// compiler drops the bounds checks in the element loops.
@@ -136,7 +132,7 @@ func (a App) Run(cfg common.RunConfig) (common.Result, error) {
 				return err
 			}
 			// triad: a = b + s*c
-			before := env.Comm.Clock().Now()
+			env.BeginSpan("triad")
 			env.Team.ParallelRange(sched, n, func(_, lo, hi int) {
 				a, b, c := A[lo:hi], B[lo:hi], C[lo:hi]
 				for i := range a {
@@ -146,14 +142,7 @@ func (a App) Run(cfg common.RunConfig) (common.Result, error) {
 			if err := env.Charge(ks[3], float64(n)); err != nil {
 				return err
 			}
-			myTriad += env.Comm.Clock().Now() - before
-		}
-		worst, err := env.Comm.AllreduceScalar(mpiMax, myTriad)
-		if err != nil {
-			return err
-		}
-		if env.Rank() == 0 {
-			triadTime = worst
+			env.EndSpan("triad")
 		}
 
 		// Reference STREAM verification: replay the recurrence serially.
@@ -164,16 +153,16 @@ func (a App) Run(cfg common.RunConfig) (common.Result, error) {
 			ec = ea + eb
 			ea = eb + scalar*ec
 		}
+		var localErr float64
 		for i := 0; i < n; i += n / 16 {
-			if d := math.Abs(A[i] - ea); d > 1e-8 {
-				verified = false
-				if d > worstErr {
-					worstErr = d
-				}
-			}
-			if math.Abs(B[i]-eb) > 1e-8 || math.Abs(C[i]-ec) > 1e-8 {
-				verified = false
-			}
+			localErr = max(localErr, math.Abs(A[i]-ea), math.Abs(B[i]-eb), math.Abs(C[i]-ec))
+		}
+		worstErr, err := env.Comm.AllreduceScalar(mpiMax, localErr)
+		if err != nil {
+			return err
+		}
+		if env.Rank() == 0 {
+			o = outputs{worstErr: worstErr}
 		}
 		return env.Comm.Barrier()
 	})
@@ -185,10 +174,16 @@ func (a App) Run(cfg common.RunConfig) (common.Result, error) {
 	// (the classic STREAM accounting excludes write-allocate).
 	triadBytes := float64(24*n) * reps * float64(cfg.Procs)
 
+	// The triad time is the slowest rank's.
+	var triadTime float64
+	for _, t := range res.Spans["triad"] {
+		triadTime = max(triadTime, t)
+	}
+
 	out := common.FinishResult(a.Name(), cfg, res)
 	out.Flops = float64(3*n*reps) * float64(cfg.Procs) // scale+add+triad flops
-	out.Verified = verified
-	out.Check = worstErr
+	out.Verified = o.worstErr <= 1e-8
+	out.Check = o.worstErr
 	if triadTime > 0 {
 		out.Figure = triadBytes / triadTime / 1e9
 		out.FigureUnit = "GB/s (triad)"
@@ -198,5 +193,11 @@ func (a App) Run(cfg common.RunConfig) (common.Result, error) {
 
 // mpiMax aliases the reduction operator to keep call sites short.
 const mpiMax = mpi.OpMax
+
+// outputs are what a run's numerics decide: the largest deviation of
+// any sampled array element from the serial recurrence.
+type outputs struct {
+	worstErr float64
+}
 
 func init() { common.Register(App{}) }

@@ -138,19 +138,73 @@ func (c *Comm) rendezvous(op string, bytes int64, value any,
 	return gen.result, gen.err
 }
 
+// Collective names the collectives a Log records and ReplayCollective
+// repeats.
+type Collective uint8
+
+const (
+	// CollBarrier is Barrier.
+	CollBarrier Collective = iota
+	// CollAllreduce is Allreduce (and AllreduceScalar).
+	CollAllreduce
+	// CollAllgather is Allgather.
+	CollAllgather
+)
+
+// noCombine is the combine step of a collective that returns no data.
+func noCombine([]phaserEntry) (any, error) { return nil, nil }
+
+// collective runs one round of kind with this rank's n-float64
+// contribution value: it derives the operation signature, the payload
+// accounting and the cost from (kind, op, n) alone, so a data-free
+// replay (nil value, noCombine) costs exactly what the logged call did.
+func (c *Comm) collective(kind Collective, op Op, n int, value any,
+	combine func([]phaserEntry) (any, error)) (any, error) {
+	f := c.world.collectiveFabric(c.group)
+	p, b := len(c.group), float64Bytes(n)
+	switch kind {
+	case CollBarrier:
+		return c.rendezvous("barrier", 0, value, combine,
+			func() float64 { return f.Barrier(p) })
+	case CollAllreduce:
+		return c.rendezvous(fmt.Sprintf("allreduce/%s/n=%d", op, n), b, value, combine,
+			func() float64 { return f.Allreduce(p, b, c.world.cfg.ReduceGamma) })
+	case CollAllgather:
+		return c.rendezvous("allgather", b, value, combine,
+			func() float64 { return f.Allgather(p, b) })
+	default:
+		return nil, fmt.Errorf("mpi: unknown collective %d", kind)
+	}
+}
+
+// logCollective reports a collective to the log, if any.
+func (c *Comm) logCollective(kind Collective, op Op, n int) {
+	if c.log != nil {
+		c.log.Collective(kind, op, n)
+	}
+}
+
+// ReplayCollective repeats a logged collective with a data-free payload
+// of n float64s: every rank of the communicator must replay the same
+// round, and the signature, bytes and virtual timing are those of the
+// logged call.
+func (c *Comm) ReplayCollective(kind Collective, op Op, n int) error {
+	_, err := c.collective(kind, op, n, nil, noCombine)
+	return err
+}
+
 // Barrier blocks until all ranks of the communicator arrive and
 // synchronizes their virtual clocks.
 func (c *Comm) Barrier() error {
-	f := c.world.collectiveFabric(c.group)
-	_, err := c.rendezvous("barrier", 0, nil,
-		func([]phaserEntry) (any, error) { return nil, nil },
-		func() float64 { return f.Barrier(len(c.group)) })
+	c.logCollective(CollBarrier, 0, 0)
+	_, err := c.collective(CollBarrier, 0, 0, nil, noCombine)
 	return err
 }
 
 // Bcast broadcasts root's buffer to all ranks; non-root ranks pass nil
 // and receive the copy. All ranks receive the result slice.
 func (c *Comm) Bcast(root int, data []float64) ([]float64, error) {
+	c.unreplayable("mpi.Bcast")
 	if err := c.checkPeer(root); err != nil {
 		return nil, err
 	}
@@ -199,6 +253,7 @@ func reduceEntries(op Op, entries []phaserEntry) ([]float64, error) {
 // Reduce combines data element-wise across ranks with op; the result is
 // returned on root and nil elsewhere.
 func (c *Comm) Reduce(root int, op Op, data []float64) ([]float64, error) {
+	c.unreplayable("mpi.Reduce")
 	if err := c.checkPeer(root); err != nil {
 		return nil, err
 	}
@@ -219,11 +274,9 @@ func (c *Comm) Reduce(root int, op Op, data []float64) ([]float64, error) {
 // Allreduce combines data element-wise across ranks; every rank gets
 // the result.
 func (c *Comm) Allreduce(op Op, data []float64) ([]float64, error) {
-	f := c.world.collectiveFabric(c.group)
-	n := float64Bytes(len(data))
-	res, err := c.rendezvous(fmt.Sprintf("allreduce/%s/n=%d", op, len(data)), n, data,
-		func(entries []phaserEntry) (any, error) { return reduceEntries(op, entries) },
-		func() float64 { return f.Allreduce(len(c.group), n, c.world.cfg.ReduceGamma) })
+	c.logCollective(CollAllreduce, op, len(data))
+	res, err := c.collective(CollAllreduce, op, len(data), data,
+		func(entries []phaserEntry) (any, error) { return reduceEntries(op, entries) })
 	if err != nil {
 		return nil, err
 	}
@@ -243,6 +296,7 @@ func (c *Comm) AllreduceScalar(op Op, v float64) (float64, error) {
 // returned on non-root ranks. Buffers may have different lengths
 // (gatherv semantics).
 func (c *Comm) Gather(root int, data []float64) ([][]float64, error) {
+	c.unreplayable("mpi.Gather")
 	if err := c.checkPeer(root); err != nil {
 		return nil, err
 	}
@@ -269,9 +323,8 @@ func (c *Comm) Gather(root int, data []float64) ([][]float64, error) {
 
 // Allgather collects every rank's buffer on every rank, indexed by rank.
 func (c *Comm) Allgather(data []float64) ([][]float64, error) {
-	f := c.world.collectiveFabric(c.group)
-	n := float64Bytes(len(data))
-	res, err := c.rendezvous("allgather", n, data,
+	c.logCollective(CollAllgather, 0, len(data))
+	res, err := c.collective(CollAllgather, 0, len(data), data,
 		func(entries []phaserEntry) (any, error) {
 			out := make([][]float64, len(entries))
 			for i, e := range entries {
@@ -279,8 +332,7 @@ func (c *Comm) Allgather(data []float64) ([][]float64, error) {
 				out[i] = append([]float64(nil), v...)
 			}
 			return out, nil
-		},
-		func() float64 { return f.Allgather(len(c.group), n) })
+		})
 	if err != nil {
 		return nil, err
 	}
@@ -295,6 +347,7 @@ func (c *Comm) Allgather(data []float64) ([][]float64, error) {
 // Alltoall sends chunks[j] to rank j and returns the chunks received,
 // indexed by source rank. Every rank must pass exactly Size() chunks.
 func (c *Comm) Alltoall(chunks [][]float64) ([][]float64, error) {
+	c.unreplayable("mpi.Alltoall")
 	p := len(c.group)
 	if len(chunks) != p {
 		return nil, fmt.Errorf("mpi: alltoall needs %d chunks, got %d", p, len(chunks))
@@ -336,6 +389,7 @@ func (c *Comm) Alltoall(chunks [][]float64) ([][]float64, error) {
 // Scatter distributes root's chunks: rank i receives chunks[i]. Only
 // the root's chunks argument is used; other ranks pass nil.
 func (c *Comm) Scatter(root int, chunks [][]float64) ([]float64, error) {
+	c.unreplayable("mpi.Scatter")
 	if err := c.checkPeer(root); err != nil {
 		return nil, err
 	}
@@ -372,6 +426,7 @@ func (c *Comm) Scatter(root int, chunks [][]float64) ([]float64, error) {
 // the result: with n = len(data) divisible by Size(), rank i receives
 // elements [i*n/p, (i+1)*n/p) of the reduction.
 func (c *Comm) ReduceScatter(op Op, data []float64) ([]float64, error) {
+	c.unreplayable("mpi.ReduceScatter")
 	p := len(c.group)
 	if len(data)%p != 0 {
 		return nil, fmt.Errorf("mpi: reduce-scatter length %d not divisible by %d ranks", len(data), p)
@@ -393,6 +448,7 @@ func (c *Comm) ReduceScatter(op Op, data []float64) ([]float64, error) {
 // color form a new communicator ordered by key (ties broken by old
 // rank). Every rank of c must call Split.
 func (c *Comm) Split(color, key int) (*Comm, error) {
+	c.unreplayable("mpi.Split")
 	type ck struct{ color, key, rank int }
 	res, err := c.rendezvous("split", 0, ck{color, key, c.rank},
 		func(entries []phaserEntry) (any, error) {

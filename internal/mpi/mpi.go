@@ -417,6 +417,32 @@ type Comm struct {
 	id    string // communicator identity, shared by all members
 	rank  int    // rank within this communicator
 	group []int  // global rank of each communicator rank
+	log   Log    // nil when the rank program is not being logged
+}
+
+// Log receives a rank's model-visible communication in program order,
+// so a launcher can record a rank program and later repeat its timing
+// through ReplaySendrecv and ReplayCollective. Operations those cannot
+// repeat report themselves as unreplayable instead.
+type Log interface {
+	// Sendrecv records one Sendrecv of n float64s.
+	Sendrecv(dst, sendTag, src, recvTag, n int)
+	// Collective records one collective entered with this rank's n
+	// float64s; op is the reduction operator of an Allreduce.
+	Collective(kind Collective, op Op, n int)
+	// Unreplayable names an operation a replay cannot repeat.
+	Unreplayable(op string)
+}
+
+// LogTo attaches an operation log to this communicator handle; nil
+// turns logging off.
+func (c *Comm) LogTo(l Log) { c.log = l }
+
+// unreplayable reports op to the log, if any.
+func (c *Comm) unreplayable(op string) {
+	if c.log != nil {
+		c.log.Unreplayable(op)
+	}
 }
 
 // Rank returns the caller's rank in this communicator.
@@ -430,7 +456,10 @@ func (c *Comm) Clock() *vtime.Clock { return c.world.clocks[c.global(c.rank)] }
 
 // Advance moves the caller's clock forward; miniapps use it to charge
 // modelled compute time.
-func (c *Comm) Advance(d float64, cat vtime.Category) { c.Clock().Advance(d, cat) }
+func (c *Comm) Advance(d float64, cat vtime.Category) {
+	c.unreplayable("mpi.Advance")
+	c.Clock().Advance(d, cat)
+}
 
 // Trace records a timeline event on the caller's track (no-op when
 // tracing is off). Start and end are virtual times.
@@ -488,6 +517,13 @@ func (c *Comm) post(dst int, m *message) {
 // the sender only pays the send overhead and continues. Sending to
 // ProcNull is a free no-op.
 func (c *Comm) Send(dst, tag int, data []float64) error {
+	c.unreplayable("mpi.Send")
+	return c.send(dst, tag, data, len(data))
+}
+
+// send posts a copy of data as an n-float64 message; nil data posts a
+// data-free message that costs and counts the same.
+func (c *Comm) send(dst, tag int, data []float64, n int) error {
 	if dst == ProcNull {
 		return nil
 	}
@@ -501,13 +537,14 @@ func (c *Comm) Send(dst, tag int, data []float64) error {
 		src:   c.rank,
 		tag:   tag,
 		data:  append([]float64(nil), data...),
-		bytes: float64Bytes(len(data)),
+		bytes: float64Bytes(n),
 	})
 	return nil
 }
 
 // SendBytes is Send for raw byte payloads.
 func (c *Comm) SendBytes(dst, tag int, data []byte) error {
+	c.unreplayable("mpi.SendBytes")
 	if dst == ProcNull {
 		return nil
 	}
@@ -579,6 +616,12 @@ func (c *Comm) recvMessage(src, tag int) (*message, error) {
 // Use AnySource and AnyTag as wildcards. Receiving a byte message with
 // Recv is a type error.
 func (c *Comm) Recv(src, tag int) ([]float64, error) {
+	c.unreplayable("mpi.Recv")
+	return c.recv(src, tag)
+}
+
+// recv is Recv without the log check.
+func (c *Comm) recv(src, tag int) ([]float64, error) {
 	m, err := c.recvMessage(src, tag)
 	if err != nil {
 		return nil, err
@@ -591,6 +634,7 @@ func (c *Comm) Recv(src, tag int) ([]float64, error) {
 
 // RecvBytes blocks until a byte message matching (src, tag) arrives.
 func (c *Comm) RecvBytes(src, tag int) ([]byte, error) {
+	c.unreplayable("mpi.RecvBytes")
 	m, err := c.recvMessage(src, tag)
 	if err != nil {
 		return nil, err
@@ -605,8 +649,22 @@ func (c *Comm) RecvBytes(src, tag int) ([]byte, error) {
 // halo-exchange primitive. The eager send makes the symmetric pattern
 // deadlock-free.
 func (c *Comm) Sendrecv(dst, sendTag int, data []float64, src, recvTag int) ([]float64, error) {
-	if err := c.Send(dst, sendTag, data); err != nil {
+	if c.log != nil {
+		c.log.Sendrecv(dst, sendTag, src, recvTag, len(data))
+	}
+	if err := c.send(dst, sendTag, data, len(data)); err != nil {
 		return nil, err
 	}
-	return c.Recv(src, recvTag)
+	return c.recv(src, recvTag)
+}
+
+// ReplaySendrecv repeats a logged Sendrecv of n float64s with a
+// data-free payload: the peers, tags, bytes and virtual timing are
+// those of the logged call, and nothing is received.
+func (c *Comm) ReplaySendrecv(dst, sendTag, src, recvTag, n int) error {
+	if err := c.send(dst, sendTag, nil, n); err != nil {
+		return err
+	}
+	_, err := c.recv(src, recvTag)
+	return err
 }

@@ -15,12 +15,17 @@ import (
 // and rank, and its handles are cached until SetMeta changes the
 // labels. A hot-path call is then one cache lookup under mu followed
 // by atomic adds on the handles, with no label map built.
+//
+// The profile accumulators are kept per (rank, kernel), (rank, op) and
+// rank, and Profile folds them in rank order: one rank's calls arrive
+// in its program order, so the folded sums do not depend on how the
+// host interleaved the ranks.
 type Recorder struct {
 	mu      sync.Mutex
-	kernels map[string]*kernelAcc
-	ops     map[string]*opAcc
+	kernels map[seriesKey]*kernelAcc
+	ops     map[seriesKey]*opAcc
 	peers   map[peerKey]*peerAcc
-	omp     OMPProfile
+	omp     map[int]*OMPProfile
 	dropped int64
 
 	kernelSeries map[seriesKey]*kernelSeries
@@ -81,9 +86,10 @@ type rankSeries struct {
 // NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder {
 	return &Recorder{
-		kernels:      map[string]*kernelAcc{},
-		ops:          map[string]*opAcc{},
+		kernels:      map[seriesKey]*kernelAcc{},
+		ops:          map[seriesKey]*opAcc{},
 		peers:        map[peerKey]*peerAcc{},
+		omp:          map[int]*OMPProfile{},
 		kernelSeries: map[seriesKey]*kernelSeries{},
 		opSeries:     map[seriesKey]*opSeries{},
 		rankSeries:   map[int]*rankSeries{},
@@ -139,10 +145,10 @@ func (r *Recorder) KernelCharge(rank int, kernel string, iters, flops float64, a
 		return
 	}
 	r.mu.Lock()
-	acc, ok := r.kernels[kernel]
+	acc, ok := r.kernels[seriesKey{rank, kernel}]
 	if !ok {
 		acc = &kernelAcc{}
-		r.kernels[kernel] = acc
+		r.kernels[seriesKey{rank, kernel}] = acc
 	}
 	acc.calls++
 	acc.iters += iters
@@ -185,10 +191,10 @@ func (r *Recorder) MPIOp(rank int, op string, peer int, bytes int64, wait float6
 		return
 	}
 	r.mu.Lock()
-	acc, ok := r.ops[op]
+	acc, ok := r.ops[seriesKey{rank, op}]
 	if !ok {
 		acc = &opAcc{}
-		r.ops[op] = acc
+		r.ops[seriesKey{rank, op}] = acc
 	}
 	acc.count++
 	acc.bytes += bytes
@@ -255,9 +261,14 @@ func (r *Recorder) OMPRegion(rank int, overhead, imbalance float64) {
 		return
 	}
 	r.mu.Lock()
-	r.omp.Regions++
-	r.omp.BarrierSeconds += overhead
-	r.omp.ImbalanceSeconds += imbalance
+	acc, ok := r.omp[rank]
+	if !ok {
+		acc = &OMPProfile{}
+		r.omp[rank] = acc
+	}
+	acc.Regions++
+	acc.BarrierSeconds += overhead
+	acc.ImbalanceSeconds += imbalance
 	s := r.rankSeriesLocked(rank)
 	if overhead > 0 && s.barrier == nil {
 		s.barrier = r.reg.Counter("fibersim_omp_barrier_seconds_total",
@@ -384,17 +395,22 @@ func (r *Recorder) Profile() Profile {
 	defer r.mu.Unlock()
 
 	var p Profile
-	for name, acc := range r.kernels {
-		p.Kernels = append(p.Kernels, KernelProfile{
-			Kernel:      name,
-			Calls:       acc.calls,
-			Iters:       acc.iters,
-			Flops:       acc.flops,
-			Seconds:     acc.attr.Total(),
-			Attribution: acc.attr,
-			Dominant:    acc.attr.Dominant().String(),
-			Category:    acc.attr.Category().String(),
-		})
+	for _, k := range sortedKeys(r.kernels) {
+		acc := r.kernels[k]
+		if n := len(p.Kernels); n == 0 || p.Kernels[n-1].Kernel != k.name {
+			p.Kernels = append(p.Kernels, KernelProfile{Kernel: k.name})
+		}
+		kp := &p.Kernels[len(p.Kernels)-1]
+		kp.Calls += acc.calls
+		kp.Iters += acc.iters
+		kp.Flops += acc.flops
+		kp.Attribution = kp.Attribution.Add(acc.attr)
+	}
+	for i := range p.Kernels {
+		kp := &p.Kernels[i]
+		kp.Seconds = kp.Attribution.Total()
+		kp.Dominant = kp.Attribution.Dominant().String()
+		kp.Category = kp.Attribution.Category().String()
 	}
 	sort.Slice(p.Kernels, func(i, j int) bool {
 		//fiberlint:ignore floatcmp exact tie-break keeps the ordering deterministic
@@ -405,10 +421,21 @@ func (r *Recorder) Profile() Profile {
 	})
 
 	if len(r.ops) > 0 {
-		p.Comm.Ops = make(map[string]CommOp, len(r.ops))
-		for op, acc := range r.ops {
-			p.Comm.Ops[op] = CommOp{Count: acc.count, Bytes: acc.bytes, WaitSeconds: acc.wait}
-			p.Comm.WaitSeconds += acc.wait
+		p.Comm.Ops = map[string]CommOp{}
+		var names []string
+		for _, k := range sortedKeys(r.ops) {
+			acc := r.ops[k]
+			op, ok := p.Comm.Ops[k.name]
+			if !ok {
+				names = append(names, k.name)
+			}
+			op.Count += acc.count
+			op.Bytes += acc.bytes
+			op.WaitSeconds += acc.wait
+			p.Comm.Ops[k.name] = op
+		}
+		for _, name := range names {
+			p.Comm.WaitSeconds += p.Comm.Ops[name].WaitSeconds
 		}
 	}
 	for k, acc := range r.peers {
@@ -423,7 +450,33 @@ func (r *Recorder) Profile() Profile {
 		return p.Comm.Peers[i].Dst < p.Comm.Peers[j].Dst
 	})
 
-	p.OMP = r.omp
+	ranks := make([]int, 0, len(r.omp))
+	for rank := range r.omp {
+		ranks = append(ranks, rank)
+	}
+	sort.Ints(ranks)
+	for _, rank := range ranks {
+		acc := r.omp[rank]
+		p.OMP.Regions += acc.Regions
+		p.OMP.BarrierSeconds += acc.BarrierSeconds
+		p.OMP.ImbalanceSeconds += acc.ImbalanceSeconds
+	}
 	p.TraceDropped = r.dropped
 	return p
+}
+
+// sortedKeys returns m's keys ordered by name, then rank: the order
+// Profile folds per-rank accumulators in.
+func sortedKeys[V any](m map[seriesKey]V) []seriesKey {
+	keys := make([]seriesKey, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].name != keys[j].name {
+			return keys[i].name < keys[j].name
+		}
+		return keys[i].rank < keys[j].rank
+	})
+	return keys
 }

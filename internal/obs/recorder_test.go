@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -311,4 +312,36 @@ func BenchmarkRecorder(b *testing.B) {
 			}
 		})
 	})
+}
+
+// TestProfileIndependentOfArrivalOrder feeds one 3-rank sequence in two
+// interleavings that keep each rank's own order, as two runs of one
+// config may on the host. The values are chosen so that summing in
+// arrival order rounds differently: 1 + 1e-16 + 1e-16 is 1 in one
+// order and the next float above 1 in the other.
+func TestProfileIndependentOfArrivalOrder(t *testing.T) {
+	small := 1e-16
+	type call func(r *Recorder)
+	perRank := func(rank int, v float64) []call {
+		return []call{
+			func(r *Recorder) { r.KernelCharge(rank, "dslash", 1, v, Attribution{Compute: v, Mem: v}) },
+			func(r *Recorder) { r.MPIOp(rank, "allreduce", -1, 8, v) },
+			func(r *Recorder) { r.MPIOp(rank, "recv", (rank+1)%3, 64, v) },
+			func(r *Recorder) { r.OMPRegion(rank, v, v) },
+		}
+	}
+	ranks := [][]call{perRank(0, 1), perRank(1, small), perRank(2, small)}
+	play := func(rankOrder []int) Profile {
+		r := NewRecorder()
+		for i := range ranks[0] {
+			for _, rank := range rankOrder {
+				ranks[rank][i](r)
+			}
+		}
+		return r.Profile()
+	}
+	a, b := play([]int{0, 1, 2}), play([]int{2, 1, 0})
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("profile depends on rank arrival order:\n%+v\n%+v", a, b)
+	}
 }

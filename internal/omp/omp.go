@@ -120,6 +120,8 @@ type Team struct {
 	rec     *obs.Recorder // nil when profiling is off
 	recRank int           // owning rank, labels the recorded spans
 
+	log Log // nil when the rank program is not being logged
+
 	// perturb, when non-nil, maps a region's critical-path time to its
 	// fault-perturbed value (stragglers, OS noise); set via Inject.
 	perturb func(start, d float64) float64
@@ -172,6 +174,29 @@ func (t *Team) Clock() *vtime.Clock { return t.clock }
 func (t *Team) Observe(r *obs.Recorder, rank int) {
 	t.rec = r
 	t.recRank = rank
+}
+
+// Log receives a team's model-visible operations in program order, so
+// a launcher can record a rank program and later repeat its timing
+// with ParallelRange(s, n, nil, nil). Operations that call cannot
+// repeat report themselves as unreplayable instead.
+type Log interface {
+	// Region records one ParallelFor or ParallelRange without a CostFn.
+	Region(s Schedule, n int)
+	// Unreplayable names an operation whose cost a replay cannot
+	// reproduce.
+	Unreplayable(op string)
+}
+
+// LogTo attaches an operation log, the way Observe attaches a
+// recorder; nil turns logging off.
+func (t *Team) LogTo(l Log) { t.log = l }
+
+// unreplayable reports op to the log, if any.
+func (t *Team) unreplayable(op string) {
+	if t.log != nil {
+		t.log.Unreplayable(op)
+	}
 }
 
 // Inject attaches a fault-perturbation hook: f maps a region's
@@ -359,6 +384,13 @@ func (t *Team) ParallelFor(s Schedule, n int, body Body, cost CostFn) *Stats {
 // with that assignment; they must be race-free. A nil body is allowed
 // for timing-only loops.
 func (t *Team) ParallelRange(s Schedule, n int, body RangeBody, cost CostFn) *Stats {
+	if t.log != nil {
+		if cost != nil {
+			t.log.Unreplayable("omp.ParallelRange with a CostFn")
+		} else {
+			t.log.Region(s, n)
+		}
+	}
 	k := t.Threads()
 	st := &Stats{
 		ThreadTime:  make([]float64, k),
@@ -391,6 +423,7 @@ func (t *Team) ParallelRange(s Schedule, n int, body RangeBody, cost CostFn) *St
 	// rank clock must not be touched).
 	if n := t.critPending.Swap(0); n > 0 {
 		st.Overhead += float64(n) * t.over.Critical
+		t.unreplayable("omp.Critical")
 	}
 	t.singleDone.Store(false) // re-arm Single for the next region
 	var maxT float64
@@ -523,11 +556,13 @@ func runThread(p plan, th int, body RangeBody) {
 // attributing it to the given category. Miniapps use it together with
 // internal/core when per-iteration costing is too fine-grained.
 func (t *Team) Charge(d float64, cat vtime.Category) {
+	t.unreplayable("omp.Charge")
 	t.clock.Advance(d, cat)
 }
 
 // Barrier charges one explicit barrier (join-only cost).
 func (t *Team) Barrier() {
+	t.unreplayable("omp.Barrier")
 	n := t.Threads()
 	if n <= 1 {
 		return

@@ -1,6 +1,7 @@
 package omp
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
@@ -526,5 +527,44 @@ func TestInjectPerturbsRegions(t *testing.T) {
 	tm.Inject(nil)
 	if again := tm.ParallelFor(Schedule{Kind: Static}, 64, nil, costs); again.Fault != 0 {
 		t.Fatalf("after Inject(nil), Fault = %g", again.Fault)
+	}
+}
+
+// opLog records what a Team reports, in order.
+type opLog []string
+
+func (l *opLog) Region(s Schedule, n int) { *l = append(*l, fmt.Sprintf("region %s n=%d", s, n)) }
+func (l *opLog) Unreplayable(op string)   { *l = append(*l, op) }
+
+// TestLogRecordsRegionsAndReportsTheRest pins what a team logs: a
+// region per ParallelFor or ParallelRange without a CostFn, and every
+// operation whose cost a region entry cannot carry as unreplayable.
+// Replaying the regions with nil bodies must land on the same clock.
+func TestLogRecordsRegionsAndReportsTheRest(t *testing.T) {
+	tm := team(t, coresRange(4, 1))
+	var l opLog
+	tm.LogTo(&l)
+	dyn := Schedule{Kind: Dynamic, Chunk: 3}
+	tm.ParallelFor(Schedule{}, 10, func(int, int) {}, nil)
+	tm.ParallelRange(dyn, 7, func(int, int, int) {}, nil)
+	want := opLog{"region static n=10", "region dynamic,3 n=7"}
+	if !reflect.DeepEqual(l, want) {
+		t.Fatalf("logged %v, want %v", l, want)
+	}
+	replay := team(t, coresRange(4, 1))
+	replay.ParallelRange(Schedule{}, 10, nil, nil)
+	replay.ParallelRange(dyn, 7, nil, nil)
+	if got, want := replay.Clock().Now(), tm.Clock().Now(); got != want {
+		t.Errorf("replayed clock %g, logged run %g", got, want)
+	}
+
+	l = nil
+	tm.ParallelFor(Schedule{}, 4, nil, func(int) float64 { return 1e-9 })
+	tm.Charge(1e-6, vtime.Compute)
+	tm.Barrier()
+	tm.ParallelFor(Schedule{}, 4, func(int, int) { tm.Critical(func() {}) }, nil)
+	want = opLog{"omp.ParallelRange with a CostFn", "omp.Charge", "omp.Barrier", "region static n=4", "omp.Critical"}
+	if !reflect.DeepEqual(l, want) {
+		t.Errorf("logged %v, want %v", l, want)
 	}
 }
