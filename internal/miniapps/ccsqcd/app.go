@@ -104,6 +104,8 @@ type solver struct {
 	// Wilson-Clover matvec. The even-odd path plugs its Schur operator
 	// in here.
 	apply func(dst, src Field) error
+	// halo holds exchangeHalo's two packed boundary slices.
+	halo [2][]float64
 }
 
 // applyOp dispatches to the configured operator.
@@ -154,45 +156,52 @@ func (s *solver) noiseSource(seed int64) Field {
 func (s *solver) exchangeHalo(src Field) error {
 	g := s.geo
 	sv := g.SliceVol() * spinorLen
-	packSlice := func(t int) []float64 {
-		out := make([]float64, 2*sv)
+	slice := func(t int) Field {
 		off := g.Index(0, 0, 0, t) * spinorLen // slices are contiguous (t outermost)
-		for i := 0; i < sv; i++ {
-			v := src[off+i]
+		return src[off : off+sv]
+	}
+	if g.Procs == 1 {
+		// Periodic wrap within the slab.
+		copy(slice(-1), slice(g.LTloc-1))
+		copy(slice(g.LTloc), slice(0))
+		return nil
+	}
+	// pack writes slice t into buffer b as interleaved real and
+	// imaginary parts. Sendrecv copies its payload, so the buffers
+	// are reused from call to call.
+	pack := func(b, t int) []float64 {
+		if s.halo[b] == nil {
+			s.halo[b] = make([]float64, 2*sv)
+		}
+		out := s.halo[b]
+		for i, v := range slice(t) {
 			out[2*i] = real(v)
 			out[2*i+1] = imag(v)
 		}
 		return out
 	}
-	unpackSlice := func(t int, data []float64) {
-		off := g.Index(0, 0, 0, t) * spinorLen
-		for i := 0; i < sv; i++ {
-			src[off+i] = complex(data[2*i], data[2*i+1])
+	unpack := func(t int, data []float64) {
+		f := slice(t)
+		for i := range f {
+			f[i] = complex(data[2*i], data[2*i+1])
 		}
-	}
-
-	if g.Procs == 1 {
-		// Periodic wrap within the slab.
-		unpackSlice(-1, packSlice(g.LTloc-1))
-		unpackSlice(g.LTloc, packSlice(0))
-		return nil
 	}
 
 	c := s.env.Comm
 	up := (g.Rank + 1) % g.Procs
 	down := (g.Rank - 1 + g.Procs) % g.Procs
 	// Send top slice up / receive bottom halo from down.
-	got, err := c.Sendrecv(up, 100, packSlice(g.LTloc-1), down, 100)
+	got, err := c.Sendrecv(up, 100, pack(0, g.LTloc-1), down, 100)
 	if err != nil {
 		return err
 	}
-	unpackSlice(-1, got)
+	unpack(-1, got)
 	// Send bottom slice down / receive top halo from up.
-	got, err = c.Sendrecv(down, 101, packSlice(0), up, 101)
+	got, err = c.Sendrecv(down, 101, pack(1, 0), up, 101)
 	if err != nil {
 		return err
 	}
-	unpackSlice(g.LTloc, got)
+	unpack(g.LTloc, got)
 	return nil
 }
 

@@ -86,9 +86,9 @@ func TestSU3Unitarity(t *testing.T) {
 func TestSU3MulVecDagMulVec(t *testing.T) {
 	m := randomSU3(7, 0, 0, 0, 0, 0)
 	v := [3]complex128{1, 2i, -1}
-	mv := m.MulVec(&v)
+	mv := mulArr(&m, &v)
 	// m† m v should return v (unitarity).
-	back := m.DagMulVec(&mv)
+	back := dagMulArr(&m, &mv)
 	for i := 0; i < 3; i++ {
 		if cmplx.Abs(back[i]-v[i]) > 1e-12 {
 			t.Errorf("U†Uv[%d] = %v, want %v", i, back[i], v[i])

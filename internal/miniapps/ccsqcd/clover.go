@@ -14,71 +14,6 @@ package ccsqcd
 // pairIndex enumerates the six (mu<nu) planes.
 var cloverPairs = [6][2]int{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}}
 
-// sigmaMunu returns sigma_{mu nu} = (i/2)(gamma_mu gamma_nu - gamma_nu gamma_mu).
-func sigmaMunu() [6]spinMat {
-	gs := gamma()
-	var out [6]spinMat
-	for p, mn := range cloverPairs {
-		gm, gn := gs[mn[0]], gs[mn[1]]
-		var comm spinMat
-		for a := 0; a < 4; a++ {
-			for b := 0; b < 4; b++ {
-				var s complex128
-				for k := 0; k < 4; k++ {
-					s += gm[a][k]*gn[k][b] - gn[a][k]*gm[k][b]
-				}
-				comm[a][b] = complex(0, 0.5) * s
-			}
-		}
-		out[p] = comm
-	}
-	return out
-}
-
-// sigmaRows returns the one nonzero entry of each row of every
-// sigma_{mu nu}, so the clover term needs one colour multiply per
-// (plane, spin row); TestSigmaRowsOneNonzero checks the shape.
-func sigmaRows() [6][4]spinTerm {
-	var out [6][4]spinTerm
-	for p, s := range sigmaMunu() {
-		for a := range s {
-			for b, c := range s[a] {
-				if c != 0 {
-					out[p][a] = spinTerm{b, c}
-				}
-			}
-		}
-	}
-	return out
-}
-
-// mul3 multiplies 3x3 color matrices.
-func mul3(a, b *SU3) SU3 {
-	var c SU3
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			var s complex128
-			for k := 0; k < 3; k++ {
-				s += a[3*i+k] * b[3*k+j]
-			}
-			c[3*i+j] = s
-		}
-	}
-	return c
-}
-
-// dag3 returns the conjugate transpose.
-func dag3(a *SU3) SU3 {
-	var c SU3
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			v := a[3*j+i]
-			c[3*i+j] = complex(real(v), -imag(v))
-		}
-	}
-	return c
-}
-
 // Clover holds the per-site field-strength matrices iF_{mu nu}.
 type Clover struct {
 	g *Geometry
@@ -106,7 +41,9 @@ func (g *Geometry) neighbor(x, y, z, t, mu, sign int) (int, int, int, int) {
 
 // NewClover computes the clover field from the gauge links. Interior
 // sites only; leaves touching t = -1 or t = LTloc use the stored halo
-// links.
+// links. The adjoints in the leaves are read in place (mulDag, dagMul,
+// dagDag), which computes the same products as multiplying by a copied
+// adjoint.
 func NewClover(g *Geometry, u *Gauge) *Clover {
 	cl := &Clover{g: g}
 	for p := range cl.F {
@@ -122,53 +59,43 @@ func NewClover(g *Geometry, u *Gauge) *Clover {
 					site := g.Index(x, y, z, t)
 					for p, mn := range cloverPairs {
 						mu, nu := mn[0], mn[1]
-						// Four clover leaves around (x; mu,nu).
-						var q SU3
-						{
-							// Leaf 1: U_mu(x) U_nu(x+mu) U_mu†(x+nu) U_nu†(x).
-							x1, y1, z1, t1 := g.neighbor(x, y, z, t, mu, +1)
-							x2, y2, z2, t2 := g.neighbor(x, y, z, t, nu, +1)
-							a := mul3(link(mu, x, y, z, t), link(nu, x1, y1, z1, t1))
-							bmat := mul3(link(mu, x2, y2, z2, t2), link(nu, x, y, z, t))
-							bd := dag3(&bmat)
-							l := mul3(&a, &bd)
-							add3(&q, &l)
+						// Four clover leaves around (x; mu,nu), summed into q.
+						// Leaf 1: U_mu(x) U_nu(x+mu) U_mu†(x+nu) U_nu†(x).
+						x1, y1, z1, t1 := g.neighbor(x, y, z, t, mu, +1)
+						x2, y2, z2, t2 := g.neighbor(x, y, z, t, nu, +1)
+						a := mul3(link(mu, x, y, z, t), link(nu, x1, y1, z1, t1))
+						b := mul3(link(mu, x2, y2, z2, t2), link(nu, x, y, z, t))
+						q := mulDag(&a, &b)
+						// Leaf 2: U_nu(x) U_mu†(x-mu+nu) U_nu†(x-mu) U_mu(x-mu).
+						xm, ym, zm, tm := g.neighbor(x, y, z, t, mu, -1)
+						xmn, ymn, zmn, tmn := g.neighbor(xm, ym, zm, tm, nu, +1)
+						a = mulDag(link(nu, x, y, z, t), link(mu, xmn, ymn, zmn, tmn))
+						b = dagMul(link(nu, xm, ym, zm, tm), link(mu, xm, ym, zm, tm))
+						l := mul3(&a, &b)
+						add3(&q, &l)
+						// Leaf 3: U_mu†(x-mu) U_nu†(x-mu-nu) U_mu(x-mu-nu) U_nu(x-nu).
+						xmn, ymn, zmn, tmn = g.neighbor(xm, ym, zm, tm, nu, -1)
+						xn, yn, zn, tn := g.neighbor(x, y, z, t, nu, -1)
+						a = dagDag(link(mu, xm, ym, zm, tm), link(nu, xmn, ymn, zmn, tmn))
+						b = mul3(link(mu, xmn, ymn, zmn, tmn), link(nu, xn, yn, zn, tn))
+						l = mul3(&a, &b)
+						add3(&q, &l)
+						// Leaf 4: U_nu†(x-nu) U_mu(x-nu) U_nu(x+mu-nu) U_mu†(x).
+						xmn, ymn, zmn, tmn = g.neighbor(xn, yn, zn, tn, mu, +1)
+						a = dagMul(link(nu, xn, yn, zn, tn), link(mu, xn, yn, zn, tn))
+						b = mulDag(link(nu, xmn, ymn, zmn, tmn), link(mu, x, y, z, t))
+						l = mul3(&a, &b)
+						add3(&q, &l)
+						// iF = i (Q - Q†) / 8 — hermitian. With d = Q - Q†,
+						// i·d is (-Im d, Re d), so entry (r,c) takes Im Q from
+						// both triangles and Re Q from their difference.
+						f := &cl.F[p][site-g.SliceVol()]
+						for r := 0; r < 3; r++ {
+							for c := 0; c < 3; c++ {
+								qa, qb := q[3*r+c], q[3*c+r]
+								f[3*r+c] = complex(-(imag(qa)+imag(qb))/8, (real(qa)-real(qb))/8)
+							}
 						}
-						{
-							// Leaf 2: U_nu(x) U_mu†(x-mu+nu) U_nu†(x-mu) U_mu(x-mu).
-							xm, ym, zm, tm := g.neighbor(x, y, z, t, mu, -1)
-							xmn, ymn, zmn, tmn := g.neighbor(xm, ym, zm, tm, nu, +1)
-							a := mul3(link(nu, x, y, z, t), ptrDag(link(mu, xmn, ymn, zmn, tmn)))
-							b := mul3(ptrDag(link(nu, xm, ym, zm, tm)), link(mu, xm, ym, zm, tm))
-							l := mul3(&a, &b)
-							add3(&q, &l)
-						}
-						{
-							// Leaf 3: U_mu†(x-mu) U_nu†(x-mu-nu) U_mu(x-mu-nu) U_nu(x-nu).
-							xm, ym, zm, tm := g.neighbor(x, y, z, t, mu, -1)
-							xmn, ymn, zmn, tmn := g.neighbor(xm, ym, zm, tm, nu, -1)
-							xn, yn, zn, tn := g.neighbor(x, y, z, t, nu, -1)
-							a := mul3(ptrDag(link(mu, xm, ym, zm, tm)), ptrDag(link(nu, xmn, ymn, zmn, tmn)))
-							b := mul3(link(mu, xmn, ymn, zmn, tmn), link(nu, xn, yn, zn, tn))
-							l := mul3(&a, &b)
-							add3(&q, &l)
-						}
-						{
-							// Leaf 4: U_nu†(x-nu) U_mu(x-nu) U_nu(x+mu-nu) U_mu†(x).
-							xn, yn, zn, tn := g.neighbor(x, y, z, t, nu, -1)
-							xmn, ymn, zmn, tmn := g.neighbor(xn, yn, zn, tn, mu, +1)
-							a := mul3(ptrDag(link(nu, xn, yn, zn, tn)), link(mu, xn, yn, zn, tn))
-							b := mul3(link(nu, xmn, ymn, zmn, tmn), ptrDag(link(mu, x, y, z, t)))
-							l := mul3(&a, &b)
-							add3(&q, &l)
-						}
-						// iF = i (Q - Q†) / 8 — hermitian.
-						qd := dag3(&q)
-						var f SU3
-						for i := range f {
-							f[i] = complex(0, 1) * (q[i] - qd[i]) / 8
-						}
-						cl.F[p][site-g.SliceVol()] = f
 					}
 				}
 			}
@@ -184,32 +111,73 @@ func add3(a, b *SU3) {
 	}
 }
 
-// ptrDag returns a pointer to the conjugate transpose (helper for
-// chained multiplications).
-func ptrDag(a *SU3) *SU3 {
-	d := dag3(a)
-	return &d
-}
-
 // CloverFlopsPerSite is the modelled extra cost of the clover term per
 // site (6 planes x sigma (x) F application on a 12-spinor).
 const CloverFlopsPerSite = 504
 
-// applyClover accumulates -coef * sum_p sigma_p (x) iF_p(site) psi into
-// out. Each sigma row has one nonzero, so every (plane, spin row) is a
-// single colour multiply of the matching source spin.
+// applyClover accumulates -c * sum_p sigma_p (x) iF_p(site) psi into
+// out, c = csw kappa/2. Each row of sigma_p has one nonzero, ±1 or ±i
+// (sigmaRows in the tests lists them), so every (plane, spin row) is one
+// colour multiply of the matching source spin followed by the exact
+// ±c or ±ic update.
 func (d *Dirac) applyClover(out, in []complex128, site int) {
-	coef := complex(d.Csw*d.Kappa/2, 0)
+	c := d.Csw * d.Kappa / 2
 	i := site - d.G.SliceVol()
-	for p := range cloverPairs {
-		f := &d.clover.F[p][i]
-		for a, tm := range d.sigma[p] {
-			chi := f.MulVec((*[3]complex128)(in[tm.s*3:]))
-			cs := coef * tm.c
-			o := (*[3]complex128)(out[a*3:])
-			o[0] -= cs * chi[0]
-			o[1] -= cs * chi[1]
-			o[2] -= cs * chi[2]
-		}
-	}
+	o0, o1, o2, o3 := spins(out)
+	p0, p1, p2, p3 := spins(in)
+	var v0, v1, v2 complex128
+	f := &d.clover.F[0][i] // (x,y): sigma rows (-p0, p1, -p2, p3)
+	v0, v1, v2 = f.mulVec(vec(p0))
+	addK(o0, c, v0, v1, v2)
+	v0, v1, v2 = f.mulVec(vec(p1))
+	subK(o1, c, v0, v1, v2)
+	v0, v1, v2 = f.mulVec(vec(p2))
+	addK(o2, c, v0, v1, v2)
+	v0, v1, v2 = f.mulVec(vec(p3))
+	subK(o3, c, v0, v1, v2)
+	f = &d.clover.F[1][i] // (x,z): (-i p1, i p0, -i p3, i p2)
+	v0, v1, v2 = f.mulVec(vec(p1))
+	addIK(o0, c, v0, v1, v2)
+	v0, v1, v2 = f.mulVec(vec(p0))
+	subIK(o1, c, v0, v1, v2)
+	v0, v1, v2 = f.mulVec(vec(p3))
+	addIK(o2, c, v0, v1, v2)
+	v0, v1, v2 = f.mulVec(vec(p2))
+	subIK(o3, c, v0, v1, v2)
+	f = &d.clover.F[2][i] // (x,t): (p3, p2, p1, p0)
+	v0, v1, v2 = f.mulVec(vec(p3))
+	subK(o0, c, v0, v1, v2)
+	v0, v1, v2 = f.mulVec(vec(p2))
+	subK(o1, c, v0, v1, v2)
+	v0, v1, v2 = f.mulVec(vec(p1))
+	subK(o2, c, v0, v1, v2)
+	v0, v1, v2 = f.mulVec(vec(p0))
+	subK(o3, c, v0, v1, v2)
+	f = &d.clover.F[3][i] // (y,z): (-p1, -p0, -p3, -p2)
+	v0, v1, v2 = f.mulVec(vec(p1))
+	addK(o0, c, v0, v1, v2)
+	v0, v1, v2 = f.mulVec(vec(p0))
+	addK(o1, c, v0, v1, v2)
+	v0, v1, v2 = f.mulVec(vec(p3))
+	addK(o2, c, v0, v1, v2)
+	v0, v1, v2 = f.mulVec(vec(p2))
+	addK(o3, c, v0, v1, v2)
+	f = &d.clover.F[4][i] // (y,t): (-i p3, i p2, -i p1, i p0)
+	v0, v1, v2 = f.mulVec(vec(p3))
+	addIK(o0, c, v0, v1, v2)
+	v0, v1, v2 = f.mulVec(vec(p2))
+	subIK(o1, c, v0, v1, v2)
+	v0, v1, v2 = f.mulVec(vec(p1))
+	addIK(o2, c, v0, v1, v2)
+	v0, v1, v2 = f.mulVec(vec(p0))
+	subIK(o3, c, v0, v1, v2)
+	f = &d.clover.F[5][i] // (z,t): (p2, -p3, p0, -p1)
+	v0, v1, v2 = f.mulVec(vec(p2))
+	subK(o0, c, v0, v1, v2)
+	v0, v1, v2 = f.mulVec(vec(p3))
+	addK(o1, c, v0, v1, v2)
+	v0, v1, v2 = f.mulVec(vec(p0))
+	subK(o2, c, v0, v1, v2)
+	v0, v1, v2 = f.mulVec(vec(p1))
+	addK(o3, c, v0, v1, v2)
 }

@@ -7,6 +7,171 @@ import (
 	"fibersim/internal/miniapps/common"
 )
 
+// sigmaMunu returns sigma_{mu nu} = (i/2)(gamma_mu gamma_nu - gamma_nu gamma_mu).
+func sigmaMunu() [6]spinMat {
+	gs := gamma()
+	var out [6]spinMat
+	for p, mn := range cloverPairs {
+		gm, gn := gs[mn[0]], gs[mn[1]]
+		var comm spinMat
+		for a := 0; a < 4; a++ {
+			for b := 0; b < 4; b++ {
+				var s complex128
+				for k := 0; k < 4; k++ {
+					s += gm[a][k]*gn[k][b] - gn[a][k]*gm[k][b]
+				}
+				comm[a][b] = complex(0, 0.5) * s
+			}
+		}
+		out[p] = comm
+	}
+	return out
+}
+
+// sigmaRows returns the one nonzero entry of each row of every
+// sigma_{mu nu}, so the clover term needs one colour multiply per
+// (plane, spin row); TestSigmaRowsOneNonzero checks the shape.
+func sigmaRows() [6][4]spinTerm {
+	var out [6][4]spinTerm
+	for p, s := range sigmaMunu() {
+		for a := range s {
+			for b, c := range s[a] {
+				if c != 0 {
+					out[p][a] = spinTerm{b, c}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// loopMul3 multiplies 3x3 color matrices with loops: the reference the
+// unrolled products are pinned to.
+func loopMul3(a, b *SU3) SU3 {
+	var c SU3
+	for i := 0; i < 3; i++ {
+		for j := 0; j < 3; j++ {
+			var s complex128
+			for k := 0; k < 3; k++ {
+				s += a[3*i+k] * b[3*k+j]
+			}
+			c[3*i+j] = s
+		}
+	}
+	return c
+}
+
+// dag3 returns the conjugate transpose.
+func dag3(a *SU3) SU3 {
+	var c SU3
+	for i := 0; i < 3; i++ {
+		for j := 0; j < 3; j++ {
+			v := a[3*j+i]
+			c[3*i+j] = complex(real(v), -imag(v))
+		}
+	}
+	return c
+}
+
+// ptrDag returns a pointer to the conjugate transpose (helper for
+// chained multiplications).
+func ptrDag(a *SU3) *SU3 {
+	d := dag3(a)
+	return &d
+}
+
+// loopedClover is NewClover's looped form, the reference the unrolled
+// build is pinned to: every leaf multiplies with loopMul3, and each
+// adjoint is copied (dag3, ptrDag) before it is multiplied.
+func loopedClover(g *Geometry, u *Gauge) *Clover {
+	cl := &Clover{g: g}
+	for p := range cl.F {
+		cl.F[p] = make([]SU3, g.LocalVol())
+	}
+	link := func(mu, x, y, z, t int) *SU3 {
+		return &u.U[mu][g.Index(x, y, z, t)]
+	}
+	for t := 0; t < g.LTloc; t++ {
+		for z := 0; z < g.LZ; z++ {
+			for y := 0; y < g.LY; y++ {
+				for x := 0; x < g.LX; x++ {
+					site := g.Index(x, y, z, t)
+					for p, mn := range cloverPairs {
+						mu, nu := mn[0], mn[1]
+						// Four clover leaves around (x; mu,nu).
+						var q SU3
+						{
+							// Leaf 1: U_mu(x) U_nu(x+mu) U_mu†(x+nu) U_nu†(x).
+							x1, y1, z1, t1 := g.neighbor(x, y, z, t, mu, +1)
+							x2, y2, z2, t2 := g.neighbor(x, y, z, t, nu, +1)
+							a := loopMul3(link(mu, x, y, z, t), link(nu, x1, y1, z1, t1))
+							bmat := loopMul3(link(mu, x2, y2, z2, t2), link(nu, x, y, z, t))
+							bd := dag3(&bmat)
+							l := loopMul3(&a, &bd)
+							add3(&q, &l)
+						}
+						{
+							// Leaf 2: U_nu(x) U_mu†(x-mu+nu) U_nu†(x-mu) U_mu(x-mu).
+							xm, ym, zm, tm := g.neighbor(x, y, z, t, mu, -1)
+							xmn, ymn, zmn, tmn := g.neighbor(xm, ym, zm, tm, nu, +1)
+							a := loopMul3(link(nu, x, y, z, t), ptrDag(link(mu, xmn, ymn, zmn, tmn)))
+							b := loopMul3(ptrDag(link(nu, xm, ym, zm, tm)), link(mu, xm, ym, zm, tm))
+							l := loopMul3(&a, &b)
+							add3(&q, &l)
+						}
+						{
+							// Leaf 3: U_mu†(x-mu) U_nu†(x-mu-nu) U_mu(x-mu-nu) U_nu(x-nu).
+							xm, ym, zm, tm := g.neighbor(x, y, z, t, mu, -1)
+							xmn, ymn, zmn, tmn := g.neighbor(xm, ym, zm, tm, nu, -1)
+							xn, yn, zn, tn := g.neighbor(x, y, z, t, nu, -1)
+							a := loopMul3(ptrDag(link(mu, xm, ym, zm, tm)), ptrDag(link(nu, xmn, ymn, zmn, tmn)))
+							b := loopMul3(link(mu, xmn, ymn, zmn, tmn), link(nu, xn, yn, zn, tn))
+							l := loopMul3(&a, &b)
+							add3(&q, &l)
+						}
+						{
+							// Leaf 4: U_nu†(x-nu) U_mu(x-nu) U_nu(x+mu-nu) U_mu†(x).
+							xn, yn, zn, tn := g.neighbor(x, y, z, t, nu, -1)
+							xmn, ymn, zmn, tmn := g.neighbor(xn, yn, zn, tn, mu, +1)
+							a := loopMul3(ptrDag(link(nu, xn, yn, zn, tn)), link(mu, xn, yn, zn, tn))
+							b := loopMul3(link(nu, xmn, ymn, zmn, tmn), ptrDag(link(mu, x, y, z, t)))
+							l := loopMul3(&a, &b)
+							add3(&q, &l)
+						}
+						// iF = i (Q - Q†) / 8 — hermitian.
+						qd := dag3(&q)
+						var f SU3
+						for i := range f {
+							f[i] = complex(0, 1) * (q[i] - qd[i]) / 8
+						}
+						cl.F[p][site-g.SliceVol()] = f
+					}
+				}
+			}
+		}
+	}
+	return cl
+}
+
+// tableClover is applyClover through the sigma rows: per (plane, spin
+// row), one colour multiply of the matching source spin, scaled by the
+// complex coefficient csw kappa/2 times the row's entry.
+func tableClover(d *Dirac, sigma *[6][4]spinTerm, out, in []complex128, site int) {
+	coef := complex(d.Csw*d.Kappa/2, 0)
+	i := site - d.G.SliceVol()
+	for p := range cloverPairs {
+		f := &d.clover.F[p][i]
+		for a, tm := range sigma[p] {
+			chi := mulArr(f, (*[3]complex128)(in[tm.s*3:]))
+			cs := coef * tm.c
+			o := (*[3]complex128)(out[a*3:])
+			o[0] -= cs * chi[0]
+			o[1] -= cs * chi[1]
+			o[2] -= cs * chi[2]
+		}
+	}
+}
+
 func TestSigmaMunuHermitian(t *testing.T) {
 	for p, s := range sigmaMunu() {
 		zero := true
@@ -128,6 +293,46 @@ func TestMul3Dag3(t *testing.T) {
 			}
 		}
 	}
+	// The unrolled products, reading adjoints in place, equal the
+	// looped product of copied adjoints bit for bit.
+	for i := 0; i < 20; i++ {
+		a, b := randomSU3(5, i, 0, 0, 0, 0), randomSU3(5, i, 1, 0, 0, 0)
+		ad, bd := dag3(&a), dag3(&b)
+		for _, c := range []struct {
+			name      string
+			got, want SU3
+		}{
+			{"a·b", mul3(&a, &b), loopMul3(&a, &b)},
+			{"a·b†", mulDag(&a, &b), loopMul3(&a, &bd)},
+			{"a†·b", dagMul(&a, &b), loopMul3(&ad, &b)},
+			{"a†·b†", dagDag(&a, &b), loopMul3(&ad, &bd)},
+		} {
+			for k := range c.want {
+				if !sameValue(c.got[k], c.want[k]) {
+					t.Fatalf("%s pair %d entry %d: %v, looped %v", c.name, i, k, c.got[k], c.want[k])
+				}
+			}
+		}
+	}
+}
+
+func TestNewCloverMatchesLoopedBitwise(t *testing.T) {
+	for _, g := range pinSlabs(t) {
+		for _, seed := range []int64{7, 20210901} {
+			u := NewGauge(g, seed)
+			got, want := NewClover(g, u), loopedClover(g, u)
+			for p := range want.F {
+				for i := range want.F[p] {
+					for k, w := range want.F[p][i] {
+						if v := got.F[p][i][k]; !sameValue(v, w) {
+							t.Fatalf("%dx%dx%dx%d rank %d/%d seed %d: plane %d site %d entry %d = %v, looped build gives %v",
+								g.LX, g.LY, g.LZ, g.LT, g.Rank, g.Procs, seed, p, i, k, v, w)
+						}
+					}
+				}
+			}
+		}
+	}
 }
 
 func TestPlaquetteUnitGauge(t *testing.T) {
@@ -190,7 +395,7 @@ func TestApplyCloverMatchesDenseSpinBitwise(t *testing.T) {
 			var chi [4][3]complex128
 			for b := 0; b < 4; b++ {
 				v := [3]complex128{in[b*3], in[b*3+1], in[b*3+2]}
-				chi[b] = f.MulVec(&v)
+				chi[b] = mulArr(f, &v)
 			}
 			for a := 0; a < 4; a++ {
 				for b := 0; b < 4; b++ {
@@ -209,5 +414,30 @@ func TestApplyCloverMatchesDenseSpinBitwise(t *testing.T) {
 				t.Fatalf("site %d entry %d: %v, dense form gives %v", site, k, got[k], want[k])
 			}
 		}
+	}
+}
+
+// BenchmarkNewClover builds the clover field of one rank's slab of the
+// size-small lattice (8x8x8x48 over 4 ranks); the looped sub-benchmark
+// runs the reference build.
+func BenchmarkNewClover(b *testing.B) {
+	g, err := NewGeometry(8, 8, 8, 48, 4, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	u := NewGauge(g, 7)
+	for _, bc := range []struct {
+		name  string
+		build func(*Geometry, *Gauge) *Clover
+	}{
+		{"unrolled", NewClover},
+		{"looped", loopedClover},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				bc.build(g, u)
+			}
+		})
 	}
 }

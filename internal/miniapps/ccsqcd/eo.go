@@ -90,26 +90,18 @@ func cabs(c complex128) float64 {
 }
 
 // localBlock builds A(site) = I + clover-term as an explicit 12x12
-// matrix (matching applyClover's sign convention).
+// matrix: column j is A applied to the unit spinor e_j.
 func (d *Dirac) localBlock(site int) block12 {
 	var b block12
-	for i := 0; i < 12; i++ {
-		b[i*12+i] = 1
-	}
-	if d.clover == nil {
-		return b
-	}
-	coef := complex(d.Csw*d.Kappa/2, 0)
-	i := site - d.G.SliceVol()
-	for p := range cloverPairs {
-		f := &d.clover.F[p][i]
-		for a, tm := range d.sigma[p] {
-			cs := coef * tm.c
-			for c := 0; c < 3; c++ {
-				for c2 := 0; c2 < 3; c2++ {
-					b[(a*3+c)*12+(tm.s*3+c2)] -= cs * f[3*c+c2]
-				}
-			}
+	for j := 0; j < 12; j++ {
+		var e, col [12]complex128
+		e[j] = 1
+		col[j] = 1
+		if d.clover != nil {
+			d.applyClover(col[:], e[:], site)
+		}
+		for i, v := range col {
+			b[i*12+j] = v
 		}
 	}
 	return b

@@ -93,6 +93,44 @@ func TestLocalBlockMatchesApplyClover(t *testing.T) {
 			}
 		}
 	}
+	// Built from applyClover's columns, the block has the entries the
+	// sigma-row assembly gives, bit for bit, at every site.
+	sigma := sigmaRows()
+	for _, seed := range []int64{7, 20210901} {
+		d := NewDiracClover(g, NewGauge(g, seed), Kappa, Csw)
+		for i := 0; i < g.LocalVol(); i++ {
+			site := g.SliceVol() + i
+			got, want := d.localBlock(site), tableLocalBlock(d, &sigma, site)
+			for k, w := range want {
+				if !sameValue(got[k], w) {
+					t.Fatalf("seed %d site %d entry %d: %v, sigma table gives %v", seed, site, k, got[k], w)
+				}
+			}
+		}
+	}
+}
+
+// tableLocalBlock assembles I + clover-term from the sigma rows: the
+// reference localBlock's columns are pinned to.
+func tableLocalBlock(d *Dirac, sigma *[6][4]spinTerm, site int) block12 {
+	var b block12
+	for i := 0; i < 12; i++ {
+		b[i*12+i] = 1
+	}
+	coef := complex(d.Csw*d.Kappa/2, 0)
+	i := site - d.G.SliceVol()
+	for p := range cloverPairs {
+		f := &d.clover.F[p][i]
+		for a, tm := range sigma[p] {
+			cs := coef * tm.c
+			for c := 0; c < 3; c++ {
+				for c2 := 0; c2 < 3; c2++ {
+					b[(a*3+c)*12+(tm.s*3+c2)] -= cs * f[3*c+c2]
+				}
+			}
+		}
+	}
+	return b
 }
 
 // runEO executes the app's workload with the even-odd solver and

@@ -25,8 +25,7 @@ func (u *Gauge) AveragePlaquette() float64 {
 						x2, y2, z2, t2 := g.neighbor(x, y, z, t, nu, +1)
 						a := mul3(link(mu, x, y, z, t), link(nu, x1, y1, z1, t1))
 						bm := mul3(link(mu, x2, y2, z2, t2), link(nu, x, y, z, t))
-						bd := dag3(&bm)
-						pl := mul3(&a, &bd)
+						pl := mulDag(&a, &bm)
 						sum += real(pl[0]+pl[4]+pl[8]) / 3
 						count++
 					}

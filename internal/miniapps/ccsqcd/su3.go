@@ -9,22 +9,82 @@ import "math"
 // SU3 is a 3x3 complex color matrix stored row-major.
 type SU3 [9]complex128
 
-// MulVec computes m*v for a color 3-vector.
-func (m *SU3) MulVec(v *[3]complex128) [3]complex128 {
-	return [3]complex128{
-		m[0]*v[0] + m[1]*v[1] + m[2]*v[2],
-		m[3]*v[0] + m[4]*v[1] + m[5]*v[2],
-		m[6]*v[0] + m[7]*v[1] + m[8]*v[2],
+// mulVec returns m·v for the colour vector v = (v0, v1, v2). Colour
+// vectors travel as three complex128 values, not as an array, so that
+// the compiler keeps them in registers.
+func (m *SU3) mulVec(v0, v1, v2 complex128) (complex128, complex128, complex128) {
+	return m[0]*v0 + m[1]*v1 + m[2]*v2,
+		m[3]*v0 + m[4]*v1 + m[5]*v2,
+		m[6]*v0 + m[7]*v1 + m[8]*v2
+}
+
+// dagMulVec returns m†·v, reading the adjoint in place.
+func (m *SU3) dagMulVec(v0, v1, v2 complex128) (complex128, complex128, complex128) {
+	return conj(m[0])*v0 + conj(m[3])*v1 + conj(m[6])*v2,
+		conj(m[1])*v0 + conj(m[4])*v1 + conj(m[7])*v2,
+		conj(m[2])*v0 + conj(m[5])*v1 + conj(m[8])*v2
+}
+
+// conj returns the complex conjugate.
+func conj(x complex128) complex128 { return complex(real(x), -imag(x)) }
+
+// The 3x3 colour products a·b, a·b†, a†·b and a†·b†, unrolled. Each
+// entry sums its three terms left to right, and the adjoint factors
+// are read in place: entry (i,j) of b† is conj(b[3j+i]).
+
+func mul3(a, b *SU3) SU3 {
+	return SU3{
+		a[0]*b[0] + a[1]*b[3] + a[2]*b[6],
+		a[0]*b[1] + a[1]*b[4] + a[2]*b[7],
+		a[0]*b[2] + a[1]*b[5] + a[2]*b[8],
+		a[3]*b[0] + a[4]*b[3] + a[5]*b[6],
+		a[3]*b[1] + a[4]*b[4] + a[5]*b[7],
+		a[3]*b[2] + a[4]*b[5] + a[5]*b[8],
+		a[6]*b[0] + a[7]*b[3] + a[8]*b[6],
+		a[6]*b[1] + a[7]*b[4] + a[8]*b[7],
+		a[6]*b[2] + a[7]*b[5] + a[8]*b[8],
 	}
 }
 
-// DagMulVec computes m†*v.
-func (m *SU3) DagMulVec(v *[3]complex128) [3]complex128 {
-	c := func(x complex128) complex128 { return complex(real(x), -imag(x)) }
-	return [3]complex128{
-		c(m[0])*v[0] + c(m[3])*v[1] + c(m[6])*v[2],
-		c(m[1])*v[0] + c(m[4])*v[1] + c(m[7])*v[2],
-		c(m[2])*v[0] + c(m[5])*v[1] + c(m[8])*v[2],
+func mulDag(a, b *SU3) SU3 {
+	return SU3{
+		a[0]*conj(b[0]) + a[1]*conj(b[1]) + a[2]*conj(b[2]),
+		a[0]*conj(b[3]) + a[1]*conj(b[4]) + a[2]*conj(b[5]),
+		a[0]*conj(b[6]) + a[1]*conj(b[7]) + a[2]*conj(b[8]),
+		a[3]*conj(b[0]) + a[4]*conj(b[1]) + a[5]*conj(b[2]),
+		a[3]*conj(b[3]) + a[4]*conj(b[4]) + a[5]*conj(b[5]),
+		a[3]*conj(b[6]) + a[4]*conj(b[7]) + a[5]*conj(b[8]),
+		a[6]*conj(b[0]) + a[7]*conj(b[1]) + a[8]*conj(b[2]),
+		a[6]*conj(b[3]) + a[7]*conj(b[4]) + a[8]*conj(b[5]),
+		a[6]*conj(b[6]) + a[7]*conj(b[7]) + a[8]*conj(b[8]),
+	}
+}
+
+func dagMul(a, b *SU3) SU3 {
+	return SU3{
+		conj(a[0])*b[0] + conj(a[3])*b[3] + conj(a[6])*b[6],
+		conj(a[0])*b[1] + conj(a[3])*b[4] + conj(a[6])*b[7],
+		conj(a[0])*b[2] + conj(a[3])*b[5] + conj(a[6])*b[8],
+		conj(a[1])*b[0] + conj(a[4])*b[3] + conj(a[7])*b[6],
+		conj(a[1])*b[1] + conj(a[4])*b[4] + conj(a[7])*b[7],
+		conj(a[1])*b[2] + conj(a[4])*b[5] + conj(a[7])*b[8],
+		conj(a[2])*b[0] + conj(a[5])*b[3] + conj(a[8])*b[6],
+		conj(a[2])*b[1] + conj(a[5])*b[4] + conj(a[8])*b[7],
+		conj(a[2])*b[2] + conj(a[5])*b[5] + conj(a[8])*b[8],
+	}
+}
+
+func dagDag(a, b *SU3) SU3 {
+	return SU3{
+		conj(a[0])*conj(b[0]) + conj(a[3])*conj(b[1]) + conj(a[6])*conj(b[2]),
+		conj(a[0])*conj(b[3]) + conj(a[3])*conj(b[4]) + conj(a[6])*conj(b[5]),
+		conj(a[0])*conj(b[6]) + conj(a[3])*conj(b[7]) + conj(a[6])*conj(b[8]),
+		conj(a[1])*conj(b[0]) + conj(a[4])*conj(b[1]) + conj(a[7])*conj(b[2]),
+		conj(a[1])*conj(b[3]) + conj(a[4])*conj(b[4]) + conj(a[7])*conj(b[5]),
+		conj(a[1])*conj(b[6]) + conj(a[4])*conj(b[7]) + conj(a[7])*conj(b[8]),
+		conj(a[2])*conj(b[0]) + conj(a[5])*conj(b[1]) + conj(a[8])*conj(b[2]),
+		conj(a[2])*conj(b[3]) + conj(a[5])*conj(b[4]) + conj(a[8])*conj(b[5]),
+		conj(a[2])*conj(b[6]) + conj(a[5])*conj(b[7]) + conj(a[8])*conj(b[8]),
 	}
 }
 
@@ -62,11 +122,10 @@ func (m *SU3) unitarize() {
 		rows[1][i] /= complex(n1, 0)
 	}
 	// Row 2: cross product of conjugates makes the matrix unitary.
-	c := func(x complex128) complex128 { return complex(real(x), -imag(x)) }
 	rows[2] = [3]complex128{
-		c(rows[0][1]*rows[1][2] - rows[0][2]*rows[1][1]),
-		c(rows[0][2]*rows[1][0] - rows[0][0]*rows[1][2]),
-		c(rows[0][0]*rows[1][1] - rows[0][1]*rows[1][0]),
+		conj(rows[0][1]*rows[1][2] - rows[0][2]*rows[1][1]),
+		conj(rows[0][2]*rows[1][0] - rows[0][0]*rows[1][2]),
+		conj(rows[0][0]*rows[1][1] - rows[0][1]*rows[1][0]),
 	}
 	for r := 0; r < 3; r++ {
 		for cc := 0; cc < 3; cc++ {

@@ -172,16 +172,12 @@ type runner struct {
 
 // exchange swaps halo planes of one field with the z-neighbours.
 // Non-periodic: boundary ranks mirror their edge plane (Neumann).
+// Sendrecv copies its payload, so a plane is sent in place.
 func (r *runner) exchange(f []float64, tag int) error {
 	g := r.st.g
 	sv := g.SliceVol()
 	plane := func(k int) []float64 {
-		out := make([]float64, sv)
-		copy(out, f[g.Idx(0, 0, k):g.Idx(0, 0, k)+sv])
-		return out
-	}
-	setPlane := func(k int, data []float64) {
-		copy(f[g.Idx(0, 0, k):g.Idx(0, 0, k)+sv], data)
+		return f[g.Idx(0, 0, k) : g.Idx(0, 0, k)+sv]
 	}
 	c := r.env.Comm
 	// Up (towards higher z).
@@ -190,9 +186,9 @@ func (r *runner) exchange(f []float64, tag int) error {
 		if err != nil {
 			return err
 		}
-		setPlane(g.NZloc, got)
+		copy(plane(g.NZloc), got)
 	} else {
-		setPlane(g.NZloc, plane(g.NZloc-1))
+		copy(plane(g.NZloc), plane(g.NZloc-1))
 	}
 	// Down.
 	if g.Rank > 0 {
@@ -200,9 +196,9 @@ func (r *runner) exchange(f []float64, tag int) error {
 		if err != nil {
 			return err
 		}
-		setPlane(-1, got)
+		copy(plane(-1), got)
 	} else {
-		setPlane(-1, plane(0))
+		copy(plane(-1), plane(0))
 	}
 	return nil
 }
@@ -314,25 +310,37 @@ func (r *runner) divergenceStar() error {
 	return r.env.Charge(r.kD, float64(g.LocalVol()))
 }
 
-// sorColor relaxes one red-black color of the pressure field.
+// sorColor relaxes one red-black color of the pressure field. Each
+// chunk of linear cells is swept row by row: a row segment's cells of
+// the color are every second cell from the first interior one. A cell
+// reads only cells of the other color, so the sweep order leaves the
+// result unchanged.
 func (r *runner) sorColor(color int) error {
 	g := r.st.g
 	s := r.st
 	h2 := g.h * g.h
-	r.env.Team.ParallelFor(r.sch, g.LocalVol(), func(_, lin int) {
-		i := lin % g.NX
-		j := (lin / g.NX) % g.NY
-		k := lin / (g.NX * g.NY)
-		gk := g.GlobalK(k)
-		if (i+j+gk)%2 != color || !g.interior(i, j, gk) {
-			return
+	nx, sv := g.NX, g.SliceVol()
+	r.env.Team.ParallelRange(r.sch, g.LocalVol(), func(_, lo, hi int) {
+		for row := lo / nx; row*nx < hi; row++ {
+			j, k := row%g.NY, row/g.NY
+			gk := g.GlobalK(k)
+			if j == 0 || j == g.NY-1 || gk == 0 || gk == g.NZ-1 {
+				continue
+			}
+			// Cells i in [i0, i1) of this row lie in the chunk and the interior.
+			i0, i1 := max(lo-row*nx, 1), min(hi-row*nx, nx-1)
+			if (i0+j+gk)%2 != color {
+				i0++
+			}
+			base := g.Idx(0, j, k)
+			for id := base + i0; id < base+i1; id += 2 {
+				nb := s.p[id+1] + s.p[id-1] +
+					s.p[id+nx] + s.p[id-nx] +
+					s.p[id+sv] + s.p[id-sv]
+				pNew := (nb - h2*s.div[id]) / 6
+				s.p[id] += sorW * (pNew - s.p[id])
+			}
 		}
-		id := g.Idx(i, j, k)
-		nb := s.p[g.Idx(i+1, j, k)] + s.p[g.Idx(i-1, j, k)] +
-			s.p[g.Idx(i, j+1, k)] + s.p[g.Idx(i, j-1, k)] +
-			s.p[g.Idx(i, j, k+1)] + s.p[g.Idx(i, j, k-1)]
-		pNew := (nb - h2*s.div[id]) / 6
-		s.p[id] += sorW * (pNew - s.p[id])
 	}, nil)
 	r.flops += 14 * float64(g.LocalVol()) / 2
 	return r.env.Charge(r.kS, float64(g.LocalVol())/2)

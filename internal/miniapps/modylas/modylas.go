@@ -275,6 +275,7 @@ func (s *System) Forces(team *omp.Team, sch omp.Schedule, lo, hi int, f [][3]flo
 		cx, cy, cz := s.cellOf(xi)
 		var fi [3]float64
 		var ui float64
+		var near, far int64
 		// Near field: the 5x5x5 neighbourhood (well-separated criterion
 		// for the multipole expansion), direct.
 		for dz := -2; dz <= 2; dz++ {
@@ -294,7 +295,7 @@ func (s *System) Forces(team *omp.Team, sch omp.Schedule, lo, hi int, f [][3]flo
 							fi[k] += pf[k]
 						}
 						ui += pu / 2 // pair energy split between partners
-						counts[th]++
+						near++
 					}
 				}
 			}
@@ -312,12 +313,15 @@ func (s *System) Forces(team *omp.Team, sch omp.Schedule, lo, hi int, f [][3]flo
 						fi[k] += pf[k]
 					}
 					ui += pu / 2
-					farCounts[th]++
+					far++
 				}
 			}
 		}
 		f[rel] = fi
 		uPart[rel] = ui
+		// One write per particle: the team's counters share cache lines.
+		counts[th] += near
+		farCounts[th] += far
 	}, nil)
 	for _, c := range counts {
 		nearPairs += c

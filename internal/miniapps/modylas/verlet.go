@@ -110,8 +110,8 @@ func (s *System) ForcesVerlet(team *omp.Team, sch omp.Schedule, vs *VerletState,
 				fi[k] += pf[k]
 			}
 			ui += pu / 2
-			counts[th]++
 		}
+		var far int64
 		for cz2 := 0; cz2 < m; cz2++ {
 			for cy2 := 0; cy2 < m; cy2++ {
 				for cx2 := 0; cx2 < m; cx2++ {
@@ -124,12 +124,15 @@ func (s *System) ForcesVerlet(team *omp.Team, sch omp.Schedule, vs *VerletState,
 						fi[k] += pf[k]
 					}
 					ui += pu / 2
-					farCounts[th]++
+					far++
 				}
 			}
 		}
 		f[rel] = fi
 		uPart[rel] = ui
+		// One write per particle: the team's counters share cache lines.
+		counts[th] += int64(len(vs.lists[rel]))
+		farCounts[th] += far
 	}, nil)
 	for _, c := range counts {
 		nearPairs += c
