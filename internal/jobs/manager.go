@@ -114,6 +114,11 @@ type Manager struct {
 	running  int
 	ewmaSec  float64 // smoothed wall seconds per attempt, for Retry-After
 
+	// admitting counts, per tenant, the jobs whose accepted record is
+	// still being journaled and reported: not yet queued, but counted
+	// against the queue bounds.
+	admitting map[string]int
+
 	drainCtx  context.Context
 	drainStop context.CancelFunc
 	wg        sync.WaitGroup
@@ -143,11 +148,12 @@ func NewManager(cfg Config) (*Manager, error) {
 		cfg.Now = time.Now
 	}
 	m := &Manager{
-		cfg:      cfg,
-		jobs:     map[string]*Job{},
-		queue:    newFairQueue(cfg.TenantWeights),
-		inflight: map[string]*Job{},
-		breakers: map[string]*Breaker{},
+		cfg:       cfg,
+		jobs:      map[string]*Job{},
+		queue:     newFairQueue(cfg.TenantWeights),
+		inflight:  map[string]*Job{},
+		admitting: map[string]int{},
+		breakers:  map[string]*Breaker{},
 	}
 	m.cond = sync.NewCond(&m.mu)
 	m.drainCtx, m.drainStop = context.WithCancel(context.Background())
@@ -228,10 +234,10 @@ func (m *Manager) Submit(spec Spec) (Job, error) {
 // SubmitTraced admits one job: validate, consult the (app, machine)
 // breaker, coalesce onto an in-flight duplicate or serve a cached
 // result (when a cache is configured), enforce the global and
-// per-tenant queue bounds, journal the accepted record, then enqueue
-// into the tenant's fair-queue lane. The accepted record is durable
-// before SubmitTraced returns, so an acknowledged job can never be
-// lost to a crash.
+// per-tenant queue bounds, journal and report the accepted record,
+// then enqueue into the tenant's fair-queue lane. The accepted record
+// is durable before any worker can see the job, so no running record
+// precedes it and an acknowledged job can never be lost to a crash.
 //
 // With a cache configured the degradation contract is: a duplicate of
 // an in-flight spec returns that job's snapshot with Coalesced set; a
@@ -292,15 +298,19 @@ func (m *Manager) SubmitTraced(spec Spec, span *obs.Span) (Job, error) {
 	}
 	// One admission verdict for both the error path and the degraded-
 	// serve decision, so they can never disagree.
+	admitting := 0
+	for _, n := range m.admitting {
+		admitting += n
+	}
 	refusal := ""
 	switch {
 	case !allow:
 		refusal = "breaker_open"
 	case m.draining:
 		refusal = "draining"
-	case m.queue.len() >= m.cfg.QueueCap:
+	case m.queue.len()+admitting >= m.cfg.QueueCap:
 		refusal = "queue_full"
-	case m.cfg.TenantQueueCap > 0 && m.queue.depth(tenantKey) >= m.cfg.TenantQueueCap:
+	case m.cfg.TenantQueueCap > 0 && m.queue.depth(tenantKey)+m.admitting[tenantKey] >= m.cfg.TenantQueueCap:
 		refusal = "tenant_queue_full"
 	}
 	if hash != "" && !probe {
@@ -362,13 +372,33 @@ func (m *Manager) SubmitTraced(spec Spec, span *obs.Span) (Job, error) {
 		job.TraceID = ctx.TraceID.String()
 	}
 	span.SetAttr("job_id", job.ID)
-	depth := m.queue.len()
 	m.jobs[job.ID] = job
 	m.order = append(m.order, job.ID)
-	m.queue.push(job)
 	if hash != "" {
 		m.inflight[hash] = job
 	}
+	m.admitting[tenantKey]++
+	snapshot := *job
+	m.mu.Unlock()
+
+	// Journal and report the accepted record before the job reaches
+	// the queue: a worker that picks it up journals and reports
+	// running, which must come second, and a crash in between must
+	// leave the spec behind to re-run.
+	m.append(span, Record{
+		Schema: JournalSchema, ID: snapshot.ID, State: StateAccepted,
+		Spec: &snapshot.Spec, UnixNanos: now.UnixNano(), TraceID: snapshot.TraceID,
+		Tenant: tenantKey,
+	})
+	m.countState(StateAccepted)
+	m.notify(snapshot)
+
+	m.mu.Lock()
+	if m.admitting[tenantKey]--; m.admitting[tenantKey] == 0 {
+		delete(m.admitting, tenantKey)
+	}
+	depth := m.queue.len()
+	m.queue.push(job)
 	// The queue-wait span opens at enqueue and is ended by the worker
 	// that dequeues the job; the depth attribute is the backlog this
 	// job queued behind (across all lanes).
@@ -377,17 +407,8 @@ func (m *Manager) SubmitTraced(spec Spec, span *obs.Span) (Job, error) {
 	job.queueSpan.SetAttr("tenant", tenantKey)
 	m.gaugeQueueLocked()
 	m.gaugeTenantLocked(tenantKey)
-	snapshot := *job
 	m.cond.Signal()
 	m.mu.Unlock()
-
-	m.append(span, Record{
-		Schema: JournalSchema, ID: snapshot.ID, State: StateAccepted,
-		Spec: &snapshot.Spec, UnixNanos: now.UnixNano(), TraceID: snapshot.TraceID,
-		Tenant: tenantKey,
-	})
-	m.countState(StateAccepted)
-	m.notify(snapshot)
 	return snapshot, nil
 }
 

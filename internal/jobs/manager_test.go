@@ -471,6 +471,53 @@ func TestManagerSubmitDurableBeforeAck(t *testing.T) {
 	}
 }
 
+// TestAcceptedBeforeVisibleToWorkers: a job reaches the queue only
+// after its accepted record is journaled and reported, so a worker can
+// never journal or report it running first. The hook runs during the
+// accepted report, with no workers started, and must find the record
+// on disk and the queue still empty.
+func TestAcceptedBeforeVisibleToWorkers(t *testing.T) {
+	path := tmpJournal(t)
+	j, _, err := OpenJournal(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	cfg := testConfig(okRunner)
+	cfg.Journal = j
+	var m *Manager
+	reported := false
+	cfg.OnTransition = func(job Job) {
+		if job.State != StateAccepted {
+			return
+		}
+		reported = true
+		if d := m.QueueDepth(); d != 0 {
+			t.Errorf("queue depth %d while the accepted record was being reported; a worker could run the job first", d)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(data), fmt.Sprintf(`"id":"%s","state":"accepted"`, job.ID)) {
+			t.Errorf("accepted reported before it was journaled:\n%s", data)
+		}
+	}
+	m, err = NewManager(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Submit(Spec{App: "stream"}); err != nil {
+		t.Fatal(err)
+	}
+	if !reported {
+		t.Fatal("the accepted transition was not reported")
+	}
+	if d := m.QueueDepth(); d != 1 {
+		t.Errorf("queue depth %d after Submit, want 1", d)
+	}
+}
+
 func TestNewManagerRequiresRunner(t *testing.T) {
 	if _, err := NewManager(Config{}); err == nil {
 		t.Fatal("NewManager without Runner passed")

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -99,13 +100,13 @@ func manifestBytes(t *testing.T, o observed, tol float64) []byte {
 	return b.Bytes()
 }
 
-// checkSame requires a replayed run to equal a fresh execution of the
-// same config field by field and manifest byte for byte; with a
-// tolerance, the timed fields are left out and the makespan and
-// figure are compared at it.
-func checkSame(t *testing.T, label string, replay, fresh observed, tol float64) {
+// checkSame requires two runs of the same config, such as a replay and
+// a fresh execution, to agree field by field and manifest byte for
+// byte; with a tolerance, the timed fields are left out and the
+// makespan and figure are compared at it. label names the pair.
+func checkSame(t *testing.T, label string, a, b observed, tol float64) {
 	t.Helper()
-	got, want := comparable(replay.res), comparable(fresh.res)
+	got, want := comparable(a.res), comparable(b.res)
 	if tol > 0 {
 		for _, name := range timed {
 			delete(got, name)
@@ -115,21 +116,21 @@ func checkSame(t *testing.T, label string, replay, fresh observed, tol float64) 
 			name string
 			a, b float64
 		}{
-			{"Time", replay.res.Time, fresh.res.Time},
-			{"Figure", replay.res.Figure, fresh.res.Figure},
+			{"Time", a.res.Time, b.res.Time},
+			{"Figure", a.res.Figure, b.res.Figure},
 		} {
 			if relDiff(f.a, f.b) > tol {
-				t.Errorf("%s: Result.%s: replay %g, fresh %g", label, f.name, f.a, f.b)
+				t.Errorf("%s: Result.%s: %g vs %g", label, f.name, f.a, f.b)
 			}
 		}
 	}
 	for name, w := range want {
 		if !reflect.DeepEqual(got[name], w) {
-			t.Errorf("%s: Result.%s: replay %+v, fresh %+v", label, name, got[name], w)
+			t.Errorf("%s: Result.%s: %+v vs %+v", label, name, got[name], w)
 		}
 	}
-	if g, w := manifestBytes(t, replay, tol), manifestBytes(t, fresh, tol); !bytes.Equal(g, w) {
-		t.Errorf("%s: manifests differ:\nreplay %s\nfresh  %s", label, g, w)
+	if g, w := manifestBytes(t, a, tol), manifestBytes(t, b, tol); !bytes.Equal(g, w) {
+		t.Errorf("%s: manifests differ:\n%s\nvs\n%s", label, g, w)
 	}
 }
 
@@ -181,8 +182,41 @@ func TestReplayMatchesExecution(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s %dx%d %s: %v", name, d[0], d[1], v.name, err)
 				}
-				checkSame(t, name+" "+cfg.String()+" "+v.name, replays[i], fresh, tolerance(name, cfg))
+				checkSame(t, name+" "+cfg.String()+" "+v.name+", replay vs fresh", replays[i], fresh, tolerance(name, cfg))
 			}
+		}
+	}
+}
+
+// TestOutputsIndependentOfHostParallelism executes every app at size
+// test, at 4x12 and at 48x1 where the app accepts it, once under
+// GOMAXPROCS 1 and once under 4, with the recording cache cleared
+// before each. The model reads virtual clocks only, so both runs must
+// agree as a replay must agree with execution. With one run slot and
+// one omp worker, every MPI handoff parks and wakes a rank.
+func TestOutputsIndependentOfHostParallelism(t *testing.T) {
+	suite := []string{"ccsqcd", "ffb", "ffvc", "modylas", "mvmc", "ngsa", "nicam", "ntchem", "stream"}
+	for _, name := range suite {
+		app := common.MustLookup(name)
+		for _, d := range [][2]int{{4, 12}, {48, 1}} {
+			cfg := common.RunConfig{Procs: d[0], Threads: d[1], Size: common.SizeTest, Seed: 7}
+			var runs [2]observed
+			var errs [2]error
+			for i, procs := range []int{1, 4} {
+				common.ResetRecordings()
+				func() {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+					runs[i], errs[i] = runObserved(t, app, cfg)
+				}()
+			}
+			if errs[0] != nil || errs[1] != nil {
+				if d[0] == 48 && errs[0] != nil && errs[1] != nil {
+					t.Logf("%s 48x1: not run (%v)", name, errs[0])
+					continue
+				}
+				t.Fatalf("%s %dx%d: GOMAXPROCS 1: %v; GOMAXPROCS 4: %v", name, d[0], d[1], errs[0], errs[1])
+			}
+			checkSame(t, name+" "+cfg.String()+", GOMAXPROCS 1 vs 4", runs[0], runs[1], tolerance(name, cfg))
 		}
 	}
 }

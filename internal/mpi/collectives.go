@@ -13,7 +13,7 @@ import (
 // phaser is the rendezvous structure behind collectives: all ranks of a
 // communicator deposit their contribution; the last arriver verifies
 // that everyone called the same operation, computes the result and the
-// synchronized virtual time, and releases everyone.
+// synchronized virtual time, and wakes everyone.
 type phaser struct {
 	mu      sync.Mutex
 	size    int
@@ -24,7 +24,6 @@ type phaser struct {
 // generation carries the result of one collective round; waiters keep a
 // pointer so later rounds cannot overwrite what they read.
 type generation struct {
-	done   chan struct{}
 	result any
 	err    error
 }
@@ -41,7 +40,7 @@ func (w *World) phaserFor(commID string, size int) *phaser {
 	defer w.phMu.Unlock()
 	ph, ok := w.phaser[commID]
 	if !ok {
-		ph = &phaser{size: size, cur: &generation{done: make(chan struct{})}}
+		ph = &phaser{size: size, cur: &generation{}}
 		w.phaser[commID] = ph
 	}
 	return ph
@@ -62,13 +61,13 @@ func (c *Comm) rendezvous(op string, bytes int64, value any,
 	}
 	c.world.stats.countCollective(op, bytes)
 	traceStart := c.Clock().Now()
-	// Self-observability: the whole rendezvous (entry, combine, wait)
-	// is collective cost, except the clock-sync loop measured below as
-	// vtime-advance — the stages stay disjoint.
+	// Self-observability: the rendezvous is collective host work, except
+	// the clock-sync loop, measured below as vtime-advance, and the time
+	// from parking to retaking a run slot, which is waiting, not work.
 	costStart := c.world.cost.Begin()
-	var syncCost time.Duration
+	var excluded time.Duration
 	defer func() {
-		c.world.cost.EndExcluding(obs.StageCollective, costStart, syncCost)
+		c.world.cost.EndExcluding(obs.StageCollective, costStart, excluded)
 		end := c.Clock().Now()
 		c.Trace(op, "mpi", traceStart, end)
 		c.world.rec.MPIOp(c.global(c.rank), collectiveName(op), -1, bytes, end-traceStart)
@@ -80,7 +79,7 @@ func (c *Comm) rendezvous(op string, bytes int64, value any,
 		rank: c.rank, op: op, value: value, clock: c.Clock(),
 	})
 	if len(ph.entries) == ph.size {
-		// Last arriver: validate, combine, synchronize, release.
+		// Last arriver: validate, combine, synchronize, wake.
 		sort.Slice(ph.entries, func(i, j int) bool { return ph.entries[i].rank < ph.entries[j].rank })
 		for _, e := range ph.entries {
 			if e.op != op {
@@ -112,28 +111,28 @@ func (c *Comm) rendezvous(op string, bytes int64, value any,
 		for _, cl := range clocks {
 			cl.AdvanceTo(syncT, vtime.Comm)
 		}
-		syncCost = c.world.cost.End(obs.StageVtimeAdvance, syncStart)
-		// Reset for the next generation before releasing waiters.
-		ph.entries = nil
-		ph.cur = &generation{done: make(chan struct{})}
+		excluded = c.world.cost.End(obs.StageVtimeAdvance, syncStart)
+		for _, e := range ph.entries {
+			if e.rank != c.rank {
+				c.world.unpark(c.global(e.rank))
+			}
+		}
+		// Reset for the next generation; the woken ranks read gen.
+		clear(ph.entries)
+		ph.entries = ph.entries[:0]
+		ph.cur = &generation{}
 		ph.mu.Unlock()
-		close(gen.done)
 		return gen.result, gen.err
 	}
+	g := c.global(c.rank)
+	c.world.blocked[g] = BlockedOp{Rank: g, Op: op, Peer: -1, Tag: -1, Clock: traceStart}
 	ph.mu.Unlock()
 
-	g := c.global(c.rank)
-	c.world.setBlocked(g, BlockedOp{Rank: g, Op: op, Peer: -1, Tag: -1, Clock: traceStart})
-	deadline := time.NewTimer(c.world.cfg.Timeout)
-	defer deadline.Stop()
-	select {
-	case <-gen.done:
-		c.world.clearBlocked(g)
-	case <-c.world.abortCh:
-		// Keep the blocked entry so deadlock dumps show where this rank hung.
-		return nil, c.world.abortedError()
-	case <-deadline.C:
-		return nil, c.world.deadlock(g)
+	parkStart := c.world.cost.Begin()
+	err := c.world.park(g)
+	excluded = c.world.cost.Begin().Sub(parkStart)
+	if err != nil {
+		return nil, err
 	}
 	return gen.result, gen.err
 }

@@ -3,7 +3,6 @@ package mpi
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"fibersim/internal/fault"
 )
@@ -33,32 +32,32 @@ func (b BlockedOp) String() string {
 	}
 }
 
-// DeadlockError is the structured replacement for a bare watchdog
-// timeout: it names the rank whose watchdog fired and dumps every
-// rank's blocked operation at that moment, so a hung exchange is
-// diagnosable from the error alone. It unwraps to ErrTimeout for
-// backward-compatible errors.Is checks.
+// DeadlockError reports a world in which every live rank is parked in
+// a receive or a collective that no running rank can complete. It names
+// the rank whose park or return left no rank running or runnable, and
+// dumps every blocked rank's operation at that moment, so a hung
+// exchange is diagnosable from the error alone. It unwraps to
+// ErrDeadlock.
 type DeadlockError struct {
-	// Timeout is the watchdog that expired.
-	Timeout time.Duration
-	// Rank is the global rank whose watchdog fired first.
+	// Rank is the global rank whose park or return completed the
+	// deadlock.
 	Rank int
-	// Blocked lists every rank blocked at expiry, ordered by rank;
-	// ranks still computing (not blocked in MPI) are absent.
+	// Blocked lists every blocked rank, ordered by rank; ranks that had
+	// returned are absent.
 	Blocked []BlockedOp
 }
 
 func (e *DeadlockError) Error() string {
-	s := fmt.Sprintf("mpi: deadlock: watchdog %v expired on rank %d; %d blocked rank(s):",
-		e.Timeout, e.Rank, len(e.Blocked))
+	s := fmt.Sprintf("mpi: deadlock: no rank can run after rank %d; %d blocked rank(s):",
+		e.Rank, len(e.Blocked))
 	for _, b := range e.Blocked {
 		s += "\n  " + b.String()
 	}
 	return s
 }
 
-// Unwrap keeps errors.Is(err, ErrTimeout) working on the structured error.
-func (e *DeadlockError) Unwrap() error { return ErrTimeout }
+// Unwrap makes errors.Is(err, ErrDeadlock) hold for the structured error.
+func (e *DeadlockError) Unwrap() error { return ErrDeadlock }
 
 // ErrAborted marks errors caused by a world-wide abort; every rank
 // blocked at abort time unwraps to it.
@@ -92,8 +91,8 @@ func (e *AbortError) Error() string {
 func (e *AbortError) Unwrap() []error { return []error{ErrAborted, e.Cause} }
 
 // abort terminates the world once: the first caller wins, every rank
-// blocked in an MPI operation is released with an AbortError, and
-// later FaultCheck calls fail fast.
+// parked in an MPI operation is released with an AbortError, and later
+// FaultCheck calls fail fast.
 func (w *World) abort(cause error) {
 	w.abortOnce.Do(func() {
 		w.abortErr = cause
@@ -106,29 +105,6 @@ func (w *World) abort(cause error) {
 // of abortErr through the channel).
 func (w *World) abortedError() error {
 	return &AbortError{Cause: w.abortErr}
-}
-
-// setBlocked publishes rank's blocked operation for deadlock dumps.
-func (w *World) setBlocked(rank int, b BlockedOp) {
-	w.blocked[rank].Store(&b)
-}
-
-// clearBlocked removes rank's blocked-operation record.
-func (w *World) clearBlocked(rank int) {
-	w.blocked[rank].Store(nil)
-}
-
-// deadlock builds the rank dump, aborts the world with it (releasing
-// the other blocked ranks) and returns the error.
-func (w *World) deadlock(rank int) error {
-	e := &DeadlockError{Timeout: w.cfg.Timeout, Rank: rank}
-	for r := range w.blocked {
-		if b := w.blocked[r].Load(); b != nil {
-			e.Blocked = append(e.Blocked, *b)
-		}
-	}
-	w.abort(e)
-	return e
 }
 
 // FaultCheck is the per-rank fault checkpoint: it fires a scheduled

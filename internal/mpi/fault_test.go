@@ -9,23 +9,17 @@ import (
 	"fibersim/internal/fault"
 )
 
-// deadlockCfg uses a millisecond-scale watchdog so a deliberately hung
-// pair fails fast instead of after the 30 s default.
-func deadlockCfg(ranks int) Config {
-	return Config{Ranks: ranks, Timeout: 50 * time.Millisecond}
-}
-
 func TestDeadlockErrorDumpsBothRanks(t *testing.T) {
 	// Classic head-to-head deadlock: both ranks Recv first, nobody sends.
-	_, err := Run(deadlockCfg(2), func(c *Comm) error {
+	_, err := Run(Config{Ranks: 2}, func(c *Comm) error {
 		_, err := c.Recv(1-c.Rank(), 7)
 		return err
 	})
 	if err == nil {
 		t.Fatal("deadlocked pair returned nil")
 	}
-	if !errors.Is(err, ErrTimeout) {
-		t.Fatalf("deadlock error does not unwrap to ErrTimeout: %v", err)
+	if !errors.Is(err, ErrDeadlock) {
+		t.Fatalf("deadlock error does not unwrap to ErrDeadlock: %v", err)
 	}
 	var de *DeadlockError
 	if !errors.As(err, &de) {
@@ -56,11 +50,11 @@ func TestDeadlockErrorDumpsBothRanks(t *testing.T) {
 }
 
 func TestDeadlockReleasesOtherBlockedRanks(t *testing.T) {
-	// Three ranks hang in different ops; the first watchdog to fire must
-	// abort the world so the others return promptly with AbortError
-	// instead of each waiting out its own watchdog.
+	// Three ranks hang in different ops; the park that completes the
+	// deadlock must abort the world so the others return promptly with
+	// AbortError.
 	start := time.Now()
-	_, err := Run(deadlockCfg(3), func(c *Comm) error {
+	_, err := Run(Config{Ranks: 3}, func(c *Comm) error {
 		if c.Rank() == 2 {
 			return c.Barrier() // nobody else joins
 		}
@@ -78,12 +72,12 @@ func TestDeadlockReleasesOtherBlockedRanks(t *testing.T) {
 		t.Fatalf("dump has %d blocked ops, want 3: %v", len(de.Blocked), de)
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("world took %v to unwind; abort should release everyone at the first watchdog", elapsed)
+		t.Fatalf("world took %v to unwind; abort should release everyone at once", elapsed)
 	}
 }
 
 func TestCollectiveDeadlockNamesOperation(t *testing.T) {
-	_, err := Run(deadlockCfg(2), func(c *Comm) error {
+	_, err := Run(Config{Ranks: 2}, func(c *Comm) error {
 		if c.Rank() == 1 {
 			return nil // skips the collective
 		}
@@ -106,7 +100,7 @@ func TestScheduledCrashAbortsWorld(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := fastCfg(4)
+	cfg := Config{Ranks: 4}
 	cfg.Fault = inj
 	start := time.Now()
 	_, err = Run(cfg, func(c *Comm) error {
@@ -143,7 +137,7 @@ func TestCrashedRankPartnersSeeAbort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := fastCfg(2)
+	cfg := Config{Ranks: 2}
 	cfg.Fault = inj
 	errs := make([]error, 2)
 	_, _ = Run(cfg, func(c *Comm) error {
@@ -169,7 +163,7 @@ func TestCrashedRankPartnersSeeAbort(t *testing.T) {
 
 func TestLinkFaultSlowsCrossNodeMessages(t *testing.T) {
 	run := func(inj *fault.Injector) float64 {
-		cfg := fastCfg(2)
+		cfg := Config{Ranks: 2}
 		cfg.RanksPerNode = 1 // rank r on node r
 		cfg.Fault = inj
 		res, err := Run(cfg, func(c *Comm) error {
@@ -201,7 +195,7 @@ func TestLinkFaultSlowsCrossNodeMessages(t *testing.T) {
 }
 
 func TestFaultCheckNilInjectorIsFree(t *testing.T) {
-	_, err := Run(fastCfg(2), func(c *Comm) error {
+	_, err := Run(Config{Ranks: 2}, func(c *Comm) error {
 		if err := c.FaultCheck(); err != nil {
 			return err
 		}

@@ -11,14 +11,48 @@
 // cost from internal/simnet. Ranks are placed on simulated nodes
 // (Config.RanksPerNode); intra-node pairs use the shared-memory fabric,
 // inter-node pairs the machine's fabric.
+//
+// # Execution contract
+//
+// A world runs at most P = min(Ranks, GOMAXPROCS) rank bodies at once.
+// Each rank holds one of P run slots while it computes: it takes a slot
+// before its body starts and frees it when the body returns or panics.
+// A rank gives its slot back early in exactly two places, the only
+// places it parks:
+//
+//   - in a receive (Recv, Sendrecv, Wait, ...) when no queued message
+//     matches;
+//   - in a collective when it is not the last rank to arrive.
+//
+// It records the park under the lock that proves the wait (its mailbox
+// lock, or the communicator's phaser lock), frees its slot and sleeps.
+// Whoever ends the wait (the matching sender, wildcards included, or
+// the collective's last arriver) marks it runnable before waking it,
+// and the woken rank only retakes a slot. Other waits inside a rank
+// body, such as a sync.Once shared by the ranks or an omp region's
+// join, keep the slot, so a rank body must wait on another rank only
+// through this package. omp's helper goroutines are not ranks and hold
+// no slot.
+//
+// Because the world knows exactly which ranks can run, deadlock is
+// detected exactly, never by a wall-clock timeout: a park or a return
+// that leaves no rank running or runnable while some rank is still
+// live is a deadlock. That rank builds a DeadlockError naming every
+// blocked rank and aborts the world, which releases the parked ranks at
+// once, including ranks parked on a rank that failed or panicked. A
+// rank that computes forever is not a deadlock; callers bound it from
+// outside (fiberd's -job-timeout).
+//
+// The model reads virtual clocks only, never host order, so the slot
+// count changes no model output.
 package mpi
 
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"fibersim/internal/fault"
 	"fibersim/internal/obs"
@@ -89,10 +123,9 @@ func (o Op) apply(acc, v float64) float64 {
 	}
 }
 
-// ErrTimeout is returned when a blocked operation exceeds the
-// configured real-time watchdog (usually indicating deadlock or a
-// missing partner).
-var ErrTimeout = errors.New("mpi: operation timed out (deadlock or missing partner?)")
+// ErrDeadlock marks a world in which every live rank is parked in a
+// receive or a collective that no running rank can complete.
+var ErrDeadlock = errors.New("mpi: deadlock")
 
 // Config describes an MPI world.
 type Config struct {
@@ -105,9 +138,6 @@ type Config struct {
 	Fabric *simnet.Fabric
 	// Intra is the intra-node transport; nil defaults to "shm".
 	Intra *simnet.Fabric
-	// Timeout is the real-time watchdog for blocked operations; zero
-	// defaults to 30 s.
-	Timeout time.Duration
 	// ReduceGamma is the per-byte local combine cost charged inside
 	// reductions; zero defaults to 0.25 ns/byte.
 	ReduceGamma float64
@@ -147,9 +177,6 @@ func (c Config) withDefaults() Config {
 	if c.Intra == nil {
 		c.Intra = simnet.MustLookup("shm")
 	}
-	if c.Timeout <= 0 {
-		c.Timeout = 30 * time.Second
-	}
 	if c.ReduceGamma <= 0 {
 		c.ReduceGamma = 0.25e-9
 	}
@@ -163,51 +190,25 @@ type message struct {
 	raw      []byte
 	bytes    int64
 	avail    float64 // virtual time at which the payload is available
-	seq      uint64  // arrival order for AnySource fairness
 	flow     uint64  // world-unique message id, links send/recv trace slices
 }
 
-// mailbox holds posted-but-unreceived messages for one rank.
+// matches reports whether m satisfies a receive for (src, tag).
+func (m *message) matches(src, tag int) bool {
+	return (src == AnySource || m.src == src) && (tag == AnyTag || m.tag == tag)
+}
+
+// mailbox holds one rank's posted-but-unreceived messages, in arrival
+// order, and the rank's parked receive, if any.
 type mailbox struct {
-	mu     sync.Mutex
-	queue  []*message
-	notify chan struct{} // replaced on every post
-	seq    uint64
-}
+	mu    sync.Mutex
+	queue []*message
 
-func newMailbox() *mailbox {
-	return &mailbox{notify: make(chan struct{})}
-}
-
-func (mb *mailbox) post(m *message) {
-	mb.mu.Lock()
-	m.seq = mb.seq
-	mb.seq++
-	mb.queue = append(mb.queue, m)
-	close(mb.notify)
-	mb.notify = make(chan struct{})
-	mb.mu.Unlock()
-}
-
-// take removes and returns the oldest message matching (src, tag), or
-// nil plus the channel to wait on.
-func (mb *mailbox) take(src, tag int) (*message, chan struct{}) {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	best := -1
-	for i, m := range mb.queue {
-		if (src == AnySource || m.src == src) && (tag == AnyTag || m.tag == tag) {
-			if best == -1 || m.seq < mb.queue[best].seq {
-				best = i
-			}
-		}
-	}
-	if best == -1 {
-		return nil, mb.notify
-	}
-	m := mb.queue[best]
-	mb.queue = append(mb.queue[:best], mb.queue[best+1:]...)
-	return m, nil
+	// parked is set while the owner sleeps in a receive for (src, tag);
+	// the first matching post hands its message over in got.
+	parked   bool
+	src, tag int
+	got      *message
 }
 
 // World is a running MPI job.
@@ -223,9 +224,18 @@ type World struct {
 	cost   *obs.CostRecorder
 	msgID  atomic.Uint64 // flow ids; 0 is reserved for "no flow"
 
-	inj       *fault.Injector             // nil on clean runs
-	blocked   []atomic.Pointer[BlockedOp] // per-rank blocked-op table
-	abortCh   chan struct{}               // closed on world-wide abort
+	// The rank scheduler (see the package doc). A rank holds a slot
+	// while it runs; wake[r] carries the one signal that ends rank r's
+	// park. active counts the ranks running or runnable, live the
+	// ranks whose body has not returned; both start at Ranks.
+	slots  chan struct{}
+	wake   []chan struct{}
+	active atomic.Int64
+	live   atomic.Int64
+
+	inj       *fault.Injector // nil on clean runs
+	blocked   []BlockedOp     // per rank, the op it is parked in; Op "" when none
+	abortCh   chan struct{}   // closed on world-wide abort
 	abortOnce sync.Once
 	abortErr  error // root cause; written once before abortCh closes
 }
@@ -330,8 +340,10 @@ func (r *Result) Breakdown() vtime.Breakdown {
 }
 
 // Run executes body on every rank of a fresh world and waits for all of
-// them. The first non-nil error (or recovered panic) is returned; all
-// ranks always run to completion or failure so goroutines never leak.
+// them. The first rank error (or recovered panic) is returned, or else
+// the root cause of a world-wide abort; all ranks always run to
+// completion or failure so goroutines never leak. At most
+// min(Ranks, GOMAXPROCS) bodies compute at once (see the package doc).
 func Run(cfg Config, body func(*Comm) error) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Ranks < 1 {
@@ -345,10 +357,14 @@ func Run(cfg Config, body func(*Comm) error) (*Result, error) {
 		stats:   newStatCounters(),
 		rec:     cfg.Recorder,
 		cost:    cfg.Cost,
+		slots:   make(chan struct{}, min(cfg.Ranks, runtime.GOMAXPROCS(0))),
+		wake:    make([]chan struct{}, cfg.Ranks),
 		inj:     cfg.Fault,
-		blocked: make([]atomic.Pointer[BlockedOp], cfg.Ranks),
+		blocked: make([]BlockedOp, cfg.Ranks),
 		abortCh: make(chan struct{}),
 	}
+	w.active.Store(int64(cfg.Ranks))
+	w.live.Store(int64(cfg.Ranks))
 	if cfg.TraceCapacity > 0 {
 		w.traces = make([]*trace.Log, cfg.Ranks)
 		for r := range w.traces {
@@ -357,8 +373,9 @@ func Run(cfg Config, body func(*Comm) error) (*Result, error) {
 	}
 	group := make([]int, cfg.Ranks)
 	for r := 0; r < cfg.Ranks; r++ {
-		w.boxes[r] = newMailbox()
+		w.boxes[r] = &mailbox{}
 		w.clocks[r] = &vtime.Clock{}
+		w.wake[r] = make(chan struct{}, 1)
 		group[r] = r
 	}
 
@@ -368,6 +385,8 @@ func Run(cfg Config, body func(*Comm) error) (*Result, error) {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
+			w.slots <- struct{}{}
+			defer w.exit(rank)
 			defer func() {
 				if p := recover(); p != nil {
 					errs[rank] = fmt.Errorf("mpi: rank %d panicked: %v", rank, p)
@@ -389,24 +408,22 @@ func Run(cfg Config, body func(*Comm) error) (*Result, error) {
 		res.Times[r] = w.clocks[r].Now()
 		res.Breakdowns[r] = w.clocks[r].Breakdown()
 	}
-	// Prefer the root cause over the secondary AbortErrors the other
-	// ranks observe after a crash or deadlock abort.
-	var firstAbort error
+	// Prefer a rank's own error over the AbortErrors the other ranks
+	// observe after a crash or deadlock abort; failing that, return the
+	// abort's root cause.
+	aborted := false
 	for _, err := range errs {
 		if err == nil {
 			continue
 		}
 		var ae *AbortError
-		if errors.As(err, &ae) {
-			if firstAbort == nil {
-				firstAbort = err
-			}
-			continue
+		if !errors.As(err, &ae) {
+			return res, err
 		}
-		return res, err
+		aborted = true
 	}
-	if firstAbort != nil {
-		return res, firstAbort
+	if aborted {
+		return res, w.abortErr
 	}
 	return res, nil
 }
@@ -510,7 +527,7 @@ func (c *Comm) post(dst int, m *message) {
 	c.world.stats.countSend(m.bytes)
 	c.traceFlow("send", "mpi", t0, clk.Now(), m.flow, trace.FlowOut)
 	c.world.rec.MPIOp(gsrc, "send", gdst, m.bytes, clk.Now()-t0)
-	c.world.boxes[gdst].post(m)
+	c.world.deliver(gdst, m)
 }
 
 // Send delivers a copy of data to dst with the given tag. It is eager:
@@ -579,37 +596,61 @@ func (c *Comm) recvMessage(src, tag int) (*message, error) {
 		return nil, err
 	}
 	g := c.global(c.rank)
-	box := c.world.boxes[g]
-	deadline := time.NewTimer(c.world.cfg.Timeout)
-	defer deadline.Stop()
 	t0 := c.Clock().Now()
 	peer := AnySource
 	if src != AnySource {
 		peer = c.global(src)
 	}
-	for {
-		m, wait := box.take(src, tag)
-		if m != nil {
-			c.world.clearBlocked(g)
-			vs := c.world.cost.Begin()
-			c.Clock().AdvanceTo(m.avail, vtime.Comm)
-			c.world.cost.End(obs.StageVtimeAdvance, vs)
-			end := c.Clock().Now()
-			c.traceFlow("recv", "mpi", t0, end, m.flow, trace.FlowIn)
-			c.world.rec.MPIOp(g, "recv", c.global(m.src), m.bytes, end-t0)
+	m, err := c.world.receive(g, src, tag, BlockedOp{Rank: g, Op: "recv", Peer: peer, Tag: tag, Clock: t0})
+	if err != nil {
+		return nil, err
+	}
+	vs := c.world.cost.Begin()
+	c.Clock().AdvanceTo(m.avail, vtime.Comm)
+	c.world.cost.End(obs.StageVtimeAdvance, vs)
+	end := c.Clock().Now()
+	c.traceFlow("recv", "mpi", t0, end, m.flow, trace.FlowIn)
+	c.world.rec.MPIOp(g, "recv", c.global(m.src), m.bytes, end-t0)
+	return m, nil
+}
+
+// deliver queues m for global rank dst, or hands it straight to dst's
+// parked receive when it matches, marking dst runnable before waking
+// it. A post that does not match leaves the receive asleep.
+func (w *World) deliver(dst int, m *message) {
+	mb := w.boxes[dst]
+	mb.mu.Lock()
+	defer mb.mu.Unlock()
+	if mb.parked && m.matches(mb.src, mb.tag) {
+		mb.parked, mb.got = false, m
+		w.unpark(dst)
+		return
+	}
+	mb.queue = append(mb.queue, m)
+}
+
+// receive removes and returns global rank g's oldest queued message
+// matching (src, tag). When none has arrived, it records the park as b
+// under the mailbox lock and parks until a matching post wakes it.
+func (w *World) receive(g, src, tag int, b BlockedOp) (*message, error) {
+	mb := w.boxes[g]
+	mb.mu.Lock()
+	for i, m := range mb.queue {
+		if m.matches(src, tag) {
+			mb.queue = append(mb.queue[:i], mb.queue[i+1:]...)
+			mb.mu.Unlock()
 			return m, nil
 		}
-		c.world.setBlocked(g, BlockedOp{Rank: g, Op: "recv", Peer: peer, Tag: tag, Clock: t0})
-		select {
-		case <-wait:
-		case <-c.world.abortCh:
-			// Leave the blocked entry in place: the rank dies here, and
-			// the deadlock dump should still show where it hung.
-			return nil, c.world.abortedError()
-		case <-deadline.C:
-			return nil, c.world.deadlock(g)
-		}
 	}
+	mb.parked, mb.src, mb.tag = true, src, tag
+	w.blocked[g] = b
+	mb.mu.Unlock()
+	if err := w.park(g); err != nil {
+		return nil, err
+	}
+	m := mb.got
+	mb.got = nil
+	return m, nil
 }
 
 // Recv blocks until a float64 message matching (src, tag) arrives.

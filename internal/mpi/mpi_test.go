@@ -6,15 +6,9 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"fibersim/internal/vtime"
 )
-
-// fastCfg returns a config with a short watchdog for misuse tests.
-func fastCfg(ranks int) Config {
-	return Config{Ranks: ranks, Timeout: 500 * time.Millisecond}
-}
 
 func TestRunNeedsRanks(t *testing.T) {
 	if _, err := Run(Config{Ranks: 0}, func(*Comm) error { return nil }); err == nil {
@@ -24,7 +18,7 @@ func TestRunNeedsRanks(t *testing.T) {
 
 func TestRankAndSize(t *testing.T) {
 	seen := make([]bool, 4)
-	_, err := Run(fastCfg(4), func(c *Comm) error {
+	_, err := Run(Config{Ranks: 4}, func(c *Comm) error {
 		if c.Size() != 4 {
 			t.Errorf("Size = %d", c.Size())
 		}
@@ -42,7 +36,7 @@ func TestRankAndSize(t *testing.T) {
 }
 
 func TestSendRecv(t *testing.T) {
-	_, err := Run(fastCfg(2), func(c *Comm) error {
+	_, err := Run(Config{Ranks: 2}, func(c *Comm) error {
 		if c.Rank() == 0 {
 			return c.Send(1, 7, []float64{1, 2, 3})
 		}
@@ -61,7 +55,7 @@ func TestSendRecv(t *testing.T) {
 }
 
 func TestSendCopiesData(t *testing.T) {
-	_, err := Run(fastCfg(2), func(c *Comm) error {
+	_, err := Run(Config{Ranks: 2}, func(c *Comm) error {
 		if c.Rank() == 0 {
 			buf := []float64{42}
 			if err := c.Send(1, 0, buf); err != nil {
@@ -85,7 +79,7 @@ func TestSendCopiesData(t *testing.T) {
 }
 
 func TestMessageOrderingSameTag(t *testing.T) {
-	_, err := Run(fastCfg(2), func(c *Comm) error {
+	_, err := Run(Config{Ranks: 2}, func(c *Comm) error {
 		if c.Rank() == 0 {
 			for i := 0; i < 10; i++ {
 				if err := c.Send(1, 0, []float64{float64(i)}); err != nil {
@@ -111,7 +105,7 @@ func TestMessageOrderingSameTag(t *testing.T) {
 }
 
 func TestTagSelectivity(t *testing.T) {
-	_, err := Run(fastCfg(2), func(c *Comm) error {
+	_, err := Run(Config{Ranks: 2}, func(c *Comm) error {
 		if c.Rank() == 0 {
 			if err := c.Send(1, 1, []float64{1}); err != nil {
 				return err
@@ -138,7 +132,7 @@ func TestTagSelectivity(t *testing.T) {
 }
 
 func TestAnySourceAnyTag(t *testing.T) {
-	_, err := Run(fastCfg(3), func(c *Comm) error {
+	_, err := Run(Config{Ranks: 3}, func(c *Comm) error {
 		if c.Rank() != 0 {
 			return c.Send(0, c.Rank(), []float64{float64(c.Rank())})
 		}
@@ -161,7 +155,7 @@ func TestAnySourceAnyTag(t *testing.T) {
 }
 
 func TestSendRecvBytes(t *testing.T) {
-	_, err := Run(fastCfg(2), func(c *Comm) error {
+	_, err := Run(Config{Ranks: 2}, func(c *Comm) error {
 		if c.Rank() == 0 {
 			return c.SendBytes(1, 0, []byte("ACGT"))
 		}
@@ -180,7 +174,7 @@ func TestSendRecvBytes(t *testing.T) {
 }
 
 func TestTypeMismatchErrors(t *testing.T) {
-	_, err := Run(fastCfg(2), func(c *Comm) error {
+	_, err := Run(Config{Ranks: 2}, func(c *Comm) error {
 		if c.Rank() == 0 {
 			return c.SendBytes(1, 0, []byte{1})
 		}
@@ -195,21 +189,21 @@ func TestTypeMismatchErrors(t *testing.T) {
 	}
 }
 
-func TestRecvTimeoutOnMissingMessage(t *testing.T) {
-	_, err := Run(fastCfg(2), func(c *Comm) error {
+func TestRecvOnMissingMessageDeadlocks(t *testing.T) {
+	_, err := Run(Config{Ranks: 2}, func(c *Comm) error {
 		if c.Rank() == 1 {
 			_, err := c.Recv(0, 99)
 			return err
 		}
 		return nil
 	})
-	if !errors.Is(err, ErrTimeout) {
-		t.Fatalf("want ErrTimeout, got %v", err)
+	if !errors.Is(err, ErrDeadlock) {
+		t.Fatalf("want ErrDeadlock, got %v", err)
 	}
 }
 
 func TestInvalidRankErrors(t *testing.T) {
-	_, err := Run(fastCfg(2), func(c *Comm) error {
+	_, err := Run(Config{Ranks: 2}, func(c *Comm) error {
 		if err := c.Send(5, 0, nil); err == nil {
 			t.Error("Send to invalid rank should error")
 		}
@@ -227,7 +221,7 @@ func TestInvalidRankErrors(t *testing.T) {
 }
 
 func TestPanicBecomesError(t *testing.T) {
-	_, err := Run(fastCfg(2), func(c *Comm) error {
+	_, err := Run(Config{Ranks: 2}, func(c *Comm) error {
 		if c.Rank() == 1 {
 			panic("boom")
 		}
@@ -238,27 +232,8 @@ func TestPanicBecomesError(t *testing.T) {
 	}
 }
 
-func TestSendrecvRingDeadlockFree(t *testing.T) {
-	const p = 8
-	_, err := Run(fastCfg(p), func(c *Comm) error {
-		right := (c.Rank() + 1) % p
-		left := (c.Rank() + p - 1) % p
-		got, err := c.Sendrecv(right, 0, []float64{float64(c.Rank())}, left, 0)
-		if err != nil {
-			return err
-		}
-		if got[0] != float64(left) {
-			t.Errorf("rank %d got %g from left, want %d", c.Rank(), got[0], left)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestBarrierSynchronizesClocks(t *testing.T) {
-	res, err := Run(fastCfg(4), func(c *Comm) error {
+	res, err := Run(Config{Ranks: 4}, func(c *Comm) error {
 		// Rank r computes r seconds, then everyone waits at the barrier.
 		c.Advance(float64(c.Rank()), vtime.Compute)
 		return c.Barrier()
@@ -278,7 +253,7 @@ func TestBarrierSynchronizesClocks(t *testing.T) {
 }
 
 func TestBcast(t *testing.T) {
-	_, err := Run(fastCfg(4), func(c *Comm) error {
+	_, err := Run(Config{Ranks: 4}, func(c *Comm) error {
 		var in []float64
 		if c.Rank() == 2 {
 			in = []float64{3.14, 2.71}
@@ -300,7 +275,7 @@ func TestBcast(t *testing.T) {
 }
 
 func TestBcastRootWithoutData(t *testing.T) {
-	_, err := Run(fastCfg(2), func(c *Comm) error {
+	_, err := Run(Config{Ranks: 2}, func(c *Comm) error {
 		_, err := c.Bcast(0, nil) // root passes nil too
 		return err
 	})
@@ -310,7 +285,7 @@ func TestBcastRootWithoutData(t *testing.T) {
 }
 
 func TestReduceAndAllreduce(t *testing.T) {
-	_, err := Run(fastCfg(4), func(c *Comm) error {
+	_, err := Run(Config{Ranks: 4}, func(c *Comm) error {
 		data := []float64{float64(c.Rank()), 1}
 		sum, err := c.Reduce(0, OpSum, data)
 		if err != nil {
@@ -352,7 +327,7 @@ func TestReduceAndAllreduce(t *testing.T) {
 }
 
 func TestReduceLengthMismatch(t *testing.T) {
-	_, err := Run(fastCfg(2), func(c *Comm) error {
+	_, err := Run(Config{Ranks: 2}, func(c *Comm) error {
 		data := make([]float64, c.Rank()+1) // ranks pass different lengths
 		_, err := c.Allreduce(OpSum, data)
 		return err
@@ -363,7 +338,7 @@ func TestReduceLengthMismatch(t *testing.T) {
 }
 
 func TestMismatchedCollectivesDetected(t *testing.T) {
-	_, err := Run(fastCfg(2), func(c *Comm) error {
+	_, err := Run(Config{Ranks: 2}, func(c *Comm) error {
 		if c.Rank() == 0 {
 			return c.Barrier()
 		}
@@ -376,7 +351,7 @@ func TestMismatchedCollectivesDetected(t *testing.T) {
 }
 
 func TestGatherAllgather(t *testing.T) {
-	_, err := Run(fastCfg(3), func(c *Comm) error {
+	_, err := Run(Config{Ranks: 3}, func(c *Comm) error {
 		mine := make([]float64, c.Rank()+1) // ragged contributions
 		for i := range mine {
 			mine[i] = float64(c.Rank())
@@ -414,7 +389,7 @@ func TestGatherAllgather(t *testing.T) {
 
 func TestAlltoall(t *testing.T) {
 	const p = 4
-	_, err := Run(fastCfg(p), func(c *Comm) error {
+	_, err := Run(Config{Ranks: p}, func(c *Comm) error {
 		chunks := make([][]float64, p)
 		for j := 0; j < p; j++ {
 			chunks[j] = []float64{float64(c.Rank()*100 + j)}
@@ -437,7 +412,7 @@ func TestAlltoall(t *testing.T) {
 }
 
 func TestAlltoallWrongChunks(t *testing.T) {
-	_, err := Run(fastCfg(2), func(c *Comm) error {
+	_, err := Run(Config{Ranks: 2}, func(c *Comm) error {
 		_, err := c.Alltoall(make([][]float64, 1))
 		return err
 	})
@@ -447,7 +422,7 @@ func TestAlltoallWrongChunks(t *testing.T) {
 }
 
 func TestSplit(t *testing.T) {
-	_, err := Run(fastCfg(6), func(c *Comm) error {
+	_, err := Run(Config{Ranks: 6}, func(c *Comm) error {
 		sub, err := c.Split(c.Rank()%2, c.Rank())
 		if err != nil {
 			return err
@@ -488,7 +463,7 @@ func TestSplit(t *testing.T) {
 }
 
 func TestSplitByKeyReorders(t *testing.T) {
-	_, err := Run(fastCfg(3), func(c *Comm) error {
+	_, err := Run(Config{Ranks: 3}, func(c *Comm) error {
 		// Reverse order via key.
 		sub, err := c.Split(0, -c.Rank())
 		if err != nil {
@@ -508,7 +483,7 @@ func TestSplitByKeyReorders(t *testing.T) {
 func TestVirtualTimeP2P(t *testing.T) {
 	// One 8 MiB message across nodes: receive completes no earlier than
 	// the fabric transfer time.
-	cfg := fastCfg(2)
+	cfg := Config{Ranks: 2}
 	cfg.RanksPerNode = 1 // force inter-node
 	n := 1 << 20         // 1Mi float64 = 8 MiB
 	res, err := Run(cfg, func(c *Comm) error {
@@ -532,7 +507,7 @@ func TestVirtualTimeP2P(t *testing.T) {
 
 func TestIntraNodeFasterThanInterNode(t *testing.T) {
 	timeFor := func(perNode int) float64 {
-		cfg := fastCfg(2)
+		cfg := Config{Ranks: 2}
 		cfg.RanksPerNode = perNode
 		res, err := Run(cfg, func(c *Comm) error {
 			if c.Rank() == 0 {
@@ -552,7 +527,7 @@ func TestIntraNodeFasterThanInterNode(t *testing.T) {
 }
 
 func TestResultHelpers(t *testing.T) {
-	res, err := Run(fastCfg(3), func(c *Comm) error {
+	res, err := Run(Config{Ranks: 3}, func(c *Comm) error {
 		c.Advance(float64(c.Rank()+1), vtime.Compute)
 		return nil
 	})
@@ -603,7 +578,7 @@ func TestAllreduceMatchesSerialFoldProperty(t *testing.T) {
 			}
 		}
 		ok := true
-		_, err := Run(fastCfg(p), func(c *Comm) error {
+		_, err := Run(Config{Ranks: p}, func(c *Comm) error {
 			got, err := c.Allreduce(OpSum, vecs[c.Rank()])
 			if err != nil {
 				return err
@@ -623,7 +598,7 @@ func TestAllreduceMatchesSerialFoldProperty(t *testing.T) {
 }
 
 func TestCollectiveAdvancesAllClocksEqually(t *testing.T) {
-	res, err := Run(fastCfg(4), func(c *Comm) error {
+	res, err := Run(Config{Ranks: 4}, func(c *Comm) error {
 		c.Advance(float64(4-c.Rank()), vtime.Compute)
 		_, err := c.Allreduce(OpSum, []float64{1})
 		return err
@@ -640,7 +615,7 @@ func TestCollectiveAdvancesAllClocksEqually(t *testing.T) {
 
 func TestScatter(t *testing.T) {
 	const p = 4
-	_, err := Run(fastCfg(p), func(c *Comm) error {
+	_, err := Run(Config{Ranks: p}, func(c *Comm) error {
 		var chunks [][]float64
 		if c.Rank() == 2 {
 			chunks = make([][]float64, p)
@@ -663,7 +638,7 @@ func TestScatter(t *testing.T) {
 }
 
 func TestScatterWrongChunks(t *testing.T) {
-	_, err := Run(fastCfg(2), func(c *Comm) error {
+	_, err := Run(Config{Ranks: 2}, func(c *Comm) error {
 		var chunks [][]float64
 		if c.Rank() == 0 {
 			chunks = make([][]float64, 1) // wrong count
@@ -678,7 +653,7 @@ func TestScatterWrongChunks(t *testing.T) {
 
 func TestReduceScatter(t *testing.T) {
 	const p = 4
-	_, err := Run(fastCfg(p), func(c *Comm) error {
+	_, err := Run(Config{Ranks: p}, func(c *Comm) error {
 		data := make([]float64, p*2)
 		for i := range data {
 			data[i] = float64(i)
@@ -705,7 +680,7 @@ func TestReduceScatter(t *testing.T) {
 }
 
 func TestReduceScatterIndivisible(t *testing.T) {
-	_, err := Run(fastCfg(2), func(c *Comm) error {
+	_, err := Run(Config{Ranks: 2}, func(c *Comm) error {
 		_, err := c.ReduceScatter(OpSum, make([]float64, 3))
 		return err
 	})
@@ -715,7 +690,7 @@ func TestReduceScatterIndivisible(t *testing.T) {
 }
 
 func TestCommStats(t *testing.T) {
-	res, err := Run(fastCfg(4), func(c *Comm) error {
+	res, err := Run(Config{Ranks: 4}, func(c *Comm) error {
 		if c.Rank() == 0 {
 			if err := c.Send(1, 0, []float64{1, 2}); err != nil {
 				return err
@@ -750,7 +725,7 @@ func TestCommStats(t *testing.T) {
 }
 
 func TestTracing(t *testing.T) {
-	cfg := fastCfg(2)
+	cfg := Config{Ranks: 2}
 	cfg.TraceCapacity = 64
 	res, err := Run(cfg, func(c *Comm) error {
 		if c.Rank() == 0 {
@@ -783,7 +758,7 @@ func TestTracing(t *testing.T) {
 }
 
 func TestTracingOffByDefault(t *testing.T) {
-	res, err := Run(fastCfg(2), func(c *Comm) error {
+	res, err := Run(Config{Ranks: 2}, func(c *Comm) error {
 		c.Trace("x", "kernel", 0, 1) // must be a harmless no-op
 		return c.Barrier()
 	})
@@ -799,7 +774,7 @@ func TestProcNull(t *testing.T) {
 	// Non-periodic halo exchange: boundary ranks talk to ProcNull and
 	// the pattern stays uniform.
 	const p = 4
-	res, err := Run(fastCfg(p), func(c *Comm) error {
+	res, err := Run(Config{Ranks: p}, func(c *Comm) error {
 		up, down := c.Rank()+1, c.Rank()-1
 		if up >= p {
 			up = ProcNull

@@ -5,7 +5,7 @@ import (
 )
 
 func TestIsendIrecv(t *testing.T) {
-	_, err := Run(fastCfg(2), func(c *Comm) error {
+	_, err := Run(Config{Ranks: 2}, func(c *Comm) error {
 		if c.Rank() == 0 {
 			req, err := c.Isend(1, 5, []float64{7})
 			if err != nil {
@@ -40,7 +40,7 @@ func TestIsendIrecv(t *testing.T) {
 func TestIrecvPostEarly(t *testing.T) {
 	// Post receives before sending: the classic halo-exchange shape.
 	const p = 4
-	_, err := Run(fastCfg(p), func(c *Comm) error {
+	_, err := Run(Config{Ranks: p}, func(c *Comm) error {
 		right := (c.Rank() + 1) % p
 		left := (c.Rank() + p - 1) % p
 		rFromLeft, err := c.Irecv(left, 1)
@@ -73,7 +73,7 @@ func TestIrecvPostEarly(t *testing.T) {
 }
 
 func TestIrecvInvalidSource(t *testing.T) {
-	_, err := Run(fastCfg(2), func(c *Comm) error {
+	_, err := Run(Config{Ranks: 2}, func(c *Comm) error {
 		if _, err := c.Irecv(7, 0); err == nil {
 			t.Error("Irecv from invalid rank must fail")
 		}

@@ -8,7 +8,7 @@ import (
 )
 
 func TestCollectiveBytes(t *testing.T) {
-	res, err := Run(fastCfg(4), func(c *Comm) error {
+	res, err := Run(Config{Ranks: 4}, func(c *Comm) error {
 		if _, err := c.Allreduce(OpSum, []float64{1, 2}); err != nil {
 			return err
 		}
@@ -65,7 +65,7 @@ func TestMergeCommStats(t *testing.T) {
 
 func TestRecorderIntegration(t *testing.T) {
 	rec := obs.NewRecorder()
-	cfg := fastCfg(2)
+	cfg := Config{Ranks: 2}
 	cfg.Recorder = rec
 	_, err := Run(cfg, func(c *Comm) error {
 		if c.Rank() == 0 {
@@ -110,7 +110,7 @@ func TestRecorderIntegration(t *testing.T) {
 }
 
 func TestTraceFlowEvents(t *testing.T) {
-	cfg := fastCfg(2)
+	cfg := Config{Ranks: 2}
 	cfg.TraceCapacity = 64
 	res, err := Run(cfg, func(c *Comm) error {
 		if c.Rank() == 0 {

@@ -55,7 +55,7 @@ func program(c *Comm) error {
 func TestLogReplayMatchesRun(t *testing.T) {
 	const ranks = 4
 	logs := make([]*testLog, ranks)
-	want, err := Run(fastCfg(ranks), func(c *Comm) error {
+	want, err := Run(Config{Ranks: ranks}, func(c *Comm) error {
 		logs[c.Rank()] = &testLog{}
 		c.LogTo(logs[c.Rank()])
 		return program(c)
@@ -72,7 +72,7 @@ func TestLogReplayMatchesRun(t *testing.T) {
 	if !reflect.DeepEqual(logs[0].entries, wantLog) {
 		t.Fatalf("rank 0 logged %+v, want %+v", logs[0].entries, wantLog)
 	}
-	got, err := Run(fastCfg(ranks), func(c *Comm) error {
+	got, err := Run(Config{Ranks: ranks}, func(c *Comm) error {
 		c.Clock().Advance(float64(c.Rank()+1)*1e-6, vtime.Compute)
 		for i, e := range logs[c.Rank()].entries {
 			if i == 2 {
@@ -103,7 +103,7 @@ func TestLogReplayMatchesRun(t *testing.T) {
 // does not record and requires each to report itself.
 func TestUnloggedOpsReportUnreplayable(t *testing.T) {
 	logs := make([]*testLog, 2)
-	_, err := Run(fastCfg(2), func(c *Comm) error {
+	_, err := Run(Config{Ranks: 2}, func(c *Comm) error {
 		l := &testLog{}
 		logs[c.Rank()] = l
 		c.LogTo(l)

@@ -29,8 +29,10 @@ const (
 	StageSetup Stage = iota
 	// StageCharge covers the Env.Charge kernel-model hot path.
 	StageCharge
-	// StageCollective covers collective rendezvous and cost evaluation
-	// (excluding the virtual-clock sync loop, counted separately).
+	// StageCollective covers collective rendezvous host work: entry,
+	// validation, combine and cost evaluation. It is not waiting: the
+	// virtual-clock sync loop counts as vtime-advance, and the time a
+	// rank spends parked until it retakes a run slot counts nowhere.
 	StageCollective
 	// StageVtimeAdvance covers virtual-clock AdvanceTo work on both the
 	// point-to-point receive path and the collective sync loop.
