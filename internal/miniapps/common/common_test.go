@@ -130,9 +130,9 @@ func TestLaunchRejectsBadPlacement(t *testing.T) {
 	if _, err := Launch(RunConfig{Procs: 100, Threads: 100}, func(*Env) error { return nil }); err == nil {
 		t.Error("oversubscribed launch must fail")
 	}
-	if _, err := Launch(RunConfig{Procs: 1, Threads: 1, NodeStride: -1}, func(*Env) error { return nil }); err == nil {
-		// NodeStride < 0 falls back to Alloc/Bind; this should succeed.
-		// The error case is stride > 0 with oversubscription:
+	// NodeStride < 0 falls back to Alloc/Bind.
+	if _, err := Launch(RunConfig{Procs: 1, Threads: 1, NodeStride: -1}, func(*Env) error { return nil }); err != nil {
+		t.Errorf("launch with NodeStride -1 failed: %v", err)
 	}
 	if _, err := Launch(RunConfig{Procs: 49, Threads: 1, NodeStride: 2}, func(*Env) error { return nil }); err == nil {
 		t.Error("oversubscribed stride launch must fail")
@@ -142,7 +142,7 @@ func TestLaunchRejectsBadPlacement(t *testing.T) {
 func TestFinishResultAndGFlops(t *testing.T) {
 	cfg := RunConfig{Procs: 2, Threads: 2}
 	runRes, err := Launch(cfg, func(env *Env) error {
-		env.Comm.Advance(1, vtime.Compute)
+		env.Comm.Clock().Advance(1, vtime.Compute)
 		return nil
 	})
 	if err != nil {

@@ -47,15 +47,9 @@ func TestManifestFromRun(t *testing.T) {
 				return err
 			}
 		}
-		if env.Rank() == 0 {
-			if err := env.Comm.Send(1, 0, []float64{1, 2, 3}); err != nil {
-				return err
-			}
-		}
-		if env.Rank() == 1 {
-			if _, err := env.Comm.Recv(0, 0); err != nil {
-				return err
-			}
+		peer := 1 - env.Rank()
+		if _, err := env.Comm.Sendrecv(peer, 0, []float64{1, 2, 3}, peer, 0); err != nil {
+			return err
 		}
 		_, err := env.Comm.Allreduce(0, []float64{1})
 		return err
@@ -103,14 +97,14 @@ func TestManifestFromRun(t *testing.T) {
 		}
 	}
 
-	// Comm accounting flows through: one p2p send and 2 allreduces.
-	if m.Comm.Sends != 1 || m.Comm.SendBytes != 24 {
+	// Comm accounting flows through: two p2p sends and 2 allreduces.
+	if m.Comm.Sends != 2 || m.Comm.SendBytes != 48 {
 		t.Errorf("comm summary = %+v", m.Comm)
 	}
 	if cs := m.Comm.Collectives["allreduce"]; cs.Count != 2 || cs.Bytes != 16 {
 		t.Errorf("allreduce stat = %+v", cs)
 	}
-	if m.Profile.Comm.Ops["send"].Count != 1 {
+	if m.Profile.Comm.Ops["send"].Count != 2 {
 		t.Errorf("profile send ops = %+v", m.Profile.Comm.Ops)
 	}
 	if m.Profile.OMP.Regions != 0 {

@@ -134,7 +134,7 @@ func (l *opLog) Collective(kind mpi.Collective, red mpi.Op, n int) {
 	l.ops = append(l.ops, op{kind: opCollective, a: int(kind), b: int(red), n: n})
 }
 
-// Unreplayable implements omp.Log and mpi.Log.
+// Unreplayable implements omp.Log.
 func (l *opLog) Unreplayable(op string) {
 	if l.unreplayable == "" {
 		l.unreplayable = op

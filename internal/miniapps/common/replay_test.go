@@ -19,7 +19,6 @@ import (
 	"fibersim/internal/obs"
 	"fibersim/internal/omp"
 	"fibersim/internal/trace"
-	"fibersim/internal/vtime"
 )
 
 // observed is one run with its recorder.
@@ -279,17 +278,6 @@ func TestUnreplayableLaunchIsNotCached(t *testing.T) {
 		name  string
 		extra func(*common.Env) error
 	}{
-		{"team-charge", func(env *common.Env) error {
-			env.Team.Charge(1e-6, vtime.Compute)
-			return nil
-		}},
-		{"send-recv", func(env *common.Env) error {
-			if env.Rank() == 0 {
-				return env.Comm.Send(1, 0, []float64{1})
-			}
-			_, err := env.Comm.Recv(0, 0)
-			return err
-		}},
 		{"cost-fn", func(env *common.Env) error {
 			env.Team.ParallelFor(omp.Schedule{}, 4, nil, func(int) float64 { return 1e-9 })
 			return nil

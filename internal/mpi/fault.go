@@ -3,21 +3,19 @@ package mpi
 import (
 	"errors"
 	"fmt"
-
-	"fibersim/internal/fault"
 )
 
 // BlockedOp is one rank's in-flight blocking operation, captured for
 // the deadlock dump: what it is waiting in, on whom, and where its
 // virtual clock stood when it blocked.
 type BlockedOp struct {
-	// Rank is the global rank.
+	// Rank is the blocked rank.
 	Rank int
 	// Op names the operation ("recv", "allreduce/...", ...).
 	Op string
-	// Peer is the awaited global rank; -1 for collectives/AnySource.
+	// Peer is the awaited rank; -1 for collectives.
 	Peer int
-	// Tag is the awaited tag; -1 for collectives/AnyTag.
+	// Tag is the awaited tag; -1 for collectives.
 	Tag int
 	// Clock is the rank's virtual time when it blocked (s).
 	Clock float64
@@ -39,8 +37,7 @@ func (b BlockedOp) String() string {
 // exchange is diagnosable from the error alone. It unwraps to
 // ErrDeadlock.
 type DeadlockError struct {
-	// Rank is the global rank whose park or return completed the
-	// deadlock.
+	// Rank is the rank whose park or return completed the deadlock.
 	Rank int
 	// Blocked lists every blocked rank, ordered by rank; ranks that had
 	// returned are absent.
@@ -65,7 +62,7 @@ var ErrAborted = errors.New("mpi: world aborted")
 
 // CrashError reports a rank killed by a fault-schedule crash event.
 type CrashError struct {
-	// Rank is the global rank that died.
+	// Rank is the rank that died.
 	Rank int
 	// Time is the scheduled virtual time of death (s).
 	Time float64
@@ -115,10 +112,9 @@ func (w *World) abortedError() error {
 // after every modelled kernel charge. Returns nil on a healthy world.
 func (c *Comm) FaultCheck() error {
 	w := c.world
-	g := c.global(c.rank)
-	if at, ok := w.inj.CrashTime(g); ok && c.Clock().Now() >= at {
-		w.inj.RecordCrash(g)
-		err := &CrashError{Rank: g, Time: at}
+	if at, ok := w.inj.CrashTime(c.rank); ok && c.Clock().Now() >= at {
+		w.inj.RecordCrash(c.rank)
+		err := &CrashError{Rank: c.rank, Time: at}
 		w.abort(err)
 		return err
 	}
@@ -131,13 +127,10 @@ func (c *Comm) FaultCheck() error {
 }
 
 // linkScale returns the fault-schedule cost multiplier for a message
-// between two global ranks, mapped to their simulated nodes.
+// between two ranks, mapped to their simulated nodes.
 func (w *World) linkScale(a, b int, at float64) float64 {
 	if w.inj == nil {
 		return 1
 	}
 	return w.inj.LinkScale(a/w.cfg.RanksPerNode, b/w.cfg.RanksPerNode, at)
 }
-
-// Injector returns the world's fault injector (nil on clean runs).
-func (c *Comm) Injector() *fault.Injector { return c.world.inj }

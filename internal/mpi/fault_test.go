@@ -10,9 +10,10 @@ import (
 )
 
 func TestDeadlockErrorDumpsBothRanks(t *testing.T) {
-	// Classic head-to-head deadlock: both ranks Recv first, nobody sends.
+	// Head-to-head deadlock: both ranks wait for tag 7, which nobody
+	// sends.
 	_, err := Run(Config{Ranks: 2}, func(c *Comm) error {
-		_, err := c.Recv(1-c.Rank(), 7)
+		_, err := c.Sendrecv(1-c.Rank(), 1, nil, 1-c.Rank(), 7)
 		return err
 	})
 	if err == nil {
@@ -58,7 +59,7 @@ func TestDeadlockReleasesOtherBlockedRanks(t *testing.T) {
 		if c.Rank() == 2 {
 			return c.Barrier() // nobody else joins
 		}
-		_, err := c.Recv(1-c.Rank(), 9)
+		_, err := c.Sendrecv(1-c.Rank(), 1, nil, 1-c.Rank(), 9)
 		return err
 	})
 	if err == nil {
@@ -105,7 +106,7 @@ func TestScheduledCrashAbortsWorld(t *testing.T) {
 	start := time.Now()
 	_, err = Run(cfg, func(c *Comm) error {
 		for i := 0; i < 100; i++ {
-			c.Advance(1e-6, 0)
+			c.Clock().Advance(1e-6, 0)
 			if _, err := c.AllreduceScalar(OpSum, 1); err != nil {
 				return err
 			}
@@ -141,13 +142,9 @@ func TestCrashedRankPartnersSeeAbort(t *testing.T) {
 	cfg.Fault = inj
 	errs := make([]error, 2)
 	_, _ = Run(cfg, func(c *Comm) error {
-		if c.Rank() == 0 {
-			// Crash fires at the first MPI operation (clock 0 >= 0).
-			errs[0] = c.Send(1, 1, []float64{1})
-			return errs[0]
-		}
-		_, errs[1] = c.Recv(0, 1)
-		return errs[1]
+		// Rank 0's crash fires at its first MPI operation (clock 0 >= 0).
+		_, errs[c.Rank()] = c.Sendrecv(1-c.Rank(), 1, []float64{1}, 1-c.Rank(), 1)
+		return errs[c.Rank()]
 	})
 	var ce *CrashError
 	if !errors.As(errs[0], &ce) {
@@ -167,10 +164,7 @@ func TestLinkFaultSlowsCrossNodeMessages(t *testing.T) {
 		cfg.RanksPerNode = 1 // rank r on node r
 		cfg.Fault = inj
 		res, err := Run(cfg, func(c *Comm) error {
-			if c.Rank() == 0 {
-				return c.Send(1, 1, make([]float64, 4096))
-			}
-			_, err := c.Recv(0, 1)
+			_, err := c.Sendrecv(1-c.Rank(), 1, make([]float64, 4096), 1-c.Rank(), 1)
 			return err
 		})
 		if err != nil {
@@ -189,8 +183,8 @@ func TestLinkFaultSlowsCrossNodeMessages(t *testing.T) {
 	if degraded <= clean {
 		t.Fatalf("degraded link makespan %g not above clean %g", degraded, clean)
 	}
-	if c := inj.Counters(); c.DegradedSends != 1 {
-		t.Fatalf("DegradedSends = %d, want 1", c.DegradedSends)
+	if c := inj.Counters(); c.DegradedSends != 2 {
+		t.Fatalf("DegradedSends = %d, want 2", c.DegradedSends)
 	}
 }
 

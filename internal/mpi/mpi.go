@@ -20,14 +20,13 @@
 // A rank gives its slot back early in exactly two places, the only
 // places it parks:
 //
-//   - in a receive (Recv, Sendrecv, Wait, ...) when no queued message
-//     matches;
+//   - in Sendrecv's receive when no queued message matches;
 //   - in a collective when it is not the last rank to arrive.
 //
 // It records the park under the lock that proves the wait (its mailbox
-// lock, or the communicator's phaser lock), frees its slot and sleeps.
-// Whoever ends the wait (the matching sender, wildcards included, or
-// the collective's last arriver) marks it runnable before waking it,
+// lock, or the world's phaser lock), frees its slot and sleeps.
+// Whoever ends the wait (the matching sender or the collective's last
+// arriver) marks it runnable before waking it,
 // and the woken rank only retakes a slot. Other waits inside a rank
 // body, such as a sync.Once shared by the ranks or an omp region's
 // join, keep the slot, so a rank body must wait on another rank only
@@ -61,17 +60,6 @@ import (
 	"fibersim/internal/vtime"
 )
 
-// AnySource matches a message from any rank in Recv.
-const AnySource = -1
-
-// AnyTag matches a message with any tag in Recv.
-const AnyTag = -1
-
-// ProcNull is the null process: Send to it is a no-op and Recv from it
-// returns immediately with no data, the standard idiom for
-// non-periodic halo exchanges at domain boundaries.
-const ProcNull = -2
-
 // Op is a reduction operator.
 type Op int
 
@@ -80,10 +68,6 @@ const (
 	OpSum Op = iota
 	// OpMax takes the element-wise maximum.
 	OpMax
-	// OpMin takes the element-wise minimum.
-	OpMin
-	// OpProd multiplies elements.
-	OpProd
 )
 
 // String returns the operator name.
@@ -93,10 +77,6 @@ func (o Op) String() string {
 		return "sum"
 	case OpMax:
 		return "max"
-	case OpMin:
-		return "min"
-	case OpProd:
-		return "prod"
 	default:
 		return fmt.Sprintf("op(%d)", int(o))
 	}
@@ -111,13 +91,6 @@ func (o Op) apply(acc, v float64) float64 {
 			return v
 		}
 		return acc
-	case OpMin:
-		if v < acc {
-			return v
-		}
-		return acc
-	case OpProd:
-		return acc * v
 	default:
 		panic(fmt.Sprintf("mpi: unknown op %d", int(o)))
 	}
@@ -136,13 +109,8 @@ type Config struct {
 	RanksPerNode int
 	// Fabric is the inter-node network; nil defaults to "tofud".
 	Fabric *simnet.Fabric
-	// Intra is the intra-node transport; nil defaults to "shm".
-	Intra *simnet.Fabric
-	// ReduceGamma is the per-byte local combine cost charged inside
-	// reductions; zero defaults to 0.25 ns/byte.
-	ReduceGamma float64
 	// PairScale, when non-nil, multiplies the point-to-point cost
-	// between two global ranks — the hook the launcher uses to make
+	// between two ranks — the hook the launcher uses to make
 	// messages between ranks in different NUMA domains slightly more
 	// expensive than within a domain.
 	PairScale func(src, dst int) float64
@@ -174,20 +142,17 @@ func (c Config) withDefaults() Config {
 	if c.Fabric == nil {
 		c.Fabric = simnet.MustLookup("tofud")
 	}
-	if c.Intra == nil {
-		c.Intra = simnet.MustLookup("shm")
-	}
-	if c.ReduceGamma <= 0 {
-		c.ReduceGamma = 0.25e-9
-	}
 	return c
 }
+
+// reduceGamma is the per-byte local combine cost charged inside
+// reductions, in seconds per byte.
+const reduceGamma = 0.25e-9
 
 // message is one in-flight point-to-point message.
 type message struct {
 	src, tag int
 	data     []float64
-	raw      []byte
 	bytes    int64
 	avail    float64 // virtual time at which the payload is available
 	flow     uint64  // world-unique message id, links send/recv trace slices
@@ -195,7 +160,7 @@ type message struct {
 
 // matches reports whether m satisfies a receive for (src, tag).
 func (m *message) matches(src, tag int) bool {
-	return (src == AnySource || m.src == src) && (tag == AnyTag || m.tag == tag)
+	return m.src == src && m.tag == tag
 }
 
 // mailbox holds one rank's posted-but-unreceived messages, in arrival
@@ -214,10 +179,11 @@ type mailbox struct {
 // World is a running MPI job.
 type World struct {
 	cfg    Config
+	intra  *simnet.Fabric // the intra-node transport
+	coll   *simnet.Fabric // the transport collectives are costed on
 	boxes  []*mailbox
 	clocks []*vtime.Clock
-	phaser map[string]*phaser // per-communicator collective context
-	phMu   sync.Mutex
+	ph     *phaser // the world's collective rendezvous
 	stats  *statCounters
 	traces []*trace.Log // per rank, nil when tracing is off
 	rec    *obs.Recorder
@@ -240,16 +206,16 @@ type World struct {
 	abortErr  error // root cause; written once before abortCh closes
 }
 
-// fabricFor returns the transport between two global ranks.
+// fabricFor returns the transport between two ranks.
 func (w *World) fabricFor(a, b int) *simnet.Fabric {
 	if a/w.cfg.RanksPerNode == b/w.cfg.RanksPerNode {
-		return w.cfg.Intra
+		return w.intra
 	}
 	return w.cfg.Fabric
 }
 
 // pairScale returns the placement-dependent cost multiplier for a
-// message between two global ranks.
+// message between two ranks.
 func (w *World) pairScale(a, b int) float64 {
 	if w.cfg.PairScale == nil {
 		return 1
@@ -262,7 +228,7 @@ func (w *World) pairScale(a, b int) float64 {
 }
 
 // hopExtra returns the topology-dependent extra latency between two
-// global ranks.
+// ranks.
 func (w *World) hopExtra(a, b int) float64 {
 	if w.cfg.Topology == nil {
 		return 0
@@ -276,21 +242,6 @@ func (w *World) hopExtra(a, b int) float64 {
 		return 0
 	}
 	return w.cfg.Fabric.HopLatency.Times(float64(hops - 1)).Raw()
-}
-
-// collectiveFabric returns the transport for a collective over the
-// given global ranks: inter-node if any pair crosses nodes.
-func (w *World) collectiveFabric(ranks []int) *simnet.Fabric {
-	if len(ranks) == 0 {
-		return w.cfg.Intra
-	}
-	node0 := ranks[0] / w.cfg.RanksPerNode
-	for _, r := range ranks[1:] {
-		if r/w.cfg.RanksPerNode != node0 {
-			return w.cfg.Fabric
-		}
-	}
-	return w.cfg.Intra
 }
 
 // Result reports the outcome of a Run.
@@ -351,9 +302,10 @@ func Run(cfg Config, body func(*Comm) error) (*Result, error) {
 	}
 	w := &World{
 		cfg:     cfg,
+		intra:   simnet.MustLookup("shm"),
 		boxes:   make([]*mailbox, cfg.Ranks),
 		clocks:  make([]*vtime.Clock, cfg.Ranks),
-		phaser:  map[string]*phaser{},
+		ph:      &phaser{cur: &generation{}},
 		stats:   newStatCounters(),
 		rec:     cfg.Recorder,
 		cost:    cfg.Cost,
@@ -363,6 +315,11 @@ func Run(cfg Config, body func(*Comm) error) (*Result, error) {
 		blocked: make([]BlockedOp, cfg.Ranks),
 		abortCh: make(chan struct{}),
 	}
+	// Collectives cross the fabric as soon as the world spans nodes.
+	w.coll = w.intra
+	if cfg.RanksPerNode < cfg.Ranks {
+		w.coll = cfg.Fabric
+	}
 	w.active.Store(int64(cfg.Ranks))
 	w.live.Store(int64(cfg.Ranks))
 	if cfg.TraceCapacity > 0 {
@@ -371,12 +328,10 @@ func Run(cfg Config, body func(*Comm) error) (*Result, error) {
 			w.traces[r] = trace.NewLog(cfg.TraceCapacity)
 		}
 	}
-	group := make([]int, cfg.Ranks)
 	for r := 0; r < cfg.Ranks; r++ {
 		w.boxes[r] = &mailbox{}
 		w.clocks[r] = &vtime.Clock{}
 		w.wake[r] = make(chan struct{}, 1)
-		group[r] = r
 	}
 
 	errs := make([]error, cfg.Ranks)
@@ -392,8 +347,7 @@ func Run(cfg Config, body func(*Comm) error) (*Result, error) {
 					errs[rank] = fmt.Errorf("mpi: rank %d panicked: %v", rank, p)
 				}
 			}()
-			c := &Comm{world: w, id: "world", rank: rank, group: group}
-			errs[rank] = body(c)
+			errs[rank] = body(&Comm{world: w, rank: rank})
 		}(r)
 	}
 	wg.Wait()
@@ -428,55 +382,36 @@ func Run(cfg Config, body func(*Comm) error) (*Result, error) {
 	return res, nil
 }
 
-// Comm is one rank's handle on a communicator.
+// Comm is one rank's handle on the world communicator.
 type Comm struct {
 	world *World
-	id    string // communicator identity, shared by all members
-	rank  int    // rank within this communicator
-	group []int  // global rank of each communicator rank
-	log   Log    // nil when the rank program is not being logged
+	rank  int
+	log   Log // nil when the rank program is not being logged
 }
 
 // Log receives a rank's model-visible communication in program order,
 // so a launcher can record a rank program and later repeat its timing
-// through ReplaySendrecv and ReplayCollective. Operations those cannot
-// repeat report themselves as unreplayable instead.
+// through ReplaySendrecv and ReplayCollective.
 type Log interface {
 	// Sendrecv records one Sendrecv of n float64s.
 	Sendrecv(dst, sendTag, src, recvTag, n int)
 	// Collective records one collective entered with this rank's n
 	// float64s; op is the reduction operator of an Allreduce.
 	Collective(kind Collective, op Op, n int)
-	// Unreplayable names an operation a replay cannot repeat.
-	Unreplayable(op string)
 }
 
 // LogTo attaches an operation log to this communicator handle; nil
 // turns logging off.
 func (c *Comm) LogTo(l Log) { c.log = l }
 
-// unreplayable reports op to the log, if any.
-func (c *Comm) unreplayable(op string) {
-	if c.log != nil {
-		c.log.Unreplayable(op)
-	}
-}
-
-// Rank returns the caller's rank in this communicator.
+// Rank returns the caller's rank.
 func (c *Comm) Rank() int { return c.rank }
 
-// Size returns the number of ranks in this communicator.
-func (c *Comm) Size() int { return len(c.group) }
+// Size returns the number of ranks in the world.
+func (c *Comm) Size() int { return len(c.world.clocks) }
 
 // Clock returns the caller's virtual clock.
-func (c *Comm) Clock() *vtime.Clock { return c.world.clocks[c.global(c.rank)] }
-
-// Advance moves the caller's clock forward; miniapps use it to charge
-// modelled compute time.
-func (c *Comm) Advance(d float64, cat vtime.Category) {
-	c.unreplayable("mpi.Advance")
-	c.Clock().Advance(d, cat)
-}
+func (c *Comm) Clock() *vtime.Clock { return c.world.clocks[c.rank] }
 
 // Trace records a timeline event on the caller's track (no-op when
 // tracing is off). Start and end are virtual times.
@@ -486,23 +421,19 @@ func (c *Comm) Trace(name, cat string, start, end float64) {
 
 // traceFlow is Trace with a flow-arrow endpoint attached.
 func (c *Comm) traceFlow(name, cat string, start, end float64, flow uint64, kind trace.FlowPhase) {
-	g := c.global(c.rank)
-	if c.world.traces == nil || c.world.traces[g] == nil {
+	if c.world.traces == nil || c.world.traces[c.rank] == nil {
 		return
 	}
-	c.world.traces[g].Add(trace.Event{
-		Name: name, Cat: cat, Rank: g,
+	c.world.traces[c.rank].Add(trace.Event{
+		Name: name, Cat: cat, Rank: c.rank,
 		Start: start, End: end,
 		Flow: flow, FlowKind: kind,
 	})
 }
 
-// global translates a communicator rank to a global rank.
-func (c *Comm) global(r int) int { return c.group[r] }
-
 func (c *Comm) checkPeer(r int) error {
-	if r < 0 || r >= len(c.group) {
-		return fmt.Errorf("mpi: rank %d out of range [0,%d)", r, len(c.group))
+	if r < 0 || r >= c.Size() {
+		return fmt.Errorf("mpi: rank %d out of range [0,%d)", r, c.Size())
 	}
 	return nil
 }
@@ -514,109 +445,25 @@ func float64Bytes(n int) int64 { return int64(n) * 8 }
 // the send, traces the send slice (the FlowOut end of the message
 // arrow) and records the operation span.
 func (c *Comm) post(dst int, m *message) {
-	gsrc, gdst := c.global(c.rank), c.global(dst)
-	f := c.world.fabricFor(gsrc, gdst)
+	src := c.rank
+	f := c.world.fabricFor(src, dst)
 	clk := c.Clock()
 	t0 := clk.Now()
 	clk.Advance(f.SendOverhead(), vtime.Comm)
 	m.flow = c.world.msgID.Add(1)
 	// Link faults scale the transfer term only (the overhead and hop
 	// latency model the endpoints, not the degraded link).
-	transfer := f.PointToPoint(m.bytes) * c.world.pairScale(gsrc, gdst) * c.world.linkScale(gsrc, gdst, clk.Now())
-	m.avail = clk.Now() + transfer + c.world.hopExtra(gsrc, gdst)
+	transfer := f.PointToPoint(m.bytes) * c.world.pairScale(src, dst) * c.world.linkScale(src, dst, clk.Now())
+	m.avail = clk.Now() + transfer + c.world.hopExtra(src, dst)
 	c.world.stats.countSend(m.bytes)
 	c.traceFlow("send", "mpi", t0, clk.Now(), m.flow, trace.FlowOut)
-	c.world.rec.MPIOp(gsrc, "send", gdst, m.bytes, clk.Now()-t0)
-	c.world.deliver(gdst, m)
+	c.world.rec.MPIOp(src, "send", dst, m.bytes, clk.Now()-t0)
+	c.world.deliver(dst, m)
 }
 
-// Send delivers a copy of data to dst with the given tag. It is eager:
-// the sender only pays the send overhead and continues. Sending to
-// ProcNull is a free no-op.
-func (c *Comm) Send(dst, tag int, data []float64) error {
-	c.unreplayable("mpi.Send")
-	return c.send(dst, tag, data, len(data))
-}
-
-// send posts a copy of data as an n-float64 message; nil data posts a
-// data-free message that costs and counts the same.
-func (c *Comm) send(dst, tag int, data []float64, n int) error {
-	if dst == ProcNull {
-		return nil
-	}
-	if err := c.checkPeer(dst); err != nil {
-		return err
-	}
-	if err := c.FaultCheck(); err != nil {
-		return err
-	}
-	c.post(dst, &message{
-		src:   c.rank,
-		tag:   tag,
-		data:  append([]float64(nil), data...),
-		bytes: float64Bytes(n),
-	})
-	return nil
-}
-
-// SendBytes is Send for raw byte payloads.
-func (c *Comm) SendBytes(dst, tag int, data []byte) error {
-	c.unreplayable("mpi.SendBytes")
-	if dst == ProcNull {
-		return nil
-	}
-	if err := c.checkPeer(dst); err != nil {
-		return err
-	}
-	if err := c.FaultCheck(); err != nil {
-		return err
-	}
-	c.post(dst, &message{
-		src:   c.rank,
-		tag:   tag,
-		raw:   append([]byte(nil), data...),
-		bytes: int64(len(data)),
-	})
-	return nil
-}
-
-// recvMessage blocks until a matching message arrives, advancing the
-// caller's clock to the payload availability time. Receiving from
-// ProcNull returns an empty message immediately.
-func (c *Comm) recvMessage(src, tag int) (*message, error) {
-	if src == ProcNull {
-		return &message{src: ProcNull, tag: tag}, nil
-	}
-	if src != AnySource {
-		if err := c.checkPeer(src); err != nil {
-			return nil, err
-		}
-	}
-	if err := c.FaultCheck(); err != nil {
-		return nil, err
-	}
-	g := c.global(c.rank)
-	t0 := c.Clock().Now()
-	peer := AnySource
-	if src != AnySource {
-		peer = c.global(src)
-	}
-	m, err := c.world.receive(g, src, tag, BlockedOp{Rank: g, Op: "recv", Peer: peer, Tag: tag, Clock: t0})
-	if err != nil {
-		return nil, err
-	}
-	vs := c.world.cost.Begin()
-	c.Clock().AdvanceTo(m.avail, vtime.Comm)
-	c.world.cost.End(obs.StageVtimeAdvance, vs)
-	end := c.Clock().Now()
-	c.traceFlow("recv", "mpi", t0, end, m.flow, trace.FlowIn)
-	c.world.rec.MPIOp(g, "recv", c.global(m.src), m.bytes, end-t0)
-	return m, nil
-}
-
-// deliver queues m for global rank dst, or hands it straight to dst's
-// parked receive when it matches, marking dst runnable before waking
-// it. A post that does not match leaves the receive asleep.
+// deliver queues m for rank dst, or hands it straight to dst's parked
+// receive when it matches, marking dst runnable before waking it. A
+// post that does not match leaves the receive asleep.
 func (w *World) deliver(dst int, m *message) {
 	mb := w.boxes[dst]
 	mb.mu.Lock()
@@ -629,9 +476,9 @@ func (w *World) deliver(dst int, m *message) {
 	mb.queue = append(mb.queue, m)
 }
 
-// receive removes and returns global rank g's oldest queued message
-// matching (src, tag). When none has arrived, it records the park as b
-// under the mailbox lock and parks until a matching post wakes it.
+// receive removes and returns rank g's oldest queued message matching
+// (src, tag). When none has arrived, it records the park as b under
+// the mailbox lock and parks until a matching post wakes it.
 func (w *World) receive(g, src, tag int, b BlockedOp) (*message, error) {
 	mb := w.boxes[g]
 	mb.mu.Lock()
@@ -653,39 +500,6 @@ func (w *World) receive(g, src, tag int, b BlockedOp) (*message, error) {
 	return m, nil
 }
 
-// Recv blocks until a float64 message matching (src, tag) arrives.
-// Use AnySource and AnyTag as wildcards. Receiving a byte message with
-// Recv is a type error.
-func (c *Comm) Recv(src, tag int) ([]float64, error) {
-	c.unreplayable("mpi.Recv")
-	return c.recv(src, tag)
-}
-
-// recv is Recv without the log check.
-func (c *Comm) recv(src, tag int) ([]float64, error) {
-	m, err := c.recvMessage(src, tag)
-	if err != nil {
-		return nil, err
-	}
-	if m.raw != nil {
-		return nil, fmt.Errorf("mpi: rank %d: Recv matched a byte message (src=%d tag=%d); use RecvBytes", c.rank, m.src, m.tag)
-	}
-	return m.data, nil
-}
-
-// RecvBytes blocks until a byte message matching (src, tag) arrives.
-func (c *Comm) RecvBytes(src, tag int) ([]byte, error) {
-	c.unreplayable("mpi.RecvBytes")
-	m, err := c.recvMessage(src, tag)
-	if err != nil {
-		return nil, err
-	}
-	if m.raw == nil && m.data != nil {
-		return nil, fmt.Errorf("mpi: rank %d: RecvBytes matched a float64 message (src=%d tag=%d); use Recv", c.rank, m.src, m.tag)
-	}
-	return m.raw, nil
-}
-
 // Sendrecv posts a send to dst and then receives from src, the usual
 // halo-exchange primitive. The eager send makes the symmetric pattern
 // deadlock-free.
@@ -693,19 +507,51 @@ func (c *Comm) Sendrecv(dst, sendTag int, data []float64, src, recvTag int) ([]f
 	if c.log != nil {
 		c.log.Sendrecv(dst, sendTag, src, recvTag, len(data))
 	}
-	if err := c.send(dst, sendTag, data, len(data)); err != nil {
-		return nil, err
-	}
-	return c.recv(src, recvTag)
+	return c.sendrecv(dst, sendTag, data, len(data), src, recvTag)
 }
 
 // ReplaySendrecv repeats a logged Sendrecv of n float64s with a
 // data-free payload: the peers, tags, bytes and virtual timing are
 // those of the logged call, and nothing is received.
 func (c *Comm) ReplaySendrecv(dst, sendTag, src, recvTag, n int) error {
-	if err := c.send(dst, sendTag, nil, n); err != nil {
-		return err
-	}
-	_, err := c.recv(src, recvTag)
+	_, err := c.sendrecv(dst, sendTag, nil, n, src, recvTag)
 	return err
+}
+
+// sendrecv posts a copy of data to dst as an n-float64 message (nil
+// data posts a data-free message that costs and counts the same), then
+// blocks until the message from src tagged recvTag arrives and
+// advances the caller's clock to its availability time. The send is
+// eager: the sender pays only the send overhead before it receives.
+func (c *Comm) sendrecv(dst, sendTag int, data []float64, n, src, recvTag int) ([]float64, error) {
+	if err := c.checkPeer(dst); err != nil {
+		return nil, err
+	}
+	if err := c.checkPeer(src); err != nil {
+		return nil, err
+	}
+	if err := c.FaultCheck(); err != nil {
+		return nil, err
+	}
+	c.post(dst, &message{
+		src:   c.rank,
+		tag:   sendTag,
+		data:  append([]float64(nil), data...),
+		bytes: float64Bytes(n),
+	})
+	if err := c.FaultCheck(); err != nil {
+		return nil, err
+	}
+	t0 := c.Clock().Now()
+	m, err := c.world.receive(c.rank, src, recvTag, BlockedOp{Rank: c.rank, Op: "recv", Peer: src, Tag: recvTag, Clock: t0})
+	if err != nil {
+		return nil, err
+	}
+	vs := c.world.cost.Begin()
+	c.Clock().AdvanceTo(m.avail, vtime.Comm)
+	c.world.cost.End(obs.StageVtimeAdvance, vs)
+	end := c.Clock().Now()
+	c.traceFlow("recv", "mpi", t0, end, m.flow, trace.FlowIn)
+	c.world.rec.MPIOp(c.rank, "recv", m.src, m.bytes, end-t0)
+	return m.data, nil
 }

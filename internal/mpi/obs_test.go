@@ -12,11 +12,7 @@ func TestCollectiveBytes(t *testing.T) {
 		if _, err := c.Allreduce(OpSum, []float64{1, 2}); err != nil {
 			return err
 		}
-		var buf []float64
-		if c.Rank() == 0 {
-			buf = []float64{1, 2, 3}
-		}
-		if _, err := c.Bcast(0, buf); err != nil {
+		if _, err := c.Allgather(make([]float64, c.Rank()+1)); err != nil {
 			return err
 		}
 		return c.Barrier()
@@ -28,38 +24,12 @@ func TestCollectiveBytes(t *testing.T) {
 	if got := res.Comm.CollectiveBytes["allreduce"]; got != 4*16 {
 		t.Errorf("allreduce bytes = %d, want 64", got)
 	}
-	// Only the root carries a bcast payload, counted once.
-	if got := res.Comm.CollectiveBytes["bcast"]; got != 24 {
-		t.Errorf("bcast bytes = %d, want 24", got)
+	// Allgather counts each rank's own, ragged, contribution.
+	if got := res.Comm.CollectiveBytes["allgather"]; got != (1+2+3+4)*8 {
+		t.Errorf("allgather bytes = %d, want 80", got)
 	}
 	if got := res.Comm.CollectiveBytes["barrier"]; got != 0 {
 		t.Errorf("barrier bytes = %d, want 0", got)
-	}
-}
-
-func TestMergeCommStats(t *testing.T) {
-	a := CommStats{
-		Sends: 2, SendBytes: 100,
-		Collectives:     map[string]int64{"barrier": 4},
-		CollectiveBytes: map[string]int64{"allreduce": 32},
-	}
-	b := CommStats{
-		Sends: 3, SendBytes: 50,
-		Collectives:     map[string]int64{"barrier": 2, "allreduce": 4},
-		CollectiveBytes: map[string]int64{"allreduce": 16},
-	}
-	got := MergeCommStats(a, b)
-	if got.Sends != 5 || got.SendBytes != 150 {
-		t.Errorf("sends/bytes = %d/%d, want 5/150", got.Sends, got.SendBytes)
-	}
-	if got.Collectives["barrier"] != 6 || got.Collectives["allreduce"] != 4 {
-		t.Errorf("collectives = %v", got.Collectives)
-	}
-	if got.CollectiveBytes["allreduce"] != 48 {
-		t.Errorf("collective bytes = %v", got.CollectiveBytes)
-	}
-	if MergeCommStats().Collectives == nil {
-		t.Error("empty merge must still allocate maps")
 	}
 }
 
@@ -68,15 +38,8 @@ func TestRecorderIntegration(t *testing.T) {
 	cfg := Config{Ranks: 2}
 	cfg.Recorder = rec
 	_, err := Run(cfg, func(c *Comm) error {
-		if c.Rank() == 0 {
-			if err := c.Send(1, 0, []float64{1, 2}); err != nil {
-				return err
-			}
-		}
-		if c.Rank() == 1 {
-			if _, err := c.Recv(0, 0); err != nil {
-				return err
-			}
+		if _, err := c.Sendrecv(1-c.Rank(), 0, []float64{1, 2}, 1-c.Rank(), 0); err != nil {
+			return err
 		}
 		_, err := c.Allreduce(OpSum, []float64{1})
 		return err
@@ -86,23 +49,25 @@ func TestRecorderIntegration(t *testing.T) {
 	}
 	p := rec.Profile()
 	send := p.Comm.Ops["send"]
-	if send.Count != 1 || send.Bytes != 16 {
-		t.Errorf("send op = %+v, want count 1 bytes 16", send)
+	if send.Count != 2 || send.Bytes != 32 {
+		t.Errorf("send op = %+v, want count 2 bytes 32", send)
 	}
 	recv := p.Comm.Ops["recv"]
-	if recv.Count != 1 || recv.Bytes != 16 || recv.WaitSeconds <= 0 {
-		t.Errorf("recv op = %+v, want count 1 bytes 16 wait > 0", recv)
+	if recv.Count != 2 || recv.Bytes != 32 || recv.WaitSeconds <= 0 {
+		t.Errorf("recv op = %+v, want count 2 bytes 32 wait > 0", recv)
 	}
 	ar := p.Comm.Ops["allreduce"]
 	if ar.Count != 2 || ar.Bytes != 16 {
 		t.Errorf("allreduce op = %+v, want count 2 bytes 16", ar)
 	}
-	// The message appears once in the peer matrix (send side only).
-	if len(p.Comm.Peers) != 1 {
-		t.Fatalf("peers = %+v, want exactly one flow", p.Comm.Peers)
+	// Each message appears once in the peer matrix (send side only).
+	if len(p.Comm.Peers) != 2 {
+		t.Fatalf("peers = %+v, want exactly two flows", p.Comm.Peers)
 	}
-	if f := p.Comm.Peers[0]; f.Src != 0 || f.Dst != 1 || f.Count != 1 || f.Bytes != 16 {
-		t.Errorf("peer flow = %+v", f)
+	for src, f := range p.Comm.Peers {
+		if f.Src != src || f.Dst != 1-src || f.Count != 1 || f.Bytes != 16 {
+			t.Errorf("peer flow %d = %+v", src, f)
+		}
 	}
 	if p.Comm.WaitSeconds <= 0 {
 		t.Error("total wait must be positive")
@@ -113,36 +78,36 @@ func TestTraceFlowEvents(t *testing.T) {
 	cfg := Config{Ranks: 2}
 	cfg.TraceCapacity = 64
 	res, err := Run(cfg, func(c *Comm) error {
-		if c.Rank() == 0 {
-			return c.Send(1, 0, []float64{1})
-		}
-		_, err := c.Recv(0, 0)
+		_, err := c.Sendrecv(1-c.Rank(), 0, []float64{1}, 1-c.Rank(), 0)
 		return err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out, in trace.Event
+	out, in := map[uint64]trace.Event{}, map[uint64]trace.Event{}
 	for _, l := range res.Traces {
 		for _, ev := range l.Events() {
 			switch ev.FlowKind {
 			case trace.FlowOut:
-				out = ev
+				out[ev.Flow] = ev
 			case trace.FlowIn:
-				in = ev
+				in[ev.Flow] = ev
 			}
 		}
 	}
-	if out.Flow == 0 || in.Flow == 0 {
-		t.Fatalf("missing flow endpoints: out=%+v in=%+v", out, in)
+	if len(out) != 2 || len(in) != 2 {
+		t.Fatalf("want two flows with both endpoints: out=%+v in=%+v", out, in)
 	}
-	if out.Flow != in.Flow {
-		t.Errorf("flow ids differ: send %d, recv %d", out.Flow, in.Flow)
-	}
-	if out.Name != "send" || in.Name != "recv" {
-		t.Errorf("flow slice names = %q/%q", out.Name, in.Name)
-	}
-	if out.Rank != 0 || in.Rank != 1 {
-		t.Errorf("flow ranks = %d/%d", out.Rank, in.Rank)
+	for id, o := range out {
+		i, ok := in[id]
+		if id == 0 || !ok {
+			t.Fatalf("flow %d: send %+v has no matching recv", id, o)
+		}
+		if o.Name != "send" || i.Name != "recv" {
+			t.Errorf("flow %d slice names = %q/%q", id, o.Name, i.Name)
+		}
+		if i.Rank != 1-o.Rank {
+			t.Errorf("flow %d ranks = %d/%d", id, o.Rank, i.Rank)
+		}
 	}
 }

@@ -27,10 +27,6 @@ func (l *testLog) Collective(kind Collective, red Op, n int) {
 	l.entries = append(l.entries, entry{op: "collective", kind: kind, red: red, n: n})
 }
 
-func (l *testLog) Unreplayable(op string) {
-	l.entries = append(l.entries, entry{op: op})
-}
-
 // program is a halo exchange plus the three logged collectives, with
 // rank-dependent compute so the clocks disagree before each round.
 func program(c *Comm) error {
@@ -96,73 +92,5 @@ func TestLogReplayMatchesRun(t *testing.T) {
 	if !reflect.DeepEqual(got.Times, want.Times) || !reflect.DeepEqual(got.Breakdowns, want.Breakdowns) ||
 		!reflect.DeepEqual(got.Comm, want.Comm) {
 		t.Errorf("replay %+v, logged run %+v", got, want)
-	}
-}
-
-// TestUnloggedOpsReportUnreplayable calls every Comm operation the log
-// does not record and requires each to report itself.
-func TestUnloggedOpsReportUnreplayable(t *testing.T) {
-	logs := make([]*testLog, 2)
-	_, err := Run(Config{Ranks: 2}, func(c *Comm) error {
-		l := &testLog{}
-		logs[c.Rank()] = l
-		c.LogTo(l)
-		peer := 1 - c.Rank()
-		c.Advance(1e-6, vtime.Compute)
-		if err := c.Send(peer, 0, []float64{1}); err != nil {
-			return err
-		}
-		if _, err := c.Recv(peer, 0); err != nil {
-			return err
-		}
-		if err := c.SendBytes(peer, 1, []byte{1}); err != nil {
-			return err
-		}
-		if _, err := c.RecvBytes(peer, 1); err != nil {
-			return err
-		}
-		req, err := c.Irecv(peer, 2)
-		if err != nil {
-			return err
-		}
-		if _, err := c.Isend(peer, 2, []float64{1}); err != nil {
-			return err
-		}
-		if _, err := req.Wait(); err != nil {
-			return err
-		}
-		if _, err := c.Bcast(0, []float64{1}); err != nil {
-			return err
-		}
-		if _, err := c.Reduce(0, OpSum, []float64{1}); err != nil {
-			return err
-		}
-		if _, err := c.Gather(0, []float64{1}); err != nil {
-			return err
-		}
-		if _, err := c.Alltoall([][]float64{{1}, {2}}); err != nil {
-			return err
-		}
-		if _, err := c.Scatter(0, [][]float64{{1}, {2}}); err != nil {
-			return err
-		}
-		if _, err := c.ReduceScatter(OpSum, []float64{1, 2}); err != nil {
-			return err
-		}
-		_, err = c.Split(0, c.Rank())
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []string
-	for _, e := range logs[0].entries {
-		got = append(got, e.op)
-	}
-	want := []string{"mpi.Advance", "mpi.Send", "mpi.Recv", "mpi.SendBytes", "mpi.RecvBytes",
-		"mpi.Send", "mpi.Recv", "mpi.Bcast", "mpi.Reduce", "mpi.Gather", "mpi.Alltoall",
-		"mpi.Scatter", "mpi.ReduceScatter", "mpi.Split"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("rank 0 reported %v, want %v", got, want)
 	}
 }

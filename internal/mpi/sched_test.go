@@ -96,32 +96,31 @@ func TestSendrecvRingDeadlockFree(t *testing.T) {
 // TestSlowRankIsNotDeadlock parks every other rank, in a receive and
 // in a collective, while one rank computes for longer than any
 // watchdog a test would set: a rank that is running is never a
-// deadlock, however long it takes. Rank 0 first receives a message
-// from each other rank, so with one slot all three are parked while it
-// computes.
+// deadlock, however long it takes.
 func TestSlowRankIsNotDeadlock(t *testing.T) {
+	// Each rank's Sendrecvs before the barrier, as {dst, sendTag, src,
+	// recvTag}; rank 0 computes after its first two. A rank keeps its
+	// slot from its last post into its wait, so with one slot, once
+	// rank 0 holds the tag-1 messages of ranks 1 and 2 it computes
+	// alone: rank 1 waits for tag 0, which rank 0 sends only after
+	// computing, and rank 2 is in the barrier. Rank 2 takes tag 22
+	// before tag 21, so its last receive finds tag 21 queued and does
+	// not park.
+	programs := [][][4]int{
+		{{2, 21, 1, 1}, {2, 22, 2, 1}, {1, 0, 2, 31}},
+		{{0, 1, 0, 0}},
+		{{0, 31, 0, 22}, {0, 1, 0, 21}},
+	}
 	for _, procs := range []int{1, 2} {
 		t.Run(fmt.Sprintf("gomaxprocs%d", procs), func(t *testing.T) {
 			withGOMAXPROCS(procs, func() {
-				_, err := runWithin(t, time.Minute, Config{Ranks: 4}, func(c *Comm) error {
-					if c.Rank() == 0 {
-						for src := 1; src < 4; src++ {
-							if _, err := c.Recv(src, 1); err != nil {
-								return err
-							}
+				_, err := runWithin(t, time.Minute, Config{Ranks: 3}, func(c *Comm) error {
+					for i, x := range programs[c.Rank()] {
+						if c.Rank() == 0 && i == 2 {
+							time.Sleep(200 * time.Millisecond)
 						}
-						time.Sleep(200 * time.Millisecond)
-						if err := c.Send(1, 0, nil); err != nil {
+						if _, err := c.Sendrecv(x[0], x[1], nil, x[2], x[3]); err != nil {
 							return err
-						}
-					} else {
-						if err := c.Send(0, 1, nil); err != nil {
-							return err
-						}
-						if c.Rank() == 1 {
-							if _, err := c.Recv(0, 0); err != nil {
-								return err
-							}
 						}
 					}
 					return c.Barrier()
@@ -137,10 +136,21 @@ func TestSlowRankIsNotDeadlock(t *testing.T) {
 // TestFailedRankReleasesParkedRanks: a rank that returns an error or
 // panics while others are parked on it completes the deadlock. The
 // parked ranks are released at once with the dump, which names them,
-// and Run returns the failed rank's own error. Rank 0 first receives a
-// message from each other rank, so with one slot both are parked when
-// it fails and only the check at its return can see the deadlock.
+// and Run returns the failed rank's own error. With one slot both are
+// parked when rank 0 fails, so only the check at its return can see the
+// deadlock.
 func TestFailedRankReleasesParkedRanks(t *testing.T) {
+	// Each rank's Sendrecvs before its final wait, as {dst, sendTag,
+	// src, recvTag}. A rank keeps its slot from its last post into its
+	// final wait, so once rank 0 holds the tag-1 messages of ranks 1
+	// and 2 it runs alone: rank 1 waits for tag 5, which nobody sends,
+	// and rank 2 is in the barrier. Rank 2 takes tag 22 before tag 21,
+	// so its last receive finds tag 21 queued and does not park.
+	programs := [][][4]int{
+		{{1, 40, 1, 1}, {2, 41, 2, 1}},
+		{{2, 21, 0, 40}, {2, 22, 2, 31}},
+		{{1, 31, 1, 22}, {0, 1, 1, 21}},
+	}
 	for _, fail := range []string{"error", "panic"} {
 		for _, procs := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%s-gomaxprocs%d", fail, procs), func(t *testing.T) {
@@ -148,26 +158,20 @@ func TestFailedRankReleasesParkedRanks(t *testing.T) {
 				var err error
 				withGOMAXPROCS(procs, func() {
 					_, err = runWithin(t, 10*time.Second, Config{Ranks: 3}, func(c *Comm) error {
+						for _, x := range programs[c.Rank()] {
+							if _, err := c.Sendrecv(x[0], x[1], nil, x[2], x[3]); err != nil {
+								return err
+							}
+						}
 						switch c.Rank() {
 						case 0:
-							for src := 1; src <= 2; src++ {
-								if _, err := c.Recv(src, 1); err != nil {
-									return err
-								}
-							}
 							if fail == "panic" {
 								panic("rank 0 gave up")
 							}
 							return errors.New("rank 0 gave up")
 						case 1:
-							if err := c.Send(0, 1, nil); err != nil {
-								return err
-							}
-							_, errs[1] = c.Recv(0, 5)
+							_, errs[1] = c.Sendrecv(0, 1, nil, 0, 5)
 						case 2:
-							if err := c.Send(0, 1, nil); err != nil {
-								return err
-							}
 							errs[2] = c.Barrier()
 						}
 						return nil
@@ -196,44 +200,39 @@ func TestFailedRankReleasesParkedRanks(t *testing.T) {
 	}
 }
 
-// TestWildcardReceiveWakesOnlyOnMatch parks a receive on a mailbox and
-// posts to it: a post that does not match leaves the receive asleep
-// and queued, and the first matching post marks the rank runnable,
-// wakes it and hands the message over.
-func TestWildcardReceiveWakesOnlyOnMatch(t *testing.T) {
+// TestParkedReceiveWakesOnlyOnMatch parks a receive for (src 1, tag 3)
+// on a mailbox and posts to it: a post that misses by tag or by source
+// leaves the receive asleep and queues the post, and a matching post
+// marks the rank runnable, wakes it and hands the message over.
+func TestParkedReceiveWakesOnlyOnMatch(t *testing.T) {
 	for _, tc := range []struct {
-		src, tag  int
-		miss, hit *message // miss is nil when every post matches
+		name string
+		post *message
+		hit  bool
 	}{
-		{AnySource, AnyTag, nil, &message{src: 2, tag: 9}},
-		{AnySource, 3, &message{src: 1, tag: 4}, &message{src: 2, tag: 3}},
-		{1, AnyTag, &message{src: 2, tag: 3}, &message{src: 1, tag: 7}},
-		{1, 3, &message{src: 1, tag: 4}, &message{src: 1, tag: 3}},
+		{"miss-by-tag", &message{src: 1, tag: 4}, false},
+		{"miss-by-source", &message{src: 2, tag: 3}, false},
+		{"hit", &message{src: 1, tag: 3}, true},
 	} {
-		t.Run(fmt.Sprintf("src%d-tag%d", tc.src, tc.tag), func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			w := &World{boxes: []*mailbox{{}}, wake: []chan struct{}{make(chan struct{}, 1)}}
 			mb := w.boxes[0]
-			mb.parked, mb.src, mb.tag = true, tc.src, tc.tag
-			if tc.miss != nil {
-				w.deliver(0, tc.miss)
-				if len(w.wake[0]) != 0 || w.active.Load() != 0 || !mb.parked || len(mb.queue) != 1 {
-					t.Fatalf("non-matching post %+v: wake=%d active=%d parked=%v queued=%d, want the receive asleep and the post queued",
-						*tc.miss, len(w.wake[0]), w.active.Load(), mb.parked, len(mb.queue))
-				}
-			}
-			w.deliver(0, tc.hit)
-			if len(w.wake[0]) != 1 || w.active.Load() != 1 || mb.parked || mb.got != tc.hit {
-				t.Fatalf("matching post: wake=%d active=%d parked=%v got=%v",
-					len(w.wake[0]), w.active.Load(), mb.parked, mb.got)
+			mb.parked, mb.src, mb.tag = true, 1, 3
+			w.deliver(0, tc.post)
+			woken := len(w.wake[0]) == 1 && w.active.Load() == 1 && !mb.parked && mb.got == tc.post && len(mb.queue) == 0
+			asleep := len(w.wake[0]) == 0 && w.active.Load() == 0 && mb.parked && mb.got == nil && len(mb.queue) == 1
+			if tc.hit && !woken || !tc.hit && !asleep {
+				t.Fatalf("post %+v: wake=%d active=%d parked=%v got=%v queued=%d, want woken=%v",
+					*tc.post, len(w.wake[0]), w.active.Load(), mb.parked, mb.got, len(mb.queue), tc.hit)
 			}
 		})
 	}
 }
 
 // TestCollectiveStageExcludesPark: the collective self-profile stage
-// is host work, not waiting. With one slot, rank 0 is parked in the
-// Allreduce while rank 1 moves the injected clock an hour ahead before
-// arriving; none of that hour may be charged to the stage.
+// is host work, not waiting. With one slot, ranks 0 and 2 are parked in
+// the Allreduce while rank 1 moves the injected clock an hour ahead
+// before arriving; none of that hour may be charged to the stage.
 func TestCollectiveStageExcludesPark(t *testing.T) {
 	base := time.Unix(1700000000, 0)
 	var ticks, jump atomic.Int64
@@ -241,15 +240,23 @@ func TestCollectiveStageExcludesPark(t *testing.T) {
 		return base.Add(time.Duration(ticks.Add(1))*time.Microsecond + time.Duration(jump.Load()))
 	})
 	withGOMAXPROCS(1, func() {
-		_, err := runWithin(t, 10*time.Second, Config{Ranks: 2, Cost: cost}, func(c *Comm) error {
-			if c.Rank() == 0 {
-				if err := c.Send(1, 0, nil); err != nil {
+		// Each rank's Sendrecvs as {dst, sendTag, src, recvTag}. Rank 0's
+		// second receive takes rank 2's first message, queued before rank
+		// 0's first receive completed, so rank 0 goes from releasing rank
+		// 1 straight into the Allreduce and parks there before rank 1 can
+		// run.
+		programs := [][][4]int{
+			{{2, 0, 2, 1}, {1, 0, 2, 0}},
+			{{2, 0, 0, 0}},
+			{{0, 0, 0, 0}, {0, 1, 1, 0}},
+		}
+		_, err := runWithin(t, 10*time.Second, Config{Ranks: 3, Cost: cost}, func(c *Comm) error {
+			for _, x := range programs[c.Rank()] {
+				if _, err := c.Sendrecv(x[0], x[1], nil, x[2], x[3]); err != nil {
 					return err
 				}
-			} else {
-				if _, err := c.Recv(0, 0); err != nil {
-					return err
-				}
+			}
+			if c.Rank() == 1 {
 				jump.Add(int64(time.Hour))
 			}
 			_, err := c.AllreduceScalar(OpSum, 1)

@@ -20,8 +20,7 @@ type CommStats struct {
 	// "allreduce", ...).
 	Collectives map[string]int64
 	// CollectiveBytes sums the payload bytes per operation name, as
-	// contributed by each entering rank (a barrier carries none; a
-	// bcast counts the root's buffer once).
+	// contributed by each entering rank (a barrier carries none).
 	CollectiveBytes map[string]int64
 }
 
@@ -43,26 +42,6 @@ func (s CommStats) String() string {
 	return strings.Join(parts, " ")
 }
 
-// MergeCommStats aggregates the stats of several worlds (e.g. the
-// per-replica worlds of a multi-node experiment) into one total.
-func MergeCommStats(stats ...CommStats) CommStats {
-	out := CommStats{
-		Collectives:     map[string]int64{},
-		CollectiveBytes: map[string]int64{},
-	}
-	for _, s := range stats {
-		out.Sends += s.Sends
-		out.SendBytes += s.SendBytes
-		for n, v := range s.Collectives {
-			out.Collectives[n] += v
-		}
-		for n, v := range s.CollectiveBytes {
-			out.CollectiveBytes[n] += v
-		}
-	}
-	return out
-}
-
 // statCounters is the World's lock-free accumulator.
 type statCounters struct {
 	sends     atomic.Int64
@@ -72,10 +51,7 @@ type statCounters struct {
 }
 
 // collectiveKinds is the fixed set of collective operation names.
-var collectiveKinds = []string{
-	"barrier", "bcast", "reduce", "allreduce", "gather",
-	"allgather", "alltoall", "scatter", "reducescatter", "split",
-}
+var collectiveKinds = []string{"barrier", "allreduce", "allgather"}
 
 func newStatCounters() *statCounters {
 	sc := &statCounters{

@@ -253,9 +253,9 @@ func (r *Recorder) rankSeriesLocked(rank int) *rankSeries {
 	return s
 }
 
-// OMPRegion records one parallel region (or explicit barrier) on one
-// rank: overhead is the fork/join/barrier cost, imbalance the time the
-// critical path exceeded the mean thread busy time.
+// OMPRegion records one parallel region on one rank: overhead is the
+// fork/join cost, imbalance the time the critical path exceeded the
+// mean thread busy time.
 func (r *Recorder) OMPRegion(rank int, overhead, imbalance float64) {
 	if r == nil {
 		return

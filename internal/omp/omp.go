@@ -14,9 +14,8 @@
 // goroutines, the calling rank goroutine included, and a 1-thread team
 // or GOMAXPROCS=1 runs it inline on the caller. Each virtual thread's
 // chunks run in order on one goroutine, but one goroutine may run
-// several virtual threads one after another, so a body must not wait
-// on another virtual thread of the same region. Critical and Single are
-// the only synchronization a body may use.
+// several virtual threads one after another, so a body may not
+// synchronize with another virtual thread.
 package omp
 
 import (
@@ -85,9 +84,6 @@ type Overheads struct {
 	// DynamicGrab is the cost a thread pays per chunk under dynamic or
 	// guided scheduling (the shared-counter atomic).
 	DynamicGrab float64
-	// Critical is the serialization cost of one critical-section entry
-	// (lock transfer + cache-line migration).
-	Critical float64
 }
 
 // DefaultOverheads returns the constants used for the catalogue
@@ -99,7 +95,6 @@ func DefaultOverheads() Overheads {
 		Join:              0.15e-6,
 		CrossDomainFactor: 3.0,
 		DynamicGrab:       0.05e-6,
-		Critical:          0.3e-6,
 	}
 }
 
@@ -112,10 +107,6 @@ type Team struct {
 	domains    int // NUMA domains spanned by the binding
 	maxDomains int // NUMA domains of the machine
 	workers    int // real goroutines used for functional execution
-
-	critMu      sync.Mutex   // serializes Critical sections
-	critPending atomic.Int64 // critical entries awaiting cost flush
-	singleDone  atomic.Bool  // Single arbitration for the current region
 
 	rec     *obs.Recorder // nil when profiling is off
 	recRank int           // owning rank, labels the recorded spans
@@ -168,9 +159,9 @@ func (t *Team) DomainsSpanned() int { return t.domains }
 // Clock returns the owning rank's clock.
 func (t *Team) Clock() *vtime.Clock { return t.clock }
 
-// Observe attaches a profiling recorder: every parallel region and
-// explicit barrier reports its fork/join overhead and load imbalance
-// as the given rank. A nil recorder turns observation off.
+// Observe attaches a profiling recorder: every parallel region reports
+// its fork/join overhead and load imbalance as the given rank. A nil
+// recorder turns observation off.
 func (t *Team) Observe(r *obs.Recorder, rank int) {
 	t.rec = r
 	t.recRank = rank
@@ -178,8 +169,9 @@ func (t *Team) Observe(r *obs.Recorder, rank int) {
 
 // Log receives a team's model-visible operations in program order, so
 // a launcher can record a rank program and later repeat its timing
-// with ParallelRange(s, n, nil, nil). Operations that call cannot
-// repeat report themselves as unreplayable instead.
+// with ParallelRange(s, n, nil, nil). A region with a CostFn, whose
+// cost that call cannot repeat, reports itself as unreplayable
+// instead.
 type Log interface {
 	// Region records one ParallelFor or ParallelRange without a CostFn.
 	Region(s Schedule, n int)
@@ -191,13 +183,6 @@ type Log interface {
 // LogTo attaches an operation log, the way Observe attaches a
 // recorder; nil turns logging off.
 func (t *Team) LogTo(l Log) { t.log = l }
-
-// unreplayable reports op to the log, if any.
-func (t *Team) unreplayable(op string) {
-	if t.log != nil {
-		t.log.Unreplayable(op)
-	}
-}
 
 // Inject attaches a fault-perturbation hook: f maps a region's
 // critical-path time (starting at virtual time start) to its perturbed
@@ -418,14 +403,6 @@ func (t *Team) ParallelRange(s Schedule, n int, body RangeBody, cost CostFn) *St
 		}
 	}
 	st.Overhead = t.regionOverhead()
-	// Flush the serialization cost of Critical sections entered during
-	// the region (they executed on the concurrent bodies, where the
-	// rank clock must not be touched).
-	if n := t.critPending.Swap(0); n > 0 {
-		st.Overhead += float64(n) * t.over.Critical
-		t.unreplayable("omp.Critical")
-	}
-	t.singleDone.Store(false) // re-arm Single for the next region
 	var maxT float64
 	for _, v := range st.ThreadTime {
 		if v > maxT {
@@ -447,29 +424,6 @@ func (t *Team) ParallelRange(s Schedule, n int, body RangeBody, cost CostFn) *St
 		t.rec.OMPRegion(t.recRank, st.Overhead, maxT-busy/float64(k))
 	}
 	return st
-}
-
-// Critical runs body under the team's mutex, the OpenMP critical
-// construct: safe to call from inside region bodies. The
-// serialization cost accumulates and is charged when the enclosing
-// region completes.
-func (t *Team) Critical(body func()) {
-	t.critMu.Lock()
-	body()
-	t.critMu.Unlock()
-	t.critPending.Add(1)
-}
-
-// Single runs body on whichever caller arrives first in the current
-// parallel region and reports whether this caller executed it (the
-// OpenMP single construct, nowait flavour). Every region re-arms it at
-// its end.
-func (t *Team) Single(body func()) bool {
-	if t.singleDone.CompareAndSwap(false, true) {
-		body()
-		return true
-	}
-	return false
 }
 
 // assignDemand simulates on-demand chunk grabbing in virtual time:
@@ -550,25 +504,4 @@ func runThread(p plan, th int, body RangeBody) {
 	for _, ch := range p.of(th) {
 		body(th, ch.lo, ch.hi)
 	}
-}
-
-// Charge advances the rank clock by a region-level modelled duration,
-// attributing it to the given category. Miniapps use it together with
-// internal/core when per-iteration costing is too fine-grained.
-func (t *Team) Charge(d float64, cat vtime.Category) {
-	t.unreplayable("omp.Charge")
-	t.clock.Advance(d, cat)
-}
-
-// Barrier charges one explicit barrier (join-only cost).
-func (t *Team) Barrier() {
-	t.unreplayable("omp.Barrier")
-	n := t.Threads()
-	if n <= 1 {
-		return
-	}
-	levels := math.Ceil(math.Log2(float64(n)))
-	cost := t.over.Join * levels * t.domainFactor()
-	t.clock.Advance(cost, vtime.Runtime)
-	t.rec.OMPRegion(t.recRank, cost, 0)
 }

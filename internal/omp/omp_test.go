@@ -200,23 +200,6 @@ func TestSingleThreadNoOverhead(t *testing.T) {
 	if math.Abs(st.Elapsed-10e-3) > 1e-12 {
 		t.Errorf("Elapsed = %g, want 10ms", st.Elapsed)
 	}
-	before := tm.Clock().Now()
-	tm.Barrier()
-	if tm.Clock().Now() != before {
-		t.Error("single-thread barrier should be free")
-	}
-}
-
-func TestBarrierCharges(t *testing.T) {
-	tm := team(t, coresRange(12, 1))
-	before := tm.Clock().Now()
-	tm.Barrier()
-	if tm.Clock().Now() <= before {
-		t.Error("barrier should advance the clock")
-	}
-	if tm.Clock().Spent(vtime.Runtime) <= 0 {
-		t.Error("barrier time should be attributed to runtime")
-	}
 }
 
 // visits records, per index, how often a body ran it and as which
@@ -321,34 +304,6 @@ func TestRegionAllocs(t *testing.T) {
 	}
 }
 
-func TestRangeCriticalAndSingle(t *testing.T) {
-	for _, procs := range []int{1, 2} {
-		prev := runtime.GOMAXPROCS(procs)
-		tm := team(t, coresRange(8, 1))
-		covered, singles := 0, 0
-		st := tm.ParallelRange(Schedule{Kind: Dynamic, Chunk: 3}, 100, func(_, lo, hi int) {
-			tm.Critical(func() { covered += hi - lo })
-			tm.Single(func() { singles++ })
-		}, nil)
-		runtime.GOMAXPROCS(prev)
-		if covered != 100 || singles != 1 {
-			t.Errorf("GOMAXPROCS=%d: covered %d (want 100), Single ran %d times (want 1)", procs, covered, singles)
-		}
-		// 34 chunks of 3, each entering Critical once.
-		if want := 34 * DefaultOverheads().Critical; st.Overhead < want {
-			t.Errorf("GOMAXPROCS=%d: overhead %g should include %g of critical cost", procs, st.Overhead, want)
-		}
-	}
-}
-
-func TestCharge(t *testing.T) {
-	tm := team(t, []int{0})
-	tm.Charge(2.5, vtime.Memory)
-	if tm.Clock().Spent(vtime.Memory) != 2.5 {
-		t.Error("Charge did not attribute to memory")
-	}
-}
-
 func TestScheduleString(t *testing.T) {
 	cases := map[string]Schedule{
 		"static":   {Kind: Static},
@@ -406,50 +361,6 @@ func TestMoreVirtualThreadsThanWorkers(t *testing.T) {
 	}
 }
 
-func TestCriticalExcludesAndCharges(t *testing.T) {
-	tm := team(t, coresRange(8, 1))
-	// Unprotected increments of a plain int would race; Critical makes
-	// them safe and the race detector keeps us honest.
-	counter := 0
-	st := tm.ParallelFor(Schedule{Kind: Static}, 200, func(_, _ int) {
-		tm.Critical(func() { counter++ })
-	}, nil)
-	if counter != 200 {
-		t.Errorf("counter = %d, want 200", counter)
-	}
-	want := 200 * DefaultOverheads().Critical
-	if st.Overhead < want {
-		t.Errorf("region overhead %g should include %g of critical cost", st.Overhead, want)
-	}
-	// Costs must not leak into the next region.
-	st2 := tm.ParallelFor(Schedule{Kind: Static}, 4, nil, nil)
-	if st2.Overhead >= want {
-		t.Error("critical cost leaked into the next region")
-	}
-}
-
-func TestSingleRunsOnce(t *testing.T) {
-	tm := team(t, coresRange(6, 1))
-	var ran atomic.Int64
-	var winners atomic.Int64
-	tm.ParallelFor(Schedule{Kind: Static}, 6, func(_, _ int) {
-		if tm.Single(func() { ran.Add(1) }) {
-			winners.Add(1)
-		}
-	}, nil)
-	if ran.Load() != 1 || winners.Load() != 1 {
-		t.Errorf("Single ran %d times with %d winners, want 1/1", ran.Load(), winners.Load())
-	}
-	// Re-armed for the next region.
-	ok := false
-	tm.ParallelFor(Schedule{Kind: Static}, 1, func(_, _ int) {
-		ok = tm.Single(func() {})
-	}, nil)
-	if !ok {
-		t.Error("Single not re-armed after region end")
-	}
-}
-
 func TestChunksForUnknownKindPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -471,11 +382,11 @@ func TestObserveRecordsRegions(t *testing.T) {
 		}
 		return 1e-6
 	})
-	tm.Barrier()
+	tm.ParallelFor(Schedule{Kind: Static}, 4, nil, nil)
 
 	p := rec.Profile()
 	if p.OMP.Regions != 2 {
-		t.Errorf("regions = %d, want 2 (loop + barrier)", p.OMP.Regions)
+		t.Errorf("regions = %d, want 2", p.OMP.Regions)
 	}
 	if p.OMP.BarrierSeconds <= 0 {
 		t.Errorf("barrier seconds = %g, want > 0", p.OMP.BarrierSeconds)
@@ -489,7 +400,6 @@ func TestObserveNilRecorderIsSafe(t *testing.T) {
 	tm := team(t, coresRange(2, 1))
 	tm.Observe(nil, 0)
 	tm.ParallelFor(Schedule{Kind: Static}, 4, nil, nil)
-	tm.Barrier()
 }
 
 func TestInjectPerturbsRegions(t *testing.T) {
@@ -537,8 +447,9 @@ func (l *opLog) Region(s Schedule, n int) { *l = append(*l, fmt.Sprintf("region 
 func (l *opLog) Unreplayable(op string)   { *l = append(*l, op) }
 
 // TestLogRecordsRegionsAndReportsTheRest pins what a team logs: a
-// region per ParallelFor or ParallelRange without a CostFn, and every
-// operation whose cost a region entry cannot carry as unreplayable.
+// region per ParallelFor or ParallelRange without a CostFn, and a
+// region with one, whose cost a region entry cannot carry, as
+// unreplayable.
 // Replaying the regions with nil bodies must land on the same clock.
 func TestLogRecordsRegionsAndReportsTheRest(t *testing.T) {
 	tm := team(t, coresRange(4, 1))
@@ -560,10 +471,8 @@ func TestLogRecordsRegionsAndReportsTheRest(t *testing.T) {
 
 	l = nil
 	tm.ParallelFor(Schedule{}, 4, nil, func(int) float64 { return 1e-9 })
-	tm.Charge(1e-6, vtime.Compute)
-	tm.Barrier()
-	tm.ParallelFor(Schedule{}, 4, func(int, int) { tm.Critical(func() {}) }, nil)
-	want = opLog{"omp.ParallelRange with a CostFn", "omp.Charge", "omp.Barrier", "region static n=4", "omp.Critical"}
+	tm.ParallelFor(Schedule{}, 4, nil, nil)
+	want = opLog{"omp.ParallelRange with a CostFn", "region static n=4"}
 	if !reflect.DeepEqual(l, want) {
 		t.Errorf("logged %v, want %v", l, want)
 	}

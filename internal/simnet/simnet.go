@@ -112,28 +112,9 @@ func (f *Fabric) Barrier(p int) float64 {
 	return (f.Latency + 2*f.MsgOverhead).Times(float64(ceilLog2(p))).Raw()
 }
 
-// Bcast returns the cost in seconds of a binomial-tree broadcast of n
-// bytes to p ranks.
-func (f *Fabric) Bcast(p int, n int64) float64 {
-	if p <= 1 {
-		return 0
-	}
-	return f.pointToPoint(n).Times(float64(ceilLog2(p))).Raw()
-}
-
-// Reduce returns the cost in seconds of a binomial-tree reduction of n
-// bytes over p ranks; gamma is the per-byte local combine cost in
-// seconds/byte (charged once per tree level).
-func (f *Fabric) Reduce(p int, n int64, gamma float64) float64 {
-	if p <= 1 {
-		return 0
-	}
-	combine := units.Seconds(gamma * float64(n))
-	return (f.pointToPoint(n) + combine).Times(float64(ceilLog2(p))).Raw()
-}
-
 // Allreduce returns the cost in seconds of a recursive-doubling
-// allreduce; gamma as in Reduce.
+// allreduce of n bytes over p ranks; gamma is the per-byte local
+// combine cost in seconds/byte (charged once per level).
 func (f *Fabric) Allreduce(p int, n int64, gamma float64) float64 {
 	if p <= 1 {
 		return 0
@@ -142,31 +123,9 @@ func (f *Fabric) Allreduce(p int, n int64, gamma float64) float64 {
 	return (f.pointToPoint(n) + combine).Times(float64(ceilLog2(p))).Raw()
 }
 
-// Gather returns the cost in seconds of gathering n bytes from each of
-// p ranks to the root (binomial tree; data volume doubles towards the
-// root, so the bandwidth term covers the full (p-1)n bytes at the
-// root's link).
-func (f *Fabric) Gather(p int, n int64) float64 {
-	if p <= 1 {
-		return 0
-	}
-	levels := (f.Latency + 2*f.MsgOverhead).Times(float64(ceilLog2(p)))
-	drain := f.Bandwidth.Time(units.Bytes(int64(p-1) * n))
-	return (levels + drain).Raw()
-}
-
 // Allgather returns the cost in seconds of a ring allgather of n bytes
 // per rank.
 func (f *Fabric) Allgather(p int, n int64) float64 {
-	if p <= 1 {
-		return 0
-	}
-	return f.pointToPoint(n).Times(float64(p - 1)).Raw()
-}
-
-// Alltoall returns the cost in seconds of a pairwise-exchange alltoall
-// with n bytes per pair.
-func (f *Fabric) Alltoall(p int, n int64) float64 {
 	if p <= 1 {
 		return 0
 	}

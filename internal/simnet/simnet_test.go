@@ -62,9 +62,7 @@ func TestRendezvousKink(t *testing.T) {
 
 func TestCollectivesSingleRankFree(t *testing.T) {
 	f := MustLookup("tofud")
-	if f.Barrier(1) != 0 || f.Bcast(1, 100) != 0 || f.Reduce(1, 100, 1e-9) != 0 ||
-		f.Allreduce(1, 100, 1e-9) != 0 || f.Gather(1, 100) != 0 ||
-		f.Allgather(1, 100) != 0 || f.Alltoall(1, 100) != 0 {
+	if f.Barrier(1) != 0 || f.Allreduce(1, 100, 1e-9) != 0 || f.Allgather(1, 100) != 0 {
 		t.Error("collectives over one rank must be free")
 	}
 	if f.Barrier(0) != 0 {
@@ -167,12 +165,8 @@ func TestCollectiveCostsNonNegativeProperty(t *testing.T) {
 		ranks := int(p)
 		size := int64(n)
 		return f.Barrier(ranks) >= 0 &&
-			f.Bcast(ranks, size) >= 0 &&
-			f.Reduce(ranks, size, 1e-10) >= 0 &&
 			f.Allreduce(ranks, size, 1e-10) >= 0 &&
-			f.Gather(ranks, size) >= 0 &&
-			f.Allgather(ranks, size) >= 0 &&
-			f.Alltoall(ranks, size) >= 0
+			f.Allgather(ranks, size) >= 0
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Error(err)
