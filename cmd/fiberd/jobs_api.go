@@ -10,14 +10,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"strconv"
-	"time"
 
 	"fibersim/internal/jobs"
 	"fibersim/internal/obs"
-	"fibersim/internal/tenant"
 )
 
 // maxSpecBytes bounds a POST /jobs body; a run spec is a handful of
@@ -32,13 +29,10 @@ const maxSpecBytes = 1 << 20
 //	                         coalesced duplicate returns the in-flight
 //	                         job it attached to, with coalesced:true)
 //	200 cached              (body: a completed job served from the
-//	                         idempotent result cache; degraded:true
-//	                         marks a stale answer served because fresh
-//	                         execution was refused)
+//	                         idempotent result cache, also when fresh
+//	                         execution would be refused)
 //	400 malformed spec
-//	429 rate limited        (Retry-After: per-tenant token refill) or
-//	    queue full          (Retry-After: estimated drain time),
-//	    globally or for the submitting tenant's lane
+//	429 queue full          (Retry-After: estimated drain time)
 //	503 breaker open        (Retry-After), draining, or no job engine
 //
 // When tracing is on, admission opens the request's root span (the
@@ -91,30 +85,9 @@ func (s *server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	// Per-tenant rate limit, checked only after the spec is known to be
-	// valid: a limiter token is a claim on execution, not on parsing.
-	if s.limiter != nil {
-		key := tenant.Key(spec.Tenant)
-		ok, retry := s.limiter.Allow(key)
-		if s.reg != nil {
-			s.reg.Gauge("fiberd_tenant_tokens", "Rate-limit tokens remaining per tenant.",
-				obs.Labels{"tenant": key}).Set(s.limiter.Tokens(key))
-		}
-		if !ok {
-			if s.reg != nil {
-				s.reg.Counter("fiberd_tenant_shed_total",
-					"Submissions shed at admission, per tenant and reason.",
-					obs.Labels{"tenant": key, "reason": "rate_limit"}).Inc()
-			}
-			w.Header().Set("Retry-After", ceilSeconds(retry))
-			reject("shed-rate-limit",
-				fmt.Sprintf("tenant %s over rate limit", key), http.StatusTooManyRequests)
-			return
-		}
-	}
 	job, err := s.jobs.SubmitTraced(spec, span)
 	switch {
-	case errors.Is(err, jobs.ErrQueueFull), errors.Is(err, jobs.ErrTenantQueueFull):
+	case errors.Is(err, jobs.ErrQueueFull):
 		w.Header().Set("Retry-After", retryAfterSeconds(s.jobs))
 		reject("shed-queue-full", err.Error(), http.StatusTooManyRequests)
 		return
@@ -137,15 +110,11 @@ func (s *server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case job.Cached:
 		code = http.StatusOK
-		s.log.Info("job served from cache", "app", spec.App,
-			"tenant", spec.Tenant, "degraded", job.Degraded,
-			"age_seconds", job.CachedAgeSeconds, "trace_id", traceIDOf(span))
+		s.log.Info("job served from cache", "app", spec.App, "trace_id", traceIDOf(span))
 	case job.Coalesced:
-		s.log.Info("job coalesced", "job_id", job.ID, "app", spec.App,
-			"tenant", spec.Tenant, "trace_id", traceIDOf(span))
+		s.log.Info("job coalesced", "job_id", job.ID, "app", spec.App, "trace_id", traceIDOf(span))
 	default:
-		s.log.Info("job accepted", "job_id", job.ID, "app", spec.App,
-			"tenant", spec.Tenant, "trace_id", job.TraceID)
+		s.log.Info("job accepted", "job_id", job.ID, "app", spec.App, "trace_id", job.TraceID)
 	}
 	if sc := span.Context(); sc.Valid() {
 		w.Header().Set("traceparent", sc.Traceparent())
@@ -176,16 +145,6 @@ func retryAfterSeconds(m *jobs.Manager) string {
 	return strconv.Itoa(secs)
 }
 
-// ceilSeconds renders a wait as Retry-After seconds, rounded up so the
-// client never retries a hair early, at least 1.
-func ceilSeconds(d time.Duration) string {
-	secs := int(math.Ceil(d.Seconds()))
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.Itoa(secs)
-}
-
 // defaultJobsLimit caps GET /jobs when no ?limit= is given: the
 // listing used to return every job the daemon ever tracked, which
 // grows without bound on a long-lived process.
@@ -193,7 +152,7 @@ const defaultJobsLimit = 100
 
 // handleJobs lists tracked jobs in submission order, most recent
 // defaultJobsLimit by default. ?limit=N widens or narrows the window
-// (N <= 0 means unbounded); ?tenant=name filters to one tenant.
+// (N <= 0 means unbounded).
 func (s *server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	if s.jobs == nil {
 		http.Error(w, "job execution not configured", http.StatusServiceUnavailable)
@@ -208,18 +167,10 @@ func (s *server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		}
 		limit = n
 	}
-	var tenantKey string
-	if v := r.URL.Query().Get("tenant"); v != "" {
-		tenantKey = tenant.Key(v)
-	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	list := s.jobs.JobsFiltered(tenantKey, limit)
-	if list == nil {
-		list = []jobs.Job{}
-	}
-	if err := enc.Encode(list); err != nil {
+	if err := enc.Encode(s.jobs.Jobs(limit)); err != nil {
 		return
 	}
 }

@@ -126,11 +126,122 @@ func TestSubmitJobRejectsBadSpecs(t *testing.T) {
 		{"unknown machine", `{"app":"stream","machine":"cray1"}`},
 		{"oversubscribed", `{"app":"stream","procs":48,"threads":48}`},
 		{"bad fault", `{"app":"stream","fault":"chaos=yes"}`},
+		{"tenant", `{"app":"stream","tenant":"alice"}`},
 	}
 	for _, tc := range cases {
 		if rr := postJob(t, h, tc.body); rr.Code != http.StatusBadRequest {
 			t.Errorf("%s: code = %d, want 400 (%s)", tc.name, rr.Code, rr.Body.String())
 		}
+	}
+}
+
+func TestJobsListLimit(t *testing.T) {
+	_, h, _ := apiServer(t, jobs.Config{QueueCap: 256}, false)
+	for _, body := range []string{`{"app":"stream"}`, `{"app":"stream"}`, `{"app":"mvmc"}`} {
+		if rr := postJob(t, h, body); rr.Code != http.StatusAccepted {
+			t.Fatalf("submit %s = %d", body, rr.Code)
+		}
+	}
+
+	list := func(url string) []jobs.Job {
+		t.Helper()
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest("GET", url, nil))
+		if rr.Code != http.StatusOK {
+			t.Fatalf("GET %s = %d: %s", url, rr.Code, rr.Body.String())
+		}
+		var out []jobs.Job
+		if err := json.Unmarshal(rr.Body.Bytes(), &out); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+
+	if got := list("/jobs"); len(got) != 3 {
+		t.Fatalf("GET /jobs returned %d jobs, want 3", len(got))
+	}
+	recent := list("/jobs?limit=2")
+	if len(recent) != 2 || recent[0].Spec.App != "stream" || recent[1].Spec.App != "mvmc" {
+		t.Fatalf("limit=2 returned %+v, want the 2 most recent ending with mvmc", recent)
+	}
+	// The default window caps the listing: a long-lived daemon's full
+	// history no longer comes back on a bare GET /jobs.
+	for i := 0; i < defaultJobsLimit; i++ {
+		if rr := postJob(t, h, `{"app":"stream"}`); rr.Code != http.StatusAccepted {
+			t.Fatalf("filler submit %d = %d", i, rr.Code)
+		}
+	}
+	if got := list("/jobs"); len(got) != defaultJobsLimit {
+		t.Fatalf("default listing returned %d jobs, want %d", len(got), defaultJobsLimit)
+	}
+	if got := list("/jobs?limit=0"); len(got) != defaultJobsLimit+3 {
+		t.Fatalf("limit=0 returned %d jobs, want all %d", len(got), defaultJobsLimit+3)
+	}
+	rr := httptest.NewRecorder()
+	h.ServeHTTP(rr, httptest.NewRequest("GET", "/jobs?limit=x", nil))
+	if rr.Code != http.StatusBadRequest {
+		t.Fatalf("bad limit = %d, want 400", rr.Code)
+	}
+}
+
+func TestSubmitJobCachedAndCoalescedResponses(t *testing.T) {
+	cache, err := jobs.OpenResultCache("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := make(chan struct{})
+	started := make(chan struct{}, 1)
+	_, h, _ := apiServer(t, jobs.Config{
+		Cache:   cache,
+		Workers: 1,
+		Runner: func(ctx context.Context, spec jobs.Spec) (jobs.Result, error) {
+			started <- struct{}{}
+			<-release
+			return jobs.Result{TimeSeconds: 1.25, GFlops: 5, Verified: true}, nil
+		},
+	}, true)
+
+	first := postJob(t, h, `{"app":"stream"}`)
+	if first.Code != http.StatusAccepted {
+		t.Fatalf("first submit = %d: %s", first.Code, first.Body.String())
+	}
+	var firstJob jobs.Job
+	if err := json.Unmarshal(first.Body.Bytes(), &firstJob); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+
+	// Duplicate while in flight: 202 + the same job, marked coalesced
+	// (the retry budget differs, but it is not an experiment axis).
+	dup := postJob(t, h, `{"app":"stream","max_retries":1}`)
+	if dup.Code != http.StatusAccepted {
+		t.Fatalf("coalesced submit = %d: %s", dup.Code, dup.Body.String())
+	}
+	var dupJob jobs.Job
+	if err := json.Unmarshal(dup.Body.Bytes(), &dupJob); err != nil {
+		t.Fatal(err)
+	}
+	if !dupJob.Coalesced || dupJob.ID != firstJob.ID {
+		t.Fatalf("coalesced response %+v, want coalesced onto %s", dupJob, firstJob.ID)
+	}
+
+	close(release)
+	waitJobState(t, h, firstJob.ID)
+
+	// Duplicate after completion: 200 + the cached result, complete.
+	cached := postJob(t, h, `{"app":"stream"}`)
+	if cached.Code != http.StatusOK {
+		t.Fatalf("cached submit = %d: %s", cached.Code, cached.Body.String())
+	}
+	var cachedJob jobs.Job
+	if err := json.Unmarshal(cached.Body.Bytes(), &cachedJob); err != nil {
+		t.Fatal(err)
+	}
+	if !cachedJob.Cached || cachedJob.State != jobs.StateDone {
+		t.Fatalf("cached response %+v, want cached done", cachedJob)
+	}
+	if cachedJob.Result == nil || cachedJob.Result.TimeSeconds != 1.25 {
+		t.Fatalf("cached result %+v, want the original", cachedJob.Result)
 	}
 }
 

@@ -13,8 +13,7 @@
 //	GET  /metrics     Prometheus exposition of serving metrics
 //	POST /jobs        submit a run spec; 202 + job id (200 when served
 //	                  from the result cache), 429/503 on shed
-//	GET  /jobs        list jobs (?limit=N, ?tenant=name; newest 100
-//	                  by default)
+//	GET  /jobs        list jobs (?limit=N; newest 100 by default)
 //	GET  /jobs/{id}   one job's state
 //	GET  /runs        JSON listing of the manifest directory
 //	GET  /runs/{name} one manifest, parsed and validated
@@ -33,16 +32,12 @@
 // refuses new work, finishes running jobs, persists the queue and
 // syncs the journal before exiting.
 //
-// Multi-tenant overload protection: specs may carry a tenant name;
-// -tenant-rate/-tenant-burst rate-limit each tenant's submissions
-// (429 + Retry-After), -tenant-override gives named tenants their own
-// buckets ("vip=10:40", usable with or without a default -tenant-rate),
-// -tenant-queue bounds each tenant's share of the
-// admission queue, and -tenant-weights sets the weighted fair-queueing
-// shares workers drain tenants by. -result-cache enables idempotent
+// Overload protection: -queue bounds the admission queue (429 +
+// Retry-After beyond it), and per-(app, machine) circuit breakers shed
+// a failing configuration with 503. -result-cache enables idempotent
 // result serving: duplicate specs coalesce onto the in-flight job, and
-// completed specs are answered from the cache — including, marked
-// degraded, when a breaker is open or the queue is saturated.
+// completed specs are answered from the cache, also when a breaker is
+// open or the queue is full.
 package main
 
 import (
@@ -56,14 +51,12 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
 	"fibersim/internal/harness"
 	"fibersim/internal/jobs"
 	"fibersim/internal/obs"
-	"fibersim/internal/tenant"
 )
 
 func main() {
@@ -81,18 +74,12 @@ func main() {
 	breakerThreshold := flag.Int("breaker-threshold", 5, "consecutive failures that trip an (app, machine) circuit breaker")
 	breakerCooldown := flag.Duration("breaker-cooldown", 30*time.Second, "how long a tripped breaker refuses work before probing")
 	journalRetention := flag.Duration("journal-retention", 0, "compact the journal on startup, dropping jobs settled longer ago than this; 0 never compacts")
-	tenantRate := flag.Float64("tenant-rate", 0, "per-tenant submission rate limit in requests/second; 0 disables rate limiting")
-	tenantBurst := flag.Float64("tenant-burst", 8, "per-tenant token-bucket burst (max back-to-back submissions)")
-	tenantQueue := flag.Int("tenant-queue", 0, "per-tenant lane bound within the admission queue; 0 applies only the global -queue bound")
-	tenantWeights := flag.String("tenant-weights", "", "WDRR tenant weights, e.g. 'alice:3,bob'; unlisted tenants get weight 1")
 	resultCache := flag.String("result-cache", "", "idempotent result cache: a perfdb JSONL path, 'mem' for in-memory only, or empty to disable")
 	traceCap := flag.Int("trace-ring", 256, "finished service traces kept in memory for GET /traces; oldest evicted first")
 	saveManifests := flag.Bool("save-manifests", false, "write each completed job's run manifest into the -manifests directory")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (off by default)")
 	runtimeMetrics := flag.Bool("runtime-metrics", false, "sample Go runtime telemetry into /metrics (fibersim_runtime_* families) and mount GET /debug/runtime")
 	runtimeInterval := flag.Duration("runtime-interval", 10*time.Second, "background runtime-telemetry sampling cadence (with -runtime-metrics)")
-	var tenantOverrides overrideFlag
-	flag.Var(&tenantOverrides, "tenant-override", `per-tenant bucket override "name=rate:burst" (repeatable; comma lists allowed; rate 0 = unlimited)`)
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -151,15 +138,6 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	var weights map[string]int
-	if *tenantWeights != "" {
-		ws, werr := tenant.ParseWeights(*tenantWeights)
-		if werr != nil {
-			fmt.Fprintln(os.Stderr, "fiberd:", werr)
-			os.Exit(1)
-		}
-		weights = tenant.Map(ws)
-	}
 	saveDir := ""
 	if *saveManifests {
 		saveDir = *manifests
@@ -167,8 +145,6 @@ func main() {
 	manager, err := jobs.NewManager(jobs.Config{
 		Runner:           newRunner(saveDir, logger),
 		QueueCap:         *queueCap,
-		TenantQueueCap:   *tenantQueue,
-		TenantWeights:    weights,
 		Cache:            cache,
 		Workers:          *workers,
 		JobTimeout:       *jobTimeout,
@@ -196,19 +172,6 @@ func main() {
 	s.events = hub
 	s.log = logger
 	s.pprofOn = *pprofOn
-	if *tenantRate > 0 || len(tenantOverrides) > 0 {
-		// -tenant-override without -tenant-rate still needs a limiter:
-		// the default bucket stays unlimited (rate 0) and only the named
-		// tenants get buckets.
-		s.limiter, err = tenant.NewLimiter(tenant.Bucket{Rate: *tenantRate, Burst: *tenantBurst}, time.Now)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fiberd:", err)
-			os.Exit(1)
-		}
-		for _, o := range tenantOverrides {
-			s.limiter.SetBucket(o.Name, o.Bucket)
-		}
-	}
 	if *runtimeMetrics {
 		sampler, serr := obs.NewRuntimeSampler(obs.RuntimeSamplerConfig{Registry: reg, Now: time.Now})
 		if serr != nil {
@@ -226,34 +189,6 @@ func main() {
 		}
 	}
 	os.Exit(code)
-}
-
-// overrideFlag accumulates repeated -tenant-override values; each
-// occurrence may itself be a comma list (tenant.ParseOverrides).
-type overrideFlag []tenant.Override
-
-func (f *overrideFlag) String() string {
-	var parts []string
-	for _, o := range *f {
-		parts = append(parts, fmt.Sprintf("%s=%g:%g", o.Name, o.Bucket.Rate, o.Bucket.Burst))
-	}
-	return strings.Join(parts, ",")
-}
-
-func (f *overrideFlag) Set(s string) error {
-	ovs, err := tenant.ParseOverrides(s)
-	if err != nil {
-		return err
-	}
-	for _, o := range ovs {
-		for _, have := range *f {
-			if have.Name == o.Name {
-				return fmt.Errorf("tenant: tenant %q overridden twice", o.Name)
-			}
-		}
-	}
-	*f = append(*f, ovs...)
-	return nil
 }
 
 // toRunSpec maps the job engine's transport-level Spec onto the

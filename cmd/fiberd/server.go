@@ -17,7 +17,6 @@ import (
 
 	"fibersim/internal/jobs"
 	"fibersim/internal/obs"
-	"fibersim/internal/tenant"
 )
 
 // server holds fiberd's state: its metrics registry (shared with the
@@ -38,9 +37,6 @@ type server struct {
 	// compiler/size/fault against the registries); nil skips — bad
 	// specs then fail at execution instead of 400 at the door.
 	resolve func(jobs.Spec) error
-	// limiter rate-limits POST /jobs per tenant (429 + Retry-After on
-	// an empty bucket); nil disables rate limiting.
-	limiter *tenant.Limiter
 	// tracer owns the service traces behind GET /traces; nil disables
 	// request tracing (jobs still run, untraced).
 	tracer *obs.Tracer

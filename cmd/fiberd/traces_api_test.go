@@ -192,7 +192,7 @@ func TestTracedShedEndsSpan(t *testing.T) {
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		list := jm.Jobs()
+		list := jm.Jobs(0)
 		if len(list) > 0 && list[0].State == jobs.StateRunning {
 			break
 		}

@@ -15,7 +15,6 @@ import (
 
 	"fibersim/internal/jobs"
 	"fibersim/internal/obs"
-	"fibersim/internal/tenant"
 )
 
 // ReportSchema identifies the load report layout; bump on any
@@ -51,23 +50,6 @@ func parseMix(s, size string) ([]weightedSpec, error) {
 		return nil, fmt.Errorf("fiberload: empty spec mix")
 	}
 	return mix, nil
-}
-
-// pickTenant draws one tenant name by weight using r. Empty list
-// means the run is untenanted and every spec keeps Tenant == "".
-func pickTenant(ws []tenant.Weight, r *rand.Rand) string {
-	total := 0
-	for _, w := range ws {
-		total += w.Weight
-	}
-	n := r.Intn(total)
-	for _, w := range ws {
-		n -= w.Weight
-		if n < 0 {
-			return w.Name
-		}
-	}
-	return ws[len(ws)-1].Name
 }
 
 // pick draws one spec by weight using r.
@@ -141,26 +123,6 @@ type TraceSplit struct {
 	JournalSeconds   float64 `json:"journal_seconds"`
 }
 
-// TenantReport is one tenant's slice of the run: how much of the load
-// it offered, how much was admitted, and what latency it saw. The
-// queue-wait percentiles come from the terminal jobs' own accounting
-// (QueueWaitSeconds), so a noisy neighbor shows up here as a fat
-// queue-wait tail on the victim tenant.
-type TenantReport struct {
-	Requests   int         `json:"requests"`
-	Accepted   int         `json:"accepted"`
-	Shed429    int         `json:"shed_429"`
-	Errors     int         `json:"errors"`
-	JobsDone   int         `json:"jobs_done"`
-	JobsFailed int         `json:"jobs_failed"`
-	Cached     int         `json:"cached"`
-	Coalesced  int         `json:"coalesced"`
-	ShedRate   float64     `json:"shed_rate"`
-	ErrorRate  float64     `json:"error_rate"`
-	Latency    Percentiles `json:"latency_seconds"`
-	QueueWait  Percentiles `json:"queue_wait_seconds"`
-}
-
 // Report is fiberload's machine-readable output.
 type Report struct {
 	Schema     string `json:"schema"`
@@ -186,8 +148,6 @@ type Report struct {
 	// Runtime is the server process's own GC/scheduler interference
 	// over the run (nil when fiberd runs without -runtime-metrics).
 	Runtime *RuntimeDelta `json:"server_runtime,omitempty"`
-	// Tenants breaks the run down per tenant when -tenants is set.
-	Tenants map[string]TenantReport `json:"tenants,omitempty"`
 }
 
 // RuntimeDelta diffs two fiberd /debug/runtime snapshots taken around
@@ -258,25 +218,11 @@ func diffRuntime(before, after obs.RuntimeSnapshot) *RuntimeDelta {
 	return d
 }
 
-// tenantTally accumulates one tenant's counters during the run.
-type tenantTally struct {
-	accepted   int
-	shed       int
-	errors     int
-	jobsDone   int
-	jobsFailed int
-	cached     int
-	coalesced  int
-	latencies  []float64
-	queueWaits []float64
-}
-
 // loader drives one load run.
 type loader struct {
 	base    string
 	client  *http.Client
 	mix     []weightedSpec
-	tenants []tenant.Weight // optional: weighted tenant draw per submission
 	workers int
 	total   int           // stop after this many submissions (0: unbounded)
 	dur     time.Duration // stop after this long (0: unbounded; one of total/dur must bound)
@@ -295,21 +241,6 @@ type loader struct {
 	latencies  []float64
 	admissions []float64
 	traceIDs   []string
-	tallies    map[string]*tenantTally
-}
-
-// tally returns (creating if needed) the tenant's counter block.
-// Callers must hold l.mu.
-func (l *loader) tally(key string) *tenantTally {
-	if l.tallies == nil {
-		l.tallies = map[string]*tenantTally{}
-	}
-	t, ok := l.tallies[key]
-	if !ok {
-		t = &tenantTally{}
-		l.tallies[key] = t
-	}
-	return t
 }
 
 // take reserves one submission slot, false once the quota is gone.
@@ -339,11 +270,7 @@ func (l *loader) run(ctx context.Context) {
 			defer wg.Done()
 			r := rand.New(rand.NewSource(seed))
 			for ctx.Err() == nil && l.take() {
-				spec := pick(l.mix, r)
-				if len(l.tenants) > 0 {
-					spec.Tenant = pickTenant(l.tenants, r)
-				}
-				l.once(ctx, spec)
+				l.once(ctx, pick(l.mix, r))
 			}
 		}(l.seed + int64(w))
 	}
@@ -357,16 +284,7 @@ func (l *loader) run(ctx context.Context) {
 // like any other accepted job (the shared job's terminal state is this
 // submission's terminal state too).
 func (l *loader) once(ctx context.Context, spec jobs.Spec) {
-	key := tenant.Key(spec.Tenant)
-	perTenant := len(l.tenants) > 0
-	fail := func() {
-		l.count(func() {
-			l.errors++
-			if perTenant {
-				l.tally(key).errors++
-			}
-		})
-	}
+	fail := func() { l.count(func() { l.errors++ }) }
 	body, err := json.Marshal(spec)
 	if err != nil {
 		fail()
@@ -393,12 +311,7 @@ func (l *loader) once(ctx context.Context, spec jobs.Spec) {
 	resp.Body.Close()
 	switch {
 	case resp.StatusCode == http.StatusTooManyRequests:
-		l.count(func() {
-			l.shed++
-			if perTenant {
-				l.tally(key).shed++
-			}
-		})
+		l.count(func() { l.shed++ })
 		return
 	case resp.StatusCode == http.StatusOK && decErr == nil && job.Cached:
 		elapsed := time.Since(start)
@@ -407,22 +320,10 @@ func (l *loader) once(ctx context.Context, spec jobs.Spec) {
 			l.cached++
 			l.admissions = append(l.admissions, admitted.Seconds())
 			l.latencies = append(l.latencies, elapsed.Seconds())
-			done := job.State == jobs.StateDone
-			if done {
+			if job.State == jobs.StateDone {
 				l.jobsDone++
 			} else {
 				l.jobsFailed++
-			}
-			if perTenant {
-				t := l.tally(key)
-				t.accepted++
-				t.cached++
-				t.latencies = append(t.latencies, elapsed.Seconds())
-				if done {
-					t.jobsDone++
-				} else {
-					t.jobsFailed++
-				}
 			}
 		})
 		return
@@ -433,14 +334,8 @@ func (l *loader) once(ctx context.Context, spec jobs.Spec) {
 	l.count(func() {
 		l.accepted++
 		l.admissions = append(l.admissions, admitted.Seconds())
-		if perTenant {
-			l.tally(key).accepted++
-		}
 		if job.Coalesced {
 			l.coalesced++
-			if perTenant {
-				l.tally(key).coalesced++
-			}
 		}
 	})
 
@@ -454,24 +349,13 @@ func (l *loader) once(ctx context.Context, spec jobs.Spec) {
 	elapsed := time.Since(start)
 	l.count(func() {
 		l.latencies = append(l.latencies, elapsed.Seconds())
-		done := final.State == jobs.StateDone
-		if done {
+		if final.State == jobs.StateDone {
 			l.jobsDone++
 		} else {
 			l.jobsFailed++
 		}
 		if final.TraceID != "" {
 			l.traceIDs = append(l.traceIDs, final.TraceID)
-		}
-		if perTenant {
-			t := l.tally(key)
-			t.latencies = append(t.latencies, elapsed.Seconds())
-			t.queueWaits = append(t.queueWaits, final.QueueWaitSeconds)
-			if done {
-				t.jobsDone++
-			} else {
-				t.jobsFailed++
-			}
 		}
 	})
 }
@@ -586,28 +470,6 @@ func (l *loader) report(split TraceSplit) Report {
 		rep.ErrorRate = float64(l.errors) / float64(total)
 		rep.ShedRate = float64(l.shed) / float64(total)
 	}
-	if len(l.tallies) > 0 {
-		rep.Tenants = make(map[string]TenantReport, len(l.tallies))
-		for name, t := range l.tallies {
-			tr := TenantReport{
-				Requests:   t.accepted + t.shed + t.errors,
-				Accepted:   t.accepted,
-				Shed429:    t.shed,
-				Errors:     t.errors,
-				JobsDone:   t.jobsDone,
-				JobsFailed: t.jobsFailed,
-				Cached:     t.cached,
-				Coalesced:  t.coalesced,
-				Latency:    percentiles(t.latencies),
-				QueueWait:  percentiles(t.queueWaits),
-			}
-			if tr.Requests > 0 {
-				tr.ShedRate = float64(t.shed) / float64(tr.Requests)
-				tr.ErrorRate = float64(t.errors) / float64(tr.Requests)
-			}
-			rep.Tenants[name] = tr
-		}
-	}
 	return rep
 }
 
@@ -634,20 +496,6 @@ func (r Report) WriteText(w io.Writer) error {
 		fmt.Fprintf(w, "server runtime over the run: %d GC cycles, %.4fs GC pause, %.1f MiB allocated; heap live %.1f MiB, %d goroutines, sched-latency p99 %.6fs\n",
 			r.Runtime.GCCycles, r.Runtime.GCPauseSeconds, float64(r.Runtime.AllocBytes)/(1<<20),
 			float64(r.Runtime.HeapLiveBytes)/(1<<20), r.Runtime.Goroutines, r.Runtime.SchedLatencyP99Seconds)
-	}
-	if len(r.Tenants) > 0 {
-		names := make([]string, 0, len(r.Tenants))
-		for name := range r.Tenants {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			t := r.Tenants[name]
-			fmt.Fprintf(w, "tenant %-10s %4d requests: %d accepted, %d shed (%.2f%%), %d errors, %d cached, %d coalesced; latency p50 %.4fs p99 %.4fs; queue-wait p50 %.4fs p99 %.4fs\n",
-				name, t.Requests, t.Accepted, t.Shed429, 100*t.ShedRate, t.Errors,
-				t.Cached, t.Coalesced, t.Latency.P50, t.Latency.P99,
-				t.QueueWait.P50, t.QueueWait.P99)
-		}
 	}
 	_, err := fmt.Fprintln(w)
 	return err

@@ -15,7 +15,6 @@ import (
 
 	"fibersim/internal/jobs"
 	"fibersim/internal/obs"
-	"fibersim/internal/tenant"
 )
 
 func TestParseMix(t *testing.T) {
@@ -80,8 +79,7 @@ func (c *manualClock) advance(d time.Duration) {
 // terminates done after `lag` status polls; shedEvery>0 makes every
 // N-th submission a 429. Each accepted job gets a real finalized trace
 // with queue-wait exactly 2ms and run exactly 3ms under the manual
-// clock, and reports QueueWaitSeconds of exactly 4ms once terminal.
-// cachedEvery>0 answers every N-th submission 200 from a pretend
+// clock. cachedEvery>0 answers every N-th submission 200 from a pretend
 // result cache; coalesceEvery>0 attaches every N-th submission to the
 // most recently accepted job with coalesced:true.
 type stubFiberd struct {
@@ -169,7 +167,6 @@ func (f *stubFiberd) handler() http.Handler {
 		job := jobs.Job{ID: id, State: jobs.StateRunning, TraceID: f.traces[id]}
 		if left <= 0 {
 			job.State = jobs.StateDone
-			job.QueueWaitSeconds = 0.004
 		} else {
 			f.jobs[id] = left - 1
 		}
@@ -265,67 +262,6 @@ func TestLoaderCountsShed(t *testing.T) {
 	}
 }
 
-func TestLoaderTenantBreakdown(t *testing.T) {
-	stub := newStubFiberd(t, 1, 0)
-	ts := httptest.NewServer(stub.handler())
-	defer ts.Close()
-
-	l := &loader{
-		base:   ts.URL,
-		client: ts.Client(),
-		mix:    []weightedSpec{{spec: jobs.Spec{App: "stream", Size: "test"}, weight: 1}},
-		tenants: []tenant.Weight{
-			{Name: "greedy", Weight: 3},
-			{Name: "paced", Weight: 1},
-		},
-		workers: 4,
-		total:   40,
-		poll:    time.Millisecond,
-		seed:    1,
-	}
-	l.run(context.Background())
-	rep := l.report(TraceSplit{})
-
-	if rep.Accepted != 40 || rep.Errors != 0 {
-		t.Fatalf("report = %+v", rep)
-	}
-	if len(rep.Tenants) != 2 {
-		t.Fatalf("tenant breakdown = %+v, want greedy and paced", rep.Tenants)
-	}
-	greedy, paced := rep.Tenants["greedy"], rep.Tenants["paced"]
-	if greedy.Requests+paced.Requests != rep.Requests {
-		t.Errorf("tenant requests %d+%d != total %d",
-			greedy.Requests, paced.Requests, rep.Requests)
-	}
-	if greedy.JobsDone+paced.JobsDone != rep.JobsDone {
-		t.Errorf("tenant done %d+%d != total %d",
-			greedy.JobsDone, paced.JobsDone, rep.JobsDone)
-	}
-	// A 3:1 weighted draw over 40 submissions must favor greedy.
-	if greedy.Requests <= paced.Requests {
-		t.Errorf("greedy %d <= paced %d despite 3:1 weights",
-			greedy.Requests, paced.Requests)
-	}
-	// Queue wait comes from the terminal job's own accounting, which
-	// the stub pins at exactly 4ms.
-	for name, tr := range rep.Tenants {
-		if math.Abs(tr.QueueWait.P50-0.004) > 1e-9 {
-			t.Errorf("tenant %s queue-wait p50 = %g, want 0.004", name, tr.QueueWait.P50)
-		}
-	}
-
-	var b strings.Builder
-	if err := rep.WriteText(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{"tenant greedy", "tenant paced", "queue-wait p50 0.0040s"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("text report missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestLoaderCountsCachedAndCoalesced(t *testing.T) {
 	stub := newStubFiberd(t, 0, 0)
 	stub.cachedEvery = 2 // submissions 2, 4, 6 served 200 from cache
@@ -336,7 +272,6 @@ func TestLoaderCountsCachedAndCoalesced(t *testing.T) {
 		base:    ts.URL,
 		client:  ts.Client(),
 		mix:     []weightedSpec{{spec: jobs.Spec{App: "stream"}, weight: 1}},
-		tenants: []tenant.Weight{{Name: "alice", Weight: 1}},
 		workers: 1,
 		total:   6,
 		poll:    time.Millisecond,
@@ -344,12 +279,15 @@ func TestLoaderCountsCachedAndCoalesced(t *testing.T) {
 	}
 	l.run(context.Background())
 	rep := l.report(TraceSplit{})
-	if rep.Accepted != 6 || rep.Cached != 3 || rep.JobsDone != 6 {
-		t.Errorf("cached run: accepted/cached/done = %d/%d/%d, want 6/3/6",
-			rep.Accepted, rep.Cached, rep.JobsDone)
+	if rep.Requests != 6 || rep.Accepted != 6 || rep.Cached != 3 || rep.JobsDone != 6 || rep.Errors != 0 {
+		t.Errorf("cached run: requests/accepted/cached/done/errors = %d/%d/%d/%d/%d, want 6/6/3/6/0",
+			rep.Requests, rep.Accepted, rep.Cached, rep.JobsDone, rep.Errors)
 	}
-	if got := rep.Tenants["alice"]; got.Cached != 3 || got.JobsDone != 6 {
-		t.Errorf("alice tally = %+v, want 3 cached of 6 done", got)
+	// Cache serves are terminal at admission: their latency is the
+	// POST round-trip, so every submission has a latency sample.
+	if len(l.latencies) != 6 || len(l.admissions) != 6 {
+		t.Errorf("cached run: %d latency and %d admission samples, want 6 each",
+			len(l.latencies), len(l.admissions))
 	}
 
 	stub2 := newStubFiberd(t, 0, 0)

@@ -6,12 +6,6 @@
 //
 //	fiberload -addr http://127.0.0.1:8080 -c 8 -n 200 -mix stream:3,mvmc:1
 //
-// The -tenants flag tags each submission with a tenant drawn by
-// weight ("greedy:4,paced" or a plain count like "3") and adds a
-// per-tenant breakdown to the report — shed rate, latency and
-// queue-wait percentiles per tenant — which is how a noisy-neighbor
-// run shows whether fair queueing actually isolated the victim.
-//
 // The -max-p99 flag turns the run into a pass/fail gate for CI: the
 // exit code is non-zero when the measured job-latency p99 exceeds the
 // bound, when nothing was accepted, or when any request errored and
@@ -28,8 +22,6 @@ import (
 	"os/signal"
 	"syscall"
 	"time"
-
-	"fibersim/internal/tenant"
 )
 
 func main() {
@@ -38,7 +30,6 @@ func main() {
 	total := flag.Int("n", 100, "total submissions across all workers (0: unbounded, needs -duration)")
 	duration := flag.Duration("duration", 0, "stop after this long (0: run until -n submissions)")
 	mixFlag := flag.String("mix", "stream", "spec mix: comma-separated app[:weight] cells")
-	tenantsFlag := flag.String("tenants", "", "tenant mix: name[:weight] cells or a plain count (e.g. greedy:4,paced or 3); empty: untenanted")
 	size := flag.String("size", "test", "data set for every spec in the mix")
 	poll := flag.Duration("poll", 10*time.Millisecond, "job status poll interval")
 	seed := flag.Int64("seed", 1, "RNG seed for the spec mix draw")
@@ -57,14 +48,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	var tenants []tenant.Weight
-	if *tenantsFlag != "" {
-		tenants, err = tenant.ParseWeights(*tenantsFlag)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fiberload:", err)
-			os.Exit(2)
-		}
-	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -73,7 +56,6 @@ func main() {
 		base:    *addr,
 		client:  &http.Client{Timeout: 30 * time.Second},
 		mix:     mix,
-		tenants: tenants,
 		workers: *workers,
 		total:   *total,
 		dur:     *duration,

@@ -15,12 +15,10 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -34,6 +32,7 @@ import (
 	"fibersim/internal/fault"
 	"fibersim/internal/harness"
 	"fibersim/internal/jobs"
+	"fibersim/internal/jsonl"
 	_ "fibersim/internal/miniapps/all"
 	"fibersim/internal/miniapps/common"
 	"fibersim/internal/obs"
@@ -325,12 +324,12 @@ type stateLine struct {
 }
 
 // loadState opens (creating if absent) the checkpoint at path and
-// replays its rows. An empty path disables checkpointing. record writes
-// each line plus its newline in one call, so a newline-terminated line
-// is complete; an unterminated tail is the signature of a mid-write
-// kill and is truncated away (that configuration simply reruns). A
-// malformed line that IS newline-terminated means the file is not a
-// fibersweep checkpoint, which is an error, not data loss.
+// replays its rows under jsonl's torn-tail rule. An empty path disables
+// checkpointing. record writes each line plus its newline in one call,
+// so a torn tail is the signature of a mid-write kill and is truncated
+// away (that configuration simply reruns). A malformed line that IS
+// newline-terminated means the file is not a fibersweep checkpoint,
+// which is an error, not data loss.
 func loadState(path string) (*sweepState, error) {
 	s := &sweepState{done: map[string][]string{}}
 	if path == "" {
@@ -340,41 +339,21 @@ func loadState(path string) (*sweepState, error) {
 	if err != nil {
 		return nil, err
 	}
-	data, err := io.ReadAll(f)
+	dropped, err := jsonl.Load(f, func(line []byte) error {
+		var sl stateLine
+		if err := json.Unmarshal(line, &sl); err != nil || sl.Key == "" {
+			return fmt.Errorf("not a fibersweep checkpoint line: %q", line)
+		}
+		s.done[sl.Key] = sl.Cells
+		return nil
+	})
 	if err != nil {
 		f.Close()
-		return nil, err
+		return nil, fmt.Errorf("fibersweep: %w", err)
 	}
-	good, start, lineno := 0, 0, 0
-	for {
-		end := bytes.IndexByte(data[start:], '\n')
-		if end < 0 {
-			break // torn tail from a mid-write kill
-		}
-		lineno++
-		line := strings.TrimSpace(string(data[start : start+end]))
-		start += end + 1
-		if line != "" {
-			var sl stateLine
-			if err := json.Unmarshal([]byte(line), &sl); err != nil || sl.Key == "" {
-				f.Close()
-				return nil, fmt.Errorf("fibersweep: %s:%d: not a fibersweep checkpoint line: %q", path, lineno, line)
-			}
-			s.done[sl.Key] = sl.Cells
-		}
-		good = start
-	}
-	if good < len(data) {
+	if dropped > 0 {
 		fmt.Fprintf(os.Stderr, "fibersweep: %s: dropping torn final line (%d bytes) from an interrupted run\n",
-			path, len(data)-good)
-	}
-	if err := f.Truncate(int64(good)); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if _, err := f.Seek(int64(good), 0); err != nil {
-		f.Close()
-		return nil, err
+			path, dropped)
 	}
 	s.f = f
 	return s, nil

@@ -12,7 +12,7 @@ import (
 )
 
 // canonical returns the spec with the admission-path defaults applied
-// and the non-experiment axes (tenant, retry budget) cleared, so two
+// and the non-experiment axis (the retry budget) cleared, so two
 // submissions that describe the same model run canonicalise to the
 // same value. The defaults mirror harness.RunSpec's resolver and
 // common.RunConfig.Normalized: a64fx machine, 1x1 decomposition,
@@ -33,7 +33,6 @@ func (s Spec) canonical() Spec {
 	if s.Size == "" {
 		s.Size = "test"
 	}
-	s.Tenant = ""
 	s.MaxRetries = 0
 	return s
 }
@@ -45,8 +44,7 @@ func (s Spec) canonical() Spec {
 // result — so this hash is the result cache key and the singleflight
 // coalescing key; folding core.ModelVersion in means a model bump
 // invalidates every cached result instead of serving stale numbers.
-// Tenant and MaxRetries are deliberately excluded: they shape
-// admission, not the run.
+// MaxRetries is deliberately excluded: it shapes retries, not the run.
 func (s Spec) ContentHash() string {
 	return s.contentHash(core.ModelVersion)
 }
@@ -60,13 +58,6 @@ func (s Spec) contentHash(modelVersion string) string {
 	return hex.EncodeToString(sum[:16])
 }
 
-// CachedResult is one cache entry: the result plus the wall time it
-// was recorded, which becomes the staleness marker on degraded serves.
-type CachedResult struct {
-	Result   Result
-	UnixTime int64 // 0 when unknown (journal-recovered entries)
-}
-
 // ResultCache is the idempotent result store behind the manager's
 // duplicate-spec serves: completed results keyed by Spec.ContentHash.
 // File-backed caches persist each entry as one perfdb bench record
@@ -77,7 +68,7 @@ type CachedResult struct {
 type ResultCache struct {
 	mu     sync.Mutex
 	traj   *perfdb.Trajectory
-	byHash map[string]CachedResult
+	byHash map[string]Result
 }
 
 // OpenResultCache loads (or creates) the cache at path; "" builds a
@@ -85,7 +76,7 @@ type ResultCache struct {
 // file may double as a hand-recorded trajectory — they just cannot be
 // served. The latest record per hash wins.
 func OpenResultCache(path string) (*ResultCache, error) {
-	c := &ResultCache{byHash: map[string]CachedResult{}}
+	c := &ResultCache{byHash: map[string]Result{}}
 	if path == "" {
 		c.traj = &perfdb.Trajectory{}
 		return c, nil
@@ -99,20 +90,17 @@ func OpenResultCache(path string) (*ResultCache, error) {
 		if r.SpecHash == "" {
 			continue
 		}
-		c.byHash[r.SpecHash] = CachedResult{
-			Result:   Result{TimeSeconds: r.TimeSeconds, GFlops: r.GFlops, Verified: r.Verified},
-			UnixTime: r.UnixTime,
-		}
+		c.byHash[r.SpecHash] = Result{TimeSeconds: r.TimeSeconds, GFlops: r.GFlops, Verified: r.Verified}
 	}
 	return c, nil
 }
 
 // Get returns the cached result for a content hash.
-func (c *ResultCache) Get(hash string) (CachedResult, bool) {
+func (c *ResultCache) Get(hash string) (Result, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	cr, ok := c.byHash[hash]
-	return cr, ok
+	res, ok := c.byHash[hash]
+	return res, ok
 }
 
 // Len reports the number of distinct cached specs.
@@ -148,17 +136,17 @@ func (c *ResultCache) Put(spec Spec, hash string, res Result, now time.Time) err
 	if err := c.traj.Append(rec); err != nil {
 		return err
 	}
-	c.byHash[hash] = CachedResult{Result: res, UnixTime: rec.UnixTime}
+	c.byHash[hash] = res
 	return nil
 }
 
 // warm inserts a journal-recovered result in memory only: replaying
 // the same journal on every restart must not append duplicate records
-// to the durable file. Existing (durable, timestamped) entries win.
+// to the durable file. Existing (durable) entries win.
 func (c *ResultCache) warm(hash string, res Result) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.byHash[hash]; !ok {
-		c.byHash[hash] = CachedResult{Result: res}
+		c.byHash[hash] = res
 	}
 }

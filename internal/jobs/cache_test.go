@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,10 +23,10 @@ func TestContentHashCanonicalisation(t *testing.T) {
 	if bare.ContentHash() != full.ContentHash() {
 		t.Fatal("defaulted and explicit specs hash differently")
 	}
-	// Tenant and retry budget are admission knobs, not experiment axes.
-	tenanted := Spec{App: "stream", Tenant: "alice", MaxRetries: 3}
-	if tenanted.ContentHash() != bare.ContentHash() {
-		t.Fatal("tenant/max_retries leaked into the content hash")
+	// The retry budget is a resilience knob, not an experiment axis.
+	retrying := Spec{App: "stream", MaxRetries: 3}
+	if retrying.ContentHash() != bare.ContentHash() {
+		t.Fatal("max_retries leaked into the content hash")
 	}
 	// Every experiment axis must move the hash.
 	for _, other := range []Spec{
@@ -74,24 +76,24 @@ func TestResultCacheDurableRoundtrip(t *testing.T) {
 		t.Fatalf("cache len %d, want 1", c.Len())
 	}
 
-	// Reopen: the entry survives, hash-addressable, with its timestamp.
+	// Reopen: the entry survives, hash-addressable.
 	c2, err := OpenResultCache(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cr, ok := c2.Get(spec.ContentHash())
-	if !ok {
-		t.Fatal("entry lost across reopen")
-	}
-	if cr.Result != res || cr.UnixTime != 1700000000 {
-		t.Fatalf("reloaded entry %+v, want %+v at 1700000000", cr, res)
+	if got, ok := c2.Get(spec.ContentHash()); !ok || got != res {
+		t.Fatalf("reloaded entry %+v (found %v), want %+v", got, ok, res)
 	}
 
-	// The cache file is a plain perfdb trajectory: records without a
-	// spec_hash (hand-recorded benchmarks) coexist, just unservable.
+	// The cache file is a plain perfdb trajectory, stamped with the
+	// recording time: records without a spec_hash (hand-recorded
+	// benchmarks) coexist, just unservable.
 	traj, err := perfdb.Load(path)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(traj.Records) != 1 || traj.Records[0].UnixTime != 1700000000 {
+		t.Fatalf("cache file records %+v, want one stamped 1700000000", traj.Records)
 	}
 	if err := traj.Append(perfdb.Record{
 		Schema: perfdb.RecordSchema, App: "mvmc", Machine: "a64fx",
@@ -109,15 +111,38 @@ func TestResultCacheDurableRoundtrip(t *testing.T) {
 
 	// warm never overwrites a durable entry and never touches the file.
 	c3.warm(spec.ContentHash(), Result{TimeSeconds: 99})
-	if cr, _ := c3.Get(spec.ContentHash()); cr.Result != res {
+	if got, _ := c3.Get(spec.ContentHash()); got != res {
 		t.Fatal("warm overwrote a durable entry")
 	}
 }
 
-// TestBreakerCacheInteraction pins the degradation contract around an
-// open breaker: warm cache → degraded serve; cold cache → fail fast;
-// cooldown elapsed → the next duplicate runs fresh as the half-open
-// probe and its success un-degrades subsequent serves.
+// stepClock is a hand-advanced clock: the breaker tests move it past
+// the cooldown exactly instead of sleeping.
+type stepClock struct {
+	mu sync.Mutex
+	t  time.Time
+}
+
+func newStepClock() *stepClock {
+	return &stepClock{t: time.Unix(1700000000, 0)}
+}
+
+func (c *stepClock) now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.t
+}
+
+func (c *stepClock) advance(d time.Duration) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.t = c.t.Add(d)
+}
+
+// TestBreakerCacheInteraction pins the cache around an open breaker:
+// warm cache → cached serve while fresh work is refused; cold cache →
+// fail fast; cooldown elapsed → the next duplicate runs fresh as the
+// half-open probe and its success closes the breaker.
 func TestBreakerCacheInteraction(t *testing.T) {
 	clk := newStepClock()
 	cache, err := OpenResultCache("")
@@ -158,25 +183,25 @@ func TestBreakerCacheInteraction(t *testing.T) {
 		t.Fatalf("breaker states %+v, want stream|a64fx open", states)
 	}
 
-	// Open breaker + warm cache: degraded serve, with staleness age.
+	// Open breaker + warm cache: the cached result is served.
 	clk.advance(10 * time.Second)
 	served, err := m.Submit(good)
 	if err != nil {
 		t.Fatalf("warm-cache submit under open breaker: %v", err)
 	}
-	if !served.Cached || !served.Degraded {
-		t.Fatalf("serve = %+v, want cached degraded", served)
+	if !served.Cached || served.State != StateDone || served.Result == nil || served.Result.TimeSeconds != 1.5 {
+		t.Fatalf("serve = %+v, want the cached done result", served)
 	}
-	if served.CachedAgeSeconds <= 0 {
-		t.Fatalf("degraded serve has no staleness age: %+v", served)
-	}
-	if got := reg.Counter("fiberd_degraded_serves_total", "", obs.Labels{"reason": "breaker_open"}).Value(); got != 1 {
-		t.Fatalf("degraded counter %v, want 1", got)
+	if got := reg.Counter("fiberd_cache_hits_total", "", nil).Value(); got != 1 {
+		t.Fatalf("cache hit counter %v, want 1", got)
 	}
 
-	// Open breaker + cold cache: fail fast, no degraded serve.
+	// Open breaker + cold cache: fail fast.
 	if _, err := m.Submit(Spec{App: "stream", Size: "cold"}); !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("cold-cache submit error %v, want ErrBreakerOpen", err)
+	}
+	if got := reg.Counter("fiberd_jobs_rejected_total", "", obs.Labels{"reason": "breaker_open"}).Value(); got != 1 {
+		t.Fatalf("breaker rejection counter %v, want 1", got)
 	}
 
 	// Cooldown elapsed: the duplicate becomes the half-open probe and
@@ -195,21 +220,20 @@ func TestBreakerCacheInteraction(t *testing.T) {
 		t.Fatalf("breaker %v after successful probe, want closed", states[0].State)
 	}
 
-	// Closed again: cached serves are back to non-degraded.
+	// Closed again: duplicates are served from the cache as before.
 	after, err := m.Submit(good)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !after.Cached || after.Degraded {
-		t.Fatalf("post-probe serve = %+v, want cached non-degraded", after)
+	if !after.Cached {
+		t.Fatalf("post-probe serve = %+v, want cached", after)
 	}
 }
 
-// TestQueueSaturationDegradedServe pins degradation under load: a full
-// queue sheds cold specs with 429-grade errors but answers warm specs
-// from the cache, marked degraded.
+// TestQueueSaturationDegradedServe pins service under saturation: a
+// full queue sheds cold specs with ErrQueueFull but still answers warm
+// specs from the cache.
 func TestQueueSaturationDegradedServe(t *testing.T) {
-	clk := newStepClock()
 	cache, err := OpenResultCache("")
 	if err != nil {
 		t.Fatal(err)
@@ -224,10 +248,8 @@ func TestQueueSaturationDegradedServe(t *testing.T) {
 	})
 	cfg.Workers = 1
 	cfg.QueueCap = 1
-	cfg.TenantQueueCap = 1
 	cfg.Cache = cache
 	cfg.Registry = reg
-	cfg.Now = clk.now
 	m := startManager(t, cfg)
 	defer close(release)
 
@@ -239,75 +261,143 @@ func TestQueueSaturationDegradedServe(t *testing.T) {
 	waitTerminal(t, m, j.ID)
 
 	// Occupy the worker, then fill the one queue slot.
-	if _, err := m.Submit(Spec{App: "stream", Size: "block", Tenant: "greedy"}); err != nil {
+	if _, err := m.Submit(Spec{App: "stream", Size: "block"}); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "blocker running", func() bool { return m.QueueDepth() == 0 })
-	if _, err := m.Submit(Spec{App: "stream", Size: "q1", Tenant: "greedy"}); err != nil {
+	if _, err := m.Submit(Spec{App: "stream", Size: "q1"}); err != nil {
 		t.Fatal(err)
 	}
 
-	// The queue is saturated (the global bound trips first in the
-	// admission verdict): a cold spec is shed with an error.
-	if _, err := m.Submit(Spec{App: "stream", Size: "q2", Tenant: "greedy"}); !errors.Is(err, ErrQueueFull) {
+	// The queue is saturated: a cold spec is shed with an error.
+	if _, err := m.Submit(Spec{App: "stream", Size: "q2"}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("cold spec on saturated queue: %v, want ErrQueueFull", err)
 	}
-	if got := reg.Counter("fiberd_tenant_shed_total", "", obs.Labels{"tenant": "greedy", "reason": "queue_full"}).Value(); got != 1 {
-		t.Fatalf("greedy shed counter %v, want 1", got)
+	if got := reg.Counter("fiberd_jobs_rejected_total", "", obs.Labels{"reason": "queue_full"}).Value(); got != 1 {
+		t.Fatalf("queue-full rejection counter %v, want 1", got)
 	}
 
-	// Warm spec on the saturated queue: degraded cached serve instead.
+	// Warm spec on the saturated queue: served from the cache.
 	served, err := m.Submit(warm)
 	if err != nil {
 		t.Fatalf("warm spec on saturated queue: %v", err)
 	}
-	if !served.Cached || !served.Degraded {
-		t.Fatalf("serve = %+v, want cached degraded", served)
+	if !served.Cached || served.State != StateDone || served.Result == nil {
+		t.Fatalf("serve = %+v, want the cached done result", served)
 	}
-	if got := reg.Counter("fiberd_degraded_serves_total", "", obs.Labels{"reason": "queue_full"}).Value(); got != 1 {
-		t.Fatalf("degraded counter %v, want 1", got)
+	if got := reg.Counter("fiberd_cache_hits_total", "", nil).Value(); got != 1 {
+		t.Fatalf("cache hit counter %v, want 1", got)
+	}
+	if d := m.QueueDepth(); d != 1 {
+		t.Fatalf("queue depth %d after the cached serve, want 1", d)
 	}
 }
 
-// TestTenantQueueCap pins per-tenant backpressure: one tenant's full
-// lane sheds that tenant only, while the global queue still has room
-// for everyone else.
-func TestTenantQueueCap(t *testing.T) {
-	release := make(chan struct{})
-	cfg := testConfig(func(ctx context.Context, spec Spec) (Result, error) {
-		<-release
-		return Result{TimeSeconds: 1, GFlops: 1, Verified: true}, nil
-	})
-	cfg.Workers = 1
-	cfg.QueueCap = 16
-	cfg.TenantQueueCap = 2
-	reg := obs.NewRegistry()
-	cfg.Registry = reg
-	m := startManager(t, cfg)
-	defer close(release)
-
-	// Occupy the worker so submissions stay queued.
-	if _, err := m.Submit(Spec{App: "stream", Size: "s0", Tenant: "greedy"}); err != nil {
+// TestDuplicateSpecsCoalesce pins the singleflight half of the cache:
+// duplicates of an in-flight spec attach to the running job (one
+// execution), and duplicates of a completed spec are served from the
+// cache without a worker ever seeing them.
+func TestDuplicateSpecsCoalesce(t *testing.T) {
+	cache, err := OpenResultCache("")
+	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "blocker running", func() bool { return m.QueueDepth() == 0 })
-	for i := 0; i < 2; i++ {
-		if _, err := m.Submit(Spec{App: "stream", Size: fmt.Sprintf("s%d", i+1), Tenant: "greedy"}); err != nil {
-			t.Fatalf("greedy fill %d: %v", i, err)
+	reg := obs.NewRegistry()
+	var runs atomic.Int64
+	release := make(chan struct{})
+	cfg := testConfig(func(ctx context.Context, spec Spec) (Result, error) {
+		runs.Add(1)
+		<-release
+		return Result{TimeSeconds: 2.5, GFlops: 40, Verified: true}, nil
+	})
+	cfg.Workers = 1
+	cfg.Cache = cache
+	cfg.Registry = reg
+	m := startManager(t, cfg)
+
+	spec := Spec{App: "stream"}
+	first, err := m.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "first job running", func() bool { return runs.Load() == 1 })
+
+	// The same run spelled differently (defaults explicit, a retry
+	// budget) still coalesces: only the experiment axes identify it.
+	for i := 0; i < 4; i++ {
+		dup, err := m.Submit(Spec{App: "stream", Machine: "a64fx", Size: "test", MaxRetries: i})
+		if err != nil {
+			t.Fatalf("duplicate %d: %v", i, err)
+		}
+		if !dup.Coalesced || dup.ID != first.ID {
+			t.Fatalf("duplicate %d = %+v, want coalesced onto %s", i, dup, first.ID)
 		}
 	}
-	_, err := m.Submit(Spec{App: "stream", Size: "s3", Tenant: "greedy"})
-	if !errors.Is(err, ErrTenantQueueFull) {
-		t.Fatalf("greedy over-cap error %v, want ErrTenantQueueFull", err)
+	if got := reg.Counter("fiberd_cache_coalesced_total", "", nil).Value(); got != 4 {
+		t.Fatalf("coalesce counter %v, want 4", got)
 	}
-	if got := reg.Counter("fiberd_tenant_shed_total", "", obs.Labels{"tenant": "greedy", "reason": "tenant_queue_full"}).Value(); got != 1 {
-		t.Fatalf("shed counter %v, want 1", got)
+
+	close(release)
+	done := waitTerminal(t, m, first.ID)
+	if done.State != StateDone {
+		t.Fatalf("first job %s, want done", done.State)
 	}
-	// Another tenant is untouched by greedy's lane bound.
-	if _, err := m.Submit(Spec{App: "stream", Size: "p0", Tenant: "paced"}); err != nil {
-		t.Fatalf("paced submit shed by greedy's bound: %v", err)
+
+	cached, err := m.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if d := m.TenantQueueDepth("greedy"); d != 2 {
-		t.Fatalf("greedy depth %d, want 2", d)
+	if !cached.Cached || cached.State != StateDone {
+		t.Fatalf("post-completion duplicate = %+v, want cached done", cached)
+	}
+	if cached.Result == nil || cached.Result.TimeSeconds != 2.5 {
+		t.Fatalf("cached result = %+v, want the original", cached.Result)
+	}
+	if got := reg.Counter("fiberd_cache_hits_total", "", nil).Value(); got != 1 {
+		t.Fatalf("cache hit counter %v, want 1", got)
+	}
+	if got := runs.Load(); got != 1 {
+		t.Fatalf("runner executed %d times, want exactly 1", got)
+	}
+}
+
+// TestDuplicateNeverRunsTwice: a finished job's result reaches the
+// cache before the job leaves the in-flight index, so a duplicate
+// submitted while the job finishes finds one or the other and never
+// starts a second run. Such a gap would be as wide as the file-backed
+// cache's write and fsync; 100 trials of four racing submitters hit it
+// with near certainty.
+func TestDuplicateNeverRunsTwice(t *testing.T) {
+	dir := t.TempDir()
+	for trial := 0; trial < 100; trial++ {
+		cache, err := OpenResultCache(filepath.Join(dir, fmt.Sprintf("cache-%d.json", trial)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := testConfig(okRunner)
+		cfg.Workers = 1
+		cfg.Cache = cache
+		m := startManager(t, cfg)
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					job, err := m.Submit(Spec{App: "stream"})
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if job.Cached {
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if n := len(m.Jobs(0)); n != 1 {
+			t.Fatalf("trial %d: one spec admitted as %d jobs, want 1", trial, n)
+		}
 	}
 }

@@ -80,12 +80,6 @@ type Spec struct {
 	// MaxRetries bounds retry attempts for this job; the manager caps
 	// it at its own configured ceiling.
 	MaxRetries int `json:"max_retries,omitempty"`
-	// Tenant names the submitting tenant for rate limiting and fair
-	// queueing; empty means the shared "default" tenant. Tenant is an
-	// admission axis, not an experiment axis: two specs differing only
-	// in Tenant describe the same model run and share a result-cache
-	// entry.
-	Tenant string `json:"tenant,omitempty"`
 }
 
 // Validate checks the shape a Spec must have before admission. Deep
@@ -112,16 +106,6 @@ func (s Spec) Key() string {
 		m = "a64fx" // common.RunConfig's default machine
 	}
 	return s.App + "|" + m
-}
-
-// TenantKey is the admission grouping: the rate-limit bucket and fair-
-// queue lane this spec lands in. Empty canonicalises to "default"
-// (tenant.DefaultKey; jobs avoids the import to stay transport-free).
-func (s Spec) TenantKey() string {
-	if strings.TrimSpace(s.Tenant) == "" {
-		return "default"
-	}
-	return s.Tenant
 }
 
 // Result is the summary a completed job reports back: the numbers a
@@ -157,18 +141,6 @@ type Job struct {
 	// markers set on the returned copy, never on the canonical job.
 	Cached    bool `json:"cached,omitempty"`
 	Coalesced bool `json:"coalesced,omitempty"`
-	// Degraded marks a cached result served because fresh execution was
-	// refused (breaker open or queue saturated): the caller got an
-	// answer, but a stale one, and should treat it accordingly.
-	Degraded bool `json:"degraded,omitempty"`
-	// CachedAgeSeconds is the staleness marker on cached serves: how
-	// long ago the served result was recorded. Zero when the age is
-	// unknown (the entry was warmed from a journal replay).
-	CachedAgeSeconds float64 `json:"cached_age_seconds,omitempty"`
-	// QueueWaitSeconds is the admission-to-pickup wall time, set when a
-	// worker dequeues the job. It is what the noisy-neighbor fairness
-	// bound is asserted against.
-	QueueWaitSeconds float64 `json:"queue_wait_seconds,omitempty"`
 
 	// Service-trace plumbing, alive only in the submitting process (a
 	// recovered job's trace died with the daemon that opened it).

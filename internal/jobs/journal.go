@@ -1,7 +1,6 @@
 package jobs
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -10,13 +9,14 @@ import (
 	"time"
 
 	"fibersim/internal/fault"
+	"fibersim/internal/jsonl"
 )
 
 // JournalSchema identifies the job-journal record layout; bump on any
-// incompatible change. v2 added the optional tenant field to records —
-// a compatible extension, so v1 journals (written before multi-
-// tenancy) still replay: their jobs simply land in the default
-// tenant's lane. New records are always written as v2.
+// incompatible change. New records are always written as v2, and v1
+// journals still replay. v2 lines written by older daemons may carry a
+// tenant field, at top level and in the spec; replay ignores it, so the
+// layout did not change incompatibly and the version stays v2.
 const (
 	JournalSchema   = "fibersim/job-journal/v2"
 	JournalSchemaV1 = "fibersim/job-journal/v1"
@@ -42,10 +42,6 @@ type Record struct {
 	// pair journal lines with trace exports. Informational: the trace
 	// itself is in-memory and does not survive the daemon.
 	TraceID string `json:"trace_id,omitempty"`
-	// Tenant, on the accepted record, duplicates Spec.Tenant at the top
-	// level so journal tooling (jq, the chaos smoke) can group lines by
-	// tenant without digging into the spec. v2 only; absent on v1 lines.
-	Tenant string `json:"tenant,omitempty"`
 }
 
 // Validate checks the invariants replay relies on.
@@ -87,10 +83,10 @@ func SyncInterval(writeCost, mtbf time.Duration) time.Duration {
 // Journal is the crash-safe transition log: one JSON line per Record,
 // append-only, fsynced on a Daly-derived cadence (terminal records
 // are always synced immediately — a completed job must never replay).
-// Like fibersweep's -resume checkpoint, a newline-terminated line is
-// complete and a torn (unterminated) tail is the signature of a
-// mid-write kill: Open truncates it away and the affected transition
-// simply reappears when the job re-runs.
+// Like fibersweep's -resume checkpoint and the perfdb trajectory, it is
+// read under jsonl's torn-tail rule: OpenJournal truncates a torn tail
+// away, and the affected transition simply reappears when the job
+// re-runs.
 type Journal struct {
 	mu        sync.Mutex
 	f         *os.File
@@ -102,67 +98,38 @@ type Journal struct {
 }
 
 // OpenJournal opens (creating if absent) the journal at path, replays
-// every complete record, truncates a torn tail, and positions the
-// file for appending. syncEvery is the fsync cadence (see
-// SyncInterval); 0 syncs every append. A malformed record that IS
-// newline-terminated means the file is not a job journal — that is an
-// error, not data loss.
+// every record under jsonl's torn-tail rule, and positions the file
+// for appending. syncEvery is the fsync cadence (see SyncInterval); 0
+// syncs every append. A malformed record that IS newline-terminated
+// means the file is not a job journal — that is an error, not data
+// loss.
 func OpenJournal(path string, syncEvery time.Duration) (*Journal, []Record, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, nil, err
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		_ = f.Close() // the original error is the one worth reporting
-		return nil, nil, err
-	}
-	recs, good, err := parseJournal(path, data)
-	if err != nil {
-		_ = f.Close() // the original error is the one worth reporting
-		return nil, nil, err
-	}
-	if good < len(data) {
-		if err := f.Truncate(int64(good)); err != nil {
-			_ = f.Close() // the original error is the one worth reporting
-			return nil, nil, err
-		}
-	}
-	if _, err := f.Seek(int64(good), 0); err != nil {
-		_ = f.Close() // the original error is the one worth reporting
-		return nil, nil, err
+	var recs []Record
+	if _, err := jsonl.Load(f, decodeRecord(&recs)); err != nil {
+		_ = f.Close() // the load error is the one worth reporting
+		return nil, nil, fmt.Errorf("jobs: %w", err)
 	}
 	return &Journal{f: f, path: path, syncEvery: syncEvery, now: time.Now}, recs, nil
 }
 
-// parseJournal parses every complete (newline-terminated) record in
-// data, returning the records and the offset of the last complete
-// line — everything past it is a torn tail from a mid-write kill. A
-// malformed record that IS terminated means the file is not a job
-// journal: error, not data loss.
-func parseJournal(path string, data []byte) (recs []Record, good int, err error) {
-	start, lineno := 0, 0
-	for {
-		end := bytes.IndexByte(data[start:], '\n')
-		if end < 0 {
-			break // torn tail from a mid-write kill
+// decodeRecord returns the jsonl decode function for journal lines: it
+// appends each line that parses and validates to *recs.
+func decodeRecord(recs *[]Record) func([]byte) error {
+	return func(line []byte) error {
+		var r Record
+		if err := json.Unmarshal(line, &r); err != nil {
+			return fmt.Errorf("not a job-journal line: %v", err)
 		}
-		lineno++
-		line := bytes.TrimSpace(data[start : start+end])
-		start += end + 1
-		if len(line) > 0 {
-			var r Record
-			if err := json.Unmarshal(line, &r); err != nil {
-				return nil, 0, fmt.Errorf("jobs: %s:%d: not a job-journal line: %v", path, lineno, err)
-			}
-			if err := r.Validate(); err != nil {
-				return nil, 0, fmt.Errorf("jobs: %s:%d: %w", path, lineno, err)
-			}
-			recs = append(recs, r)
+		if err := r.Validate(); err != nil {
+			return err
 		}
-		good = start
+		*recs = append(*recs, r)
+		return nil
 	}
-	return recs, good, nil
 }
 
 // CompactJournal rewrites the journal at path, dropping every record
@@ -189,9 +156,9 @@ func CompactJournal(path string, retention time.Duration, now time.Time) (kept, 
 		}
 		return 0, 0, err
 	}
-	recs, _, err := parseJournal(path, data)
-	if err != nil {
-		return 0, 0, err
+	var recs []Record
+	if _, _, err := jsonl.Scan(path, data, decodeRecord(&recs)); err != nil {
+		return 0, 0, fmt.Errorf("jobs: %w", err)
 	}
 
 	// A job is droppable when its last record is terminal, timestamped,

@@ -1,11 +1,13 @@
 package jobs
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -266,52 +268,87 @@ func TestOpenJournalBadPath(t *testing.T) {
 	}
 }
 
-// TestJournalV1BackwardCompat replays a journal written by the v1
-// (pre-multi-tenancy) daemon, byte-for-byte as it wrote it: the v2
-// reader must accept the old schema string and land the jobs in the
-// default tenant's lane.
+// TestJournalV1BackwardCompat replays journals written by older
+// daemons, byte-for-byte as they wrote them: a v1 journal, and a v2
+// journal carrying the tenant field those daemons recorded at top level
+// and in the spec, which replay ignores. Either way the done job is
+// restored and the in-flight job re-queued, exactly once.
 func TestJournalV1BackwardCompat(t *testing.T) {
-	path := tmpJournal(t)
-	v1 := strings.Join([]string{
-		`{"schema":"fibersim/job-journal/v1","id":"job-000001","state":"accepted","spec":{"app":"stream","machine":"a64fx","procs":4,"threads":12,"size":"test"},"unix_ns":1700000000000000000}`,
-		`{"schema":"fibersim/job-journal/v1","id":"job-000001","state":"running","attempt":1}`,
-		`{"schema":"fibersim/job-journal/v1","id":"job-000001","state":"done","attempt":1,"result":{"time_seconds":0.5,"gflops":80,"verified":true}}`,
-		`{"schema":"fibersim/job-journal/v1","id":"job-000002","state":"accepted","spec":{"app":"mvmc"}}`,
-		`{"schema":"fibersim/job-journal/v1","id":"job-000002","state":"running","attempt":1}`,
-	}, "\n") + "\n"
-	if err := os.WriteFile(path, []byte(v1), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	j, recs, err := OpenJournal(path, 0)
-	if err != nil {
-		t.Fatalf("v1 journal refused by the v2 reader: %v", err)
-	}
-	if len(recs) != 5 {
-		t.Fatalf("replayed %d v1 records, want 5", len(recs))
-	}
-	jobs := Replay(recs)
-	if len(jobs) != 2 {
-		t.Fatalf("replay folded to %d jobs, want 2", len(jobs))
-	}
-	if jobs[0].State != StateDone || jobs[0].Result == nil {
-		t.Fatalf("v1 done job replayed as %+v", jobs[0])
-	}
-	if !jobs[1].Recovered || jobs[1].State != StateAccepted {
-		t.Fatalf("v1 in-flight job replayed as %+v", jobs[1])
-	}
-	if got := jobs[1].Spec.TenantKey(); got != "default" {
-		t.Fatalf("v1 job tenant %q, want default", got)
-	}
-	// And the reopened journal appends v2 records after the v1 ones.
-	if err := j.Append(Record{Schema: JournalSchema, ID: "job-000003", State: StateAccepted,
-		Spec: &Spec{App: "stream", Tenant: "alice"}, Tenant: "alice"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, recs, err = OpenJournal(path, 0); err != nil || len(recs) != 6 {
-		t.Fatalf("mixed v1/v2 journal: %d records, err %v", len(recs), err)
+	for _, tc := range []struct {
+		name  string
+		lines []string
+	}{
+		{"v1", []string{
+			`{"schema":"fibersim/job-journal/v1","id":"job-000001","state":"accepted","spec":{"app":"stream","machine":"a64fx","procs":4,"threads":12,"size":"test"},"unix_ns":1700000000000000000}`,
+			`{"schema":"fibersim/job-journal/v1","id":"job-000001","state":"running","attempt":1}`,
+			`{"schema":"fibersim/job-journal/v1","id":"job-000001","state":"done","attempt":1,"result":{"time_seconds":0.5,"gflops":80,"verified":true}}`,
+			`{"schema":"fibersim/job-journal/v1","id":"job-000002","state":"accepted","spec":{"app":"mvmc"}}`,
+			`{"schema":"fibersim/job-journal/v1","id":"job-000002","state":"running","attempt":1}`,
+		}},
+		{"v2 with tenants", []string{
+			`{"schema":"fibersim/job-journal/v2","id":"job-000001","state":"accepted","spec":{"app":"stream","size":"test","tenant":"alice"},"unix_ns":1700000000000000000,"tenant":"alice"}`,
+			`{"schema":"fibersim/job-journal/v2","id":"job-000001","state":"running","attempt":1,"unix_ns":1700000000000000000}`,
+			`{"schema":"fibersim/job-journal/v2","id":"job-000001","state":"done","attempt":1,"result":{"time_seconds":0.5,"gflops":80,"verified":true},"unix_ns":1700000000000000000}`,
+			`{"schema":"fibersim/job-journal/v2","id":"job-000002","state":"accepted","spec":{"app":"mvmc"},"unix_ns":1700000000000000000,"tenant":"default"}`,
+			`{"schema":"fibersim/job-journal/v2","id":"job-000002","state":"running","attempt":1,"unix_ns":1700000000000000000}`,
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := tmpJournal(t)
+			if err := os.WriteFile(path, []byte(strings.Join(tc.lines, "\n")+"\n"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			j, recs, err := OpenJournal(path, 0)
+			if err != nil {
+				t.Fatalf("older journal refused: %v", err)
+			}
+			if len(recs) != 5 {
+				t.Fatalf("replayed %d records, want 5", len(recs))
+			}
+			var ran atomic.Int64
+			cfg := testConfig(func(ctx context.Context, spec Spec) (Result, error) {
+				if spec.App != "mvmc" {
+					t.Errorf("re-ran %+v, want only the in-flight mvmc job", spec)
+				}
+				ran.Add(1)
+				return Result{TimeSeconds: 1, GFlops: 1, Verified: true}, nil
+			})
+			cfg.Journal = j
+			m, err := NewManager(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.Recover(recs)
+			if got, ok := m.Get("job-000001"); !ok || got.State != StateDone || got.Result == nil || got.Result.GFlops != 80 {
+				t.Fatalf("done job replayed as %+v", got)
+			}
+			if d := m.QueueDepth(); d != 1 {
+				t.Fatalf("re-queued %d jobs, want 1", d)
+			}
+			m.Start()
+			if got := waitTerminal(t, m, "job-000002"); got.State != StateDone || !got.Recovered {
+				t.Fatalf("in-flight job finished as %+v", got)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			if err := m.Drain(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if n := ran.Load(); n != 1 {
+				t.Fatalf("runner executed %d times, want 1", n)
+			}
+			// The reopened journal appended current records after the
+			// old ones: running and done for job-000002.
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if _, recs, err = OpenJournal(path, 0); err != nil || len(recs) != 7 {
+				t.Fatalf("mixed journal: %d records, err %v", len(recs), err)
+			}
+			if jobs := Replay(recs); len(jobs) != 2 || jobs[1].State != StateDone {
+				t.Fatalf("mixed journal replays to %+v", jobs)
+			}
+		})
 	}
 }
 

@@ -20,17 +20,12 @@ import (
 type Runner func(ctx context.Context, spec Spec) (Result, error)
 
 // Admission errors. The HTTP layer maps these to status codes:
-// ErrQueueFull and ErrTenantQueueFull → 429 + Retry-After,
-// ErrBreakerOpen and ErrDraining → 503 + Retry-After.
+// ErrQueueFull → 429 + Retry-After, ErrBreakerOpen and ErrDraining →
+// 503 + Retry-After.
 var (
-	ErrQueueFull = errors.New("jobs: admission queue full")
-	// ErrTenantQueueFull sheds one tenant's submission because that
-	// tenant's own lane is at its bound, even though the global queue
-	// may have room — the per-tenant backpressure that keeps one noisy
-	// tenant from consuming the whole global budget.
-	ErrTenantQueueFull = errors.New("jobs: tenant queue full")
-	ErrDraining        = errors.New("jobs: draining, not accepting work")
-	ErrBreakerOpen     = errors.New("jobs: circuit breaker open")
+	ErrQueueFull   = errors.New("jobs: admission queue full")
+	ErrDraining    = errors.New("jobs: draining, not accepting work")
+	ErrBreakerOpen = errors.New("jobs: circuit breaker open")
 	// ErrTimeout marks an attempt killed by its deadline; deadline
 	// failures are not retried (the simulator is deterministic — a
 	// rerun would time out again) and count against the breaker.
@@ -45,20 +40,11 @@ type Config struct {
 	// picked up); default 64. Recovered jobs bypass the bound — they
 	// were admitted by a previous life of the daemon.
 	QueueCap int
-	// TenantQueueCap bounds each tenant's lane of the fair queue; 0
-	// means only the global bound applies. Set it below QueueCap so one
-	// tenant's flood cannot consume the whole global budget.
-	TenantQueueCap int
-	// TenantWeights maps tenant name → WDRR weight (relative share of
-	// worker pickups). Unlisted tenants get weight 1; nil means every
-	// tenant is equal.
-	TenantWeights map[string]int
 	// Cache, when non-nil, turns on idempotent-result serving: duplicate
 	// submissions of an in-flight spec coalesce onto the running job,
-	// completed specs are answered from the cache, and when fresh
-	// execution is refused (breaker open, queue saturated) a cached
-	// answer is served with Degraded set instead of an error. Nil keeps
-	// the seed behaviour: every submission is a distinct job.
+	// and completed specs are answered from the cache, even when fresh
+	// execution would be refused (breaker open, queue full, draining).
+	// Nil makes every submission a distinct job.
 	Cache *ResultCache
 	// Workers sizes the worker pool; default 2.
 	Workers int
@@ -100,10 +86,7 @@ type Manager struct {
 	cond  *sync.Cond
 	jobs  map[string]*Job
 	order []string
-	// queue is the WDRR fair queue over per-tenant lanes that replaced
-	// the single FIFO: workers drain tenants proportionally to their
-	// configured weights instead of strictly by arrival order.
-	queue *fairQueue
+	queue []*Job // accepted jobs awaiting a worker, oldest first
 	// inflight maps spec content hash → the accepted-or-running job for
 	// that spec, the singleflight index duplicate submissions coalesce
 	// through. Populated only when cfg.Cache is set.
@@ -114,10 +97,10 @@ type Manager struct {
 	running  int
 	ewmaSec  float64 // smoothed wall seconds per attempt, for Retry-After
 
-	// admitting counts, per tenant, the jobs whose accepted record is
-	// still being journaled and reported: not yet queued, but counted
-	// against the queue bounds.
-	admitting map[string]int
+	// admitting counts the jobs whose accepted record is still being
+	// journaled and reported: not yet queued, but counted against the
+	// queue bound.
+	admitting int
 
 	drainCtx  context.Context
 	drainStop context.CancelFunc
@@ -148,12 +131,10 @@ func NewManager(cfg Config) (*Manager, error) {
 		cfg.Now = time.Now
 	}
 	m := &Manager{
-		cfg:       cfg,
-		jobs:      map[string]*Job{},
-		queue:     newFairQueue(cfg.TenantWeights),
-		inflight:  map[string]*Job{},
-		admitting: map[string]int{},
-		breakers:  map[string]*Breaker{},
+		cfg:      cfg,
+		jobs:     map[string]*Job{},
+		inflight: map[string]*Job{},
+		breakers: map[string]*Breaker{},
 	}
 	m.cond = sync.NewCond(&m.mu)
 	m.drainCtx, m.drainStop = context.WithCancel(context.Background())
@@ -195,7 +176,7 @@ func (m *Manager) Recover(recs []Record) {
 					m.inflight[job.hash] = job
 				}
 			}
-			m.queue.push(job)
+			m.queue = append(m.queue, job)
 			requeued++
 		} else if job.State == StateDone && job.Result != nil && m.cfg.Cache != nil {
 			// A completed job in the journal warms the cache in memory
@@ -205,9 +186,6 @@ func (m *Manager) Recover(recs []Record) {
 		}
 	}
 	m.gaugeQueueLocked()
-	for _, t := range m.queue.tenants() {
-		m.gaugeTenantLocked(t)
-	}
 	total := len(m.order)
 	m.mu.Unlock()
 	if requeued > 0 || total > 0 {
@@ -233,21 +211,21 @@ func (m *Manager) Submit(spec Spec) (Job, error) {
 
 // SubmitTraced admits one job: validate, consult the (app, machine)
 // breaker, coalesce onto an in-flight duplicate or serve a cached
-// result (when a cache is configured), enforce the global and
-// per-tenant queue bounds, journal and report the accepted record,
-// then enqueue into the tenant's fair-queue lane. The accepted record
-// is durable before any worker can see the job, so no running record
-// precedes it and an acknowledged job can never be lost to a crash.
+// result (when a cache is configured), enforce the queue bound,
+// journal and report the accepted record, then enqueue. The accepted
+// record is durable before any worker can see the job, so no running
+// record precedes it and an acknowledged job can never be lost to a
+// crash.
 //
-// With a cache configured the degradation contract is: a duplicate of
-// an in-flight spec returns that job's snapshot with Coalesced set; a
-// duplicate of a completed spec returns a synthetic done snapshot with
-// Cached set (no new job ID is minted) — and when fresh execution
-// would have been refused (breaker open, draining, queue saturated)
-// that cached serve carries Degraded and the entry's age, instead of
-// the refusal error a cold spec gets. A half-open breaker's probe
-// never serves from cache: it must execute fresh so its outcome can
-// settle the breaker.
+// With a cache configured, a duplicate of an in-flight spec returns
+// that job's snapshot with Coalesced set, and a duplicate of a
+// completed spec returns a synthetic done snapshot with Cached set (no
+// new job ID is minted) — also when fresh execution would be refused
+// (breaker open, draining, queue full), because the cached result is
+// exactly what a fresh run would return: the content hash folds in the
+// model version and the model is deterministic. A cold spec gets the
+// refusal error. A half-open breaker's probe never serves from cache:
+// it must execute fresh so its outcome can settle the breaker.
 //
 // span, when non-nil, is the job's root trace span (opened by the
 // transport at the request door). On any nil-error return the manager
@@ -262,8 +240,6 @@ func (m *Manager) SubmitTraced(spec Spec, span *obs.Span) (Job, error) {
 		m.countRejected("invalid")
 		return Job{}, err
 	}
-	tenantKey := spec.TenantKey()
-	span.SetAttr("tenant", tenantKey)
 	var hash string
 	if m.cfg.Cache != nil {
 		hash = spec.ContentHash()
@@ -276,9 +252,9 @@ func (m *Manager) SubmitTraced(spec Spec, span *obs.Span) (Job, error) {
 	allow, probe := b.Admit()
 
 	m.mu.Lock()
-	// Coalesce before any shed/degrade decision: if the same spec is
-	// already accepted or running, the answer is on the way and this
-	// submission just attaches to it.
+	// Coalesce before any shed decision: if the same spec is already
+	// accepted or running, the answer is on the way and this submission
+	// just attaches to it.
 	if hash != "" {
 		if cur := m.inflight[hash]; cur != nil {
 			snap := *cur
@@ -296,67 +272,33 @@ func (m *Manager) SubmitTraced(spec Spec, span *obs.Span) (Job, error) {
 			return snap, nil
 		}
 	}
-	// One admission verdict for both the error path and the degraded-
-	// serve decision, so they can never disagree.
-	admitting := 0
-	for _, n := range m.admitting {
-		admitting += n
-	}
-	refusal := ""
-	switch {
-	case !allow:
-		refusal = "breaker_open"
-	case m.draining:
-		refusal = "draining"
-	case m.queue.len()+admitting >= m.cfg.QueueCap:
-		refusal = "queue_full"
-	case m.cfg.TenantQueueCap > 0 && m.queue.depth(tenantKey)+m.admitting[tenantKey] >= m.cfg.TenantQueueCap:
-		refusal = "tenant_queue_full"
-	}
 	if hash != "" && !probe {
-		if cr, hit := m.cfg.Cache.Get(hash); hit {
-			now := m.cfg.Now()
+		if res, hit := m.cfg.Cache.Get(hash); hit {
 			m.mu.Unlock()
-			res := cr.Result
-			job := Job{Spec: spec, State: StateDone, Result: &res, Cached: true}
-			if cr.UnixTime > 0 {
-				job.CachedAgeSeconds = now.Sub(time.Unix(cr.UnixTime, 0)).Seconds()
-			}
-			outcome := "cached"
 			m.count("fiberd_cache_hits_total", "Submissions answered from the idempotent result cache.", nil)
-			if refusal != "" {
-				// Graceful degradation: fresh execution is refused, but a
-				// cached answer beats an error — marked so the caller
-				// knows it is potentially stale.
-				job.Degraded = true
-				outcome = "degraded"
-				m.count("fiberd_degraded_serves_total",
-					"Cached results served because fresh execution was refused.",
-					obs.Labels{"reason": refusal})
-			}
-			span.SetAttr("outcome", outcome)
+			span.SetAttr("outcome", "cached")
 			span.End()
-			return job, nil
+			return Job{Spec: spec, State: StateDone, Result: &res, Cached: true}, nil
 		}
 	}
-	if refusal != "" {
+	var refusal error
+	switch {
+	case !allow:
+		refusal = fmt.Errorf("%w for %s", ErrBreakerOpen, spec.Key())
+		m.countRejected("breaker_open")
+	case m.draining:
+		refusal = ErrDraining
+		m.countRejected("draining")
+	case len(m.queue)+m.admitting >= m.cfg.QueueCap:
+		refusal = ErrQueueFull
+		m.countRejected("queue_full")
+	}
+	if refusal != nil {
 		m.mu.Unlock()
 		if probe {
 			b.ReleaseProbe()
 		}
-		m.countRejected(refusal)
-		switch refusal {
-		case "breaker_open":
-			return Job{}, fmt.Errorf("%w for %s", ErrBreakerOpen, spec.Key())
-		case "draining":
-			return Job{}, ErrDraining
-		case "queue_full":
-			m.countShed(tenantKey, refusal)
-			return Job{}, ErrQueueFull
-		default: // tenant_queue_full
-			m.countShed(tenantKey, refusal)
-			return Job{}, fmt.Errorf("%w for tenant %s", ErrTenantQueueFull, tenantKey)
-		}
+		return Job{}, refusal
 	}
 	m.seq++
 	now := m.cfg.Now()
@@ -377,7 +319,7 @@ func (m *Manager) SubmitTraced(spec Spec, span *obs.Span) (Job, error) {
 	if hash != "" {
 		m.inflight[hash] = job
 	}
-	m.admitting[tenantKey]++
+	m.admitting++
 	snapshot := *job
 	m.mu.Unlock()
 
@@ -388,25 +330,20 @@ func (m *Manager) SubmitTraced(spec Spec, span *obs.Span) (Job, error) {
 	m.append(span, Record{
 		Schema: JournalSchema, ID: snapshot.ID, State: StateAccepted,
 		Spec: &snapshot.Spec, UnixNanos: now.UnixNano(), TraceID: snapshot.TraceID,
-		Tenant: tenantKey,
 	})
 	m.countState(StateAccepted)
 	m.notify(snapshot)
 
 	m.mu.Lock()
-	if m.admitting[tenantKey]--; m.admitting[tenantKey] == 0 {
-		delete(m.admitting, tenantKey)
-	}
-	depth := m.queue.len()
-	m.queue.push(job)
+	m.admitting--
+	depth := len(m.queue)
+	m.queue = append(m.queue, job)
 	// The queue-wait span opens at enqueue and is ended by the worker
 	// that dequeues the job; the depth attribute is the backlog this
-	// job queued behind (across all lanes).
+	// job queued behind.
 	job.queueSpan = span.StartChild("queue-wait")
 	job.queueSpan.SetAttr("depth_at_enqueue", strconv.Itoa(depth))
-	job.queueSpan.SetAttr("tenant", tenantKey)
 	m.gaugeQueueLocked()
-	m.gaugeTenantLocked(tenantKey)
 	m.cond.Signal()
 	m.mu.Unlock()
 	return snapshot, nil
@@ -423,50 +360,29 @@ func (m *Manager) Get(id string) (Job, bool) {
 	return *job, true
 }
 
-// Jobs returns copies of every tracked job in submission order.
-func (m *Manager) Jobs() []Job {
-	return m.JobsFiltered("", 0)
-}
-
-// JobsFiltered returns copies of tracked jobs in submission order,
-// optionally restricted to one tenant (tenant != "") and to the most
-// recent limit jobs (limit > 0). It backs GET /jobs' ?tenant= and
-// ?limit= parameters, which exist because the unbounded listing grew
-// with every job the daemon ever saw.
-func (m *Manager) JobsFiltered(tenant string, limit int) []Job {
+// Jobs returns copies of tracked jobs in submission order: the most
+// recent limit jobs when limit > 0, else all of them. The limit backs
+// GET /jobs' ?limit= parameter, which exists because the unbounded
+// listing grew with every job the daemon ever saw.
+func (m *Manager) Jobs(limit int) []Job {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]Job, 0, len(m.order))
-	for _, id := range m.order {
-		job := m.jobs[id]
-		if tenant != "" && job.Spec.TenantKey() != tenant {
-			continue
-		}
-		out = append(out, *job)
+	ids := m.order
+	if limit > 0 && len(ids) > limit {
+		ids = ids[len(ids)-limit:]
 	}
-	if limit > 0 && len(out) > limit {
-		out = out[len(out)-limit:]
+	out := make([]Job, 0, len(ids))
+	for _, id := range ids {
+		out = append(out, *m.jobs[id])
 	}
 	return out
 }
 
-// QueueDepth returns the number of jobs accepted but not yet running,
-// across all tenant lanes.
+// QueueDepth returns the number of jobs accepted but not yet running.
 func (m *Manager) QueueDepth() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.queue.len()
-}
-
-// TenantQueueDepth returns the number of queued jobs in one tenant's
-// lane ("" means the default tenant).
-func (m *Manager) TenantQueueDepth(tenant string) int {
-	if tenant == "" {
-		tenant = "default"
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.queue.depth(tenant)
+	return len(m.queue)
 }
 
 // Draining reports whether the manager has stopped accepting work.
@@ -481,7 +397,7 @@ func (m *Manager) Draining() bool {
 // to [1s, 60s]. It is the Retry-After header on 429 responses.
 func (m *Manager) RetryAfter() time.Duration {
 	m.mu.Lock()
-	depth, ewma := m.queue.len(), m.ewmaSec
+	depth, ewma := len(m.queue), m.ewmaSec
 	m.mu.Unlock()
 	if ewma <= 0 {
 		ewma = 1
@@ -558,27 +474,25 @@ func (m *Manager) Drain(ctx context.Context) error {
 func (m *Manager) workerLoop() {
 	for {
 		m.mu.Lock()
-		for !m.draining && m.queue.len() == 0 {
+		for !m.draining && len(m.queue) == 0 {
 			m.cond.Wait()
 		}
 		if m.draining {
 			m.mu.Unlock()
 			return
 		}
-		job := m.queue.pop()
+		job := m.queue[0]
+		m.queue[0] = nil // so the backing array does not pin a finished job
+		m.queue = m.queue[1:]
 		m.gaugeQueueLocked()
-		m.gaugeTenantLocked(job.Spec.TenantKey())
 		queueSpan := job.queueSpan
 		job.queueSpan = nil
 		enqueued := job.enqueued
+		m.mu.Unlock()
 		// Close the queue-wait measurement before the first attempt:
 		// the span for the trace, the histogram for /metrics (so "is
-		// latency queueing or running" is answerable without a trace),
-		// and the job's own QueueWaitSeconds field (what the fairness
-		// bound and fiberload's per-tenant queue-wait percentiles read).
+		// latency queueing or running" is answerable without a trace).
 		wait := m.cfg.Now().Sub(enqueued)
-		job.QueueWaitSeconds = wait.Seconds()
-		m.mu.Unlock()
 		queueSpan.SetAttr("wait_seconds", fmt.Sprintf("%.6f", wait.Seconds()))
 		queueSpan.End()
 		if r := m.cfg.Registry; r != nil && !enqueued.IsZero() {
@@ -694,6 +608,18 @@ func (m *Manager) transitionRunning(job *Job) int {
 }
 
 func (m *Manager) transition(job *Job, state State, errText string, res *Result) {
+	if state == StateDone && res != nil && m.cfg.Cache != nil && job.hash != "" {
+		// Cache the result before the job leaves the singleflight index
+		// below, so a duplicate submitted in between finds one or the
+		// other instead of running the spec again. Outside m.mu: the
+		// cache write may hit disk. A result the cache refuses (e.g.
+		// zero runtime fails the perfdb schema) is logged and skipped —
+		// duplicates of this spec simply re-run.
+		if err := m.cfg.Cache.Put(job.Spec, job.hash, *res, m.cfg.Now()); err != nil {
+			m.logf("jobs: result cache put %s: %v", job.ID, err)
+			m.count("fiberd_cache_errors_total", "Result-cache writes refused or failed.", nil)
+		}
+	}
 	m.mu.Lock()
 	job.State = state
 	job.Err = errText
@@ -707,15 +633,6 @@ func (m *Manager) transition(job *Job, state State, errText string, res *Result)
 	}
 	snapshot := *job
 	m.mu.Unlock()
-	if state == StateDone && res != nil && m.cfg.Cache != nil && job.hash != "" {
-		// Outside m.mu: the cache write may hit disk. A result the
-		// cache refuses (e.g. zero runtime fails the perfdb schema) is
-		// logged and skipped — duplicates of this spec simply re-run.
-		if err := m.cfg.Cache.Put(job.Spec, job.hash, *res, m.cfg.Now()); err != nil {
-			m.logf("jobs: result cache put %s: %v", job.ID, err)
-			m.count("fiberd_cache_errors_total", "Result-cache writes refused or failed.", nil)
-		}
-	}
 	m.append(job.span, Record{
 		Schema: JournalSchema, ID: snapshot.ID, State: state, Attempt: snapshot.Attempt,
 		Err: errText, Result: res, UnixNanos: m.cfg.Now().UnixNano(),
@@ -798,24 +715,8 @@ func (m *Manager) observeAttempt(d time.Duration) {
 
 func (m *Manager) gaugeQueueLocked() {
 	if r := m.cfg.Registry; r != nil {
-		r.Gauge("fiberd_jobs_queue_depth", "", nil).Set(float64(m.queue.len()))
+		r.Gauge("fiberd_jobs_queue_depth", "", nil).Set(float64(len(m.queue)))
 	}
-}
-
-// gaugeTenantLocked refreshes one tenant's lane-depth gauge. The
-// metric is registered lazily on first touch, so a single-tenant
-// deployment's /metrics carries exactly one "default" series and the
-// metric never appears before the first submission.
-func (m *Manager) gaugeTenantLocked(tenant string) {
-	if r := m.cfg.Registry; r != nil {
-		r.Gauge("fiberd_tenant_queue_depth", "Jobs queued per tenant lane.",
-			obs.Labels{"tenant": tenant}).Set(float64(m.queue.depth(tenant)))
-	}
-}
-
-func (m *Manager) countShed(tenant, reason string) {
-	m.count("fiberd_tenant_shed_total", "Submissions shed at admission, per tenant and reason.",
-		obs.Labels{"tenant": tenant, "reason": reason})
 }
 
 func (m *Manager) setGaugeRunning(delta int) {

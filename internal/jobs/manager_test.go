@@ -92,7 +92,7 @@ func TestManagerHappyPath(t *testing.T) {
 	if done.State != StateDone || done.Result == nil || !done.Result.Verified || done.Attempt != 1 {
 		t.Fatalf("terminal job = %+v", done)
 	}
-	if got := m.Jobs(); len(got) != 1 || got[0].ID != job.ID {
+	if got := m.Jobs(0); len(got) != 1 || got[0].ID != job.ID {
 		t.Fatalf("listing = %+v", got)
 	}
 	if c := reg.Counter("fiberd_jobs_transitions_total", "", obs.Labels{"state": "done"}).Value(); c != 1 {

@@ -260,7 +260,7 @@ func TestSubmitTracedRejectionLeavesSpanOwnership(t *testing.T) {
 	// Wait until the worker holds the first job so the queue bound is
 	// deterministic, then fill the queue and overflow it.
 	waitFor(t, "first job running", func() bool {
-		jobs := m.Jobs()
+		jobs := m.Jobs(0)
 		return len(jobs) > 0 && jobs[0].State == StateRunning
 	})
 	if _, err := m.Submit(Spec{App: "stream"}); err != nil {

@@ -17,15 +17,14 @@
 package perfdb
 
 import (
-	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"sort"
 
-	"encoding/json"
+	"fibersim/internal/jsonl"
 )
 
 // RecordSchema identifies the trajectory record layout; bump on any
@@ -152,74 +151,44 @@ type Trajectory struct {
 // trajectory, not an error: the first `record` on a fresh checkout
 // starts the history.
 //
-// Load is torn-tail-tolerant, like every journal in this repo: Append
-// writes each record plus its newline in one call, so a
-// newline-terminated line is complete and parsed strictly (a malformed
-// terminated line means the file is not a trajectory — error, not data
-// loss), while an unterminated final fragment is the signature of a
-// mid-write crash. A fragment that still parses and validates lost
-// only its newline and is kept (and the newline restored); anything
-// else is dropped and truncated away so later appends start on a clean
-// line boundary. On a read-only file the repair is skipped and the
-// tolerance is in-memory only.
+// Load applies jsonl's torn-tail rule: a malformed newline-terminated
+// line means the file is not a trajectory (an error, not data loss); an
+// unterminated final record that still validates is kept and its
+// newline restored; any other tail is truncated away so later appends
+// start on a clean line. On a file it cannot open for writing, Load
+// reads without repairing: the tolerance is then in memory only.
 func Load(path string) (*Trajectory, error) {
 	t := &Trajectory{Path: path}
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	readOnly := false
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return t, nil
-		}
-		// Permission trouble? Retry read-only: loading a committed
-		// history from a read-only checkout must work, it just cannot
-		// repair (and appends would fail there anyway).
-		if f, err = os.Open(path); err != nil {
-			return nil, err
-		}
-		readOnly = true
-	}
-	defer f.Close()
-	data, err := io.ReadAll(f)
-	if err != nil {
-		return nil, fmt.Errorf("perfdb: %s: %w", path, err)
-	}
-	start, lineno := 0, 0
-	for {
-		end := bytes.IndexByte(data[start:], '\n')
-		if end < 0 {
-			break
-		}
-		lineno++
-		line := bytes.TrimSpace(data[start : start+end])
-		start += end + 1
-		if len(line) == 0 {
-			continue
-		}
+	decode := func(line []byte) error {
 		var r Record
 		if err := json.Unmarshal(line, &r); err != nil {
-			return nil, fmt.Errorf("perfdb: %s:%d: %w", path, lineno, err)
+			return err
 		}
 		if err := r.Validate(); err != nil {
-			return nil, fmt.Errorf("perfdb: %s:%d: %w", path, lineno, err)
+			return err
 		}
 		t.Records = append(t.Records, r)
+		return nil
 	}
-	if tail := bytes.TrimSpace(data[start:]); len(tail) > 0 {
-		var r Record
-		if json.Unmarshal(tail, &r) == nil && r.Validate() == nil {
-			// The record made it to disk whole; only its newline was
-			// lost. Keep it and terminate the line.
-			t.Records = append(t.Records, r)
-			if !readOnly {
-				if _, err := f.Write([]byte("\n")); err != nil {
-					return nil, fmt.Errorf("perfdb: %s: healing torn tail: %w", path, err)
-				}
-			}
-		} else if !readOnly {
-			if err := f.Truncate(int64(start)); err != nil {
-				return nil, fmt.Errorf("perfdb: %s: truncating torn tail: %w", path, err)
-			}
+	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+	if errors.Is(err, os.ErrNotExist) {
+		return t, nil
+	}
+	if err != nil {
+		// Permission trouble? Read without repair: loading a committed
+		// history from a read-only checkout must work (appends would
+		// fail there anyway).
+		data, rerr := os.ReadFile(path)
+		if rerr != nil {
+			return nil, rerr
 		}
+		_, _, err = jsonl.Scan(path, data, decode)
+	} else {
+		_, err = jsonl.Load(f, decode)
+		_ = f.Close() // writes are unbuffered; Close has nothing left to report
+	}
+	if err != nil {
+		return nil, fmt.Errorf("perfdb: %w", err)
 	}
 	return t, nil
 }
