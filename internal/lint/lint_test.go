@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"fibersim/internal/lint"
@@ -187,5 +188,31 @@ func TestDefaultAnalyzers(t *testing.T) {
 		"nakedretry", "nondet", "rawkernel", "replaysafe", "unitcheck"}
 	if !reflect.DeepEqual(names, want) {
 		t.Errorf("got %v, want %v", names, want)
+	}
+}
+
+// TestConcurrentLoads loads one package through two modules at once:
+// they share the process's standard-library importer, which must see
+// one import at a time.
+func TestConcurrentLoads(t *testing.T) {
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for i := range errs {
+		m := loadModule(t)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pkgs, err := m.Load("./internal/vtime")
+			if err == nil && len(pkgs[0].TypeErrors) > 0 {
+				err = pkgs[0].TypeErrors[0]
+			}
+			errs[i] = err
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
 	}
 }

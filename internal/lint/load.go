@@ -10,6 +10,17 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+)
+
+// The standard library is type-checked from source once per process:
+// it is most of a load's cost and the same for every module, so every
+// Module shares one source importer and the FileSet it parses into.
+// The source importer is not safe for concurrent use; stdMu guards it.
+var (
+	stdFset = token.NewFileSet()
+	stdMu   sync.Mutex
+	stdImp  = importer.ForCompiler(stdFset, "source", nil)
 )
 
 // Package is one parsed and type-checked package.
@@ -40,10 +51,10 @@ type Module struct {
 	Root string
 	// Path is the module path declared in go.mod.
 	Path string
-	// Fset is shared by every package in the load.
+	// Fset is shared by every package in the load, and by the
+	// standard library packages every load imports.
 	Fset *token.FileSet
 
-	std     types.Importer
 	cache   map[string]*Package // keyed by import path, non-test loads only
 	loading map[string]bool
 }
@@ -68,12 +79,10 @@ func LoadModule(root string) (*Module, error) {
 	if path == "" {
 		return nil, fmt.Errorf("lint: no module directive in %s/go.mod", root)
 	}
-	fset := token.NewFileSet()
 	return &Module{
 		Root:    root,
 		Path:    path,
-		Fset:    fset,
-		std:     importer.ForCompiler(fset, "source", nil),
+		Fset:    stdFset,
 		cache:   map[string]*Package{},
 		loading: map[string]bool{},
 	}, nil
@@ -100,7 +109,8 @@ func FindRoot(dir string) (string, error) {
 
 // Import resolves an import path for the type checker: module-internal
 // paths load from disk, "unsafe" maps to the unsafe package, and
-// everything else (the standard library) goes to the source importer.
+// everything else (the standard library) goes to the shared source
+// importer.
 func (m *Module) Import(path string) (*types.Package, error) {
 	if path == "unsafe" {
 		return types.Unsafe, nil
@@ -112,7 +122,9 @@ func (m *Module) Import(path string) (*types.Package, error) {
 		}
 		return p.Types, nil
 	}
-	return m.std.Import(path)
+	stdMu.Lock()
+	defer stdMu.Unlock()
+	return stdImp.Import(path)
 }
 
 // dirFor maps a module-internal import path to its directory.

@@ -6,7 +6,6 @@ package stream
 
 import (
 	"fmt"
-	"math"
 
 	"fibersim/internal/core"
 	"fibersim/internal/miniapps/common"
@@ -91,73 +90,33 @@ func (a App) Run(cfg common.RunConfig) (common.Result, error) {
 	cfg = cfg.Normalized()
 	n := elements(cfg.Size)
 	ks := kernels(n)
-	const scalar = 3.0
+	sets := &freeList{n: n}
 
 	var o outputs
 	res, err := common.LaunchApp(a.Name(), cfg, &o, func(env *common.Env) error {
-		A := make([]float64, n)
-		B := make([]float64, n)
-		C := make([]float64, n)
-		for i := range A {
-			A[i], B[i], C[i] = 1, 2, 0
-		}
-		sched := omp.Schedule{Kind: omp.Static}
-
+		sw := sweep{set: sets.get(), parts: make([]partial, env.Team.Threads())}
+		// The whole sweep (sweep.go) runs in the body of the first
+		// region, rep 0's copy; the other 39 regions only time their
+		// loops. Regions, charges and spans follow reference STREAM's
+		// ten repetitions of copy, scale, add and triad.
+		body := sw.chunk
 		for r := 0; r < reps; r++ {
-			// The chunk bodies reslice the arrays to [lo,hi) so the
-			// compiler drops the bounds checks in the element loops.
-			// copy: c = a
-			env.Team.ParallelRange(sched, n, func(_, lo, hi int) { copy(C[lo:hi], A[lo:hi]) }, nil)
-			if err := env.Charge(ks[0], float64(n)); err != nil {
-				return err
-			}
-			// scale: b = s*c
-			env.Team.ParallelRange(sched, n, func(_, lo, hi int) {
-				b, c := B[lo:hi], C[lo:hi]
-				for i := range b {
-					b[i] = scalar * c[i]
+			for _, k := range ks {
+				if k.Name == "triad" {
+					env.BeginSpan("triad")
 				}
-			}, nil)
-			if err := env.Charge(ks[1], float64(n)); err != nil {
-				return err
-			}
-			// add: c = a + b
-			env.Team.ParallelRange(sched, n, func(_, lo, hi int) {
-				a, b, c := A[lo:hi], B[lo:hi], C[lo:hi]
-				for i := range c {
-					c[i] = a[i] + b[i]
+				env.Team.ParallelRange(omp.Schedule{Kind: omp.Static}, n, body, nil)
+				body = nil
+				if err := env.Charge(k, float64(n)); err != nil {
+					return err
 				}
-			}, nil)
-			if err := env.Charge(ks[2], float64(n)); err != nil {
-				return err
-			}
-			// triad: a = b + s*c
-			env.BeginSpan("triad")
-			env.Team.ParallelRange(sched, n, func(_, lo, hi int) {
-				a, b, c := A[lo:hi], B[lo:hi], C[lo:hi]
-				for i := range a {
-					a[i] = b[i] + scalar*c[i]
+				if k.Name == "triad" {
+					env.EndSpan("triad")
 				}
-			}, nil)
-			if err := env.Charge(ks[3], float64(n)); err != nil {
-				return err
 			}
-			env.EndSpan("triad")
 		}
-
-		// Reference STREAM verification: replay the recurrence serially.
-		ea, eb, ec := 1.0, 2.0, 0.0
-		for r := 0; r < reps; r++ {
-			ec = ea
-			eb = scalar * ec
-			ec = ea + eb
-			ea = eb + scalar*ec
-		}
-		var localErr float64
-		for i := 0; i < n; i += n / 16 {
-			localErr = max(localErr, math.Abs(A[i]-ea), math.Abs(B[i]-eb), math.Abs(C[i]-ec))
-		}
-		worstErr, err := env.Comm.AllreduceScalar(mpiMax, localErr)
+		sets.put(sw.set)
+		worstErr, err := env.Comm.AllreduceScalar(mpiMax, sw.verdict(n))
 		if err != nil {
 			return err
 		}
@@ -195,7 +154,8 @@ func (a App) Run(cfg common.RunConfig) (common.Result, error) {
 const mpiMax = mpi.OpMax
 
 // outputs are what a run's numerics decide: the largest deviation of
-// any sampled array element from the serial recurrence.
+// any array element from the serial recurrence, +Inf if some element
+// went unswept.
 type outputs struct {
 	worstErr float64
 }
