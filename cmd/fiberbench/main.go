@@ -184,7 +184,6 @@ func runSingle(o singleOpts) {
 	var cost *obs.CostRecorder
 	if o.selfProfile != "" {
 		cost = obs.NewCostRecorder(time.Now)
-		rc.Cost = cost
 	}
 	stopCPU := func() {}
 	if o.cpuProfile != "" {
@@ -216,7 +215,7 @@ func runSingle(o singleOpts) {
 			fatal(err)
 		}
 		if o.selfProfile != "-" {
-			if err := prof.WriteReport(os.Stderr, 0); err != nil {
+			if err := prof.WriteReport(os.Stderr); err != nil {
 				fatal(err)
 			}
 		}

@@ -18,15 +18,14 @@
 //	GET  /runs        JSON listing of the manifest directory
 //	GET  /runs/{name} one manifest, parsed and validated
 //	GET  /runs/live   SSE stream of fibersweep -progress output
-//	GET  /debug/runtime  JSON snapshot of the process's own Go runtime
-//	                  telemetry (with -runtime-metrics, which also adds
-//	                  fibersim_runtime_* families to /metrics)
+//	GET  /debug/pprof/  the process's own pprof profiles (with -pprof)
 //
 // Every job state transition is appended to the -journal JSONL file
-// (schema fibersim/job-journal/v2; v1 files replay cleanly). The
-// journal is torn-tail-tolerant: a SIGKILL'd daemon replays it on
-// restart and re-queues incomplete jobs exactly once, so no accepted
-// job is ever lost or completed twice. With -journal-retention set,
+// (schema fibersim/job-journal/v2; v1 files replay cleanly) and
+// fsynced before fiberd acts on it. The journal is
+// torn-tail-tolerant: a SIGKILL'd daemon replays it on restart and
+// re-queues incomplete jobs exactly once, so no accepted job is ever
+// lost or completed twice. With -journal-retention set,
 // startup first compacts the journal, dropping jobs settled longer ago
 // than the retention. On SIGINT/SIGTERM fiberd drains gracefully: it
 // refuses new work, finishes running jobs, persists the queue and
@@ -66,7 +65,6 @@ func main() {
 	poll := flag.Duration("poll", 500*time.Millisecond, "progress file poll interval")
 	drain := flag.Duration("drain", 5*time.Second, "graceful shutdown drain window")
 	journalPath := flag.String("journal", "", "job journal path (JSONL, crash-safe); empty keeps job state in memory only")
-	journalMTBF := flag.Duration("journal-mtbf", 0, "assumed daemon MTBF; >0 derives the journal fsync cadence from Daly's checkpoint model instead of syncing every record")
 	queueCap := flag.Int("queue", 64, "admission queue bound; submissions beyond it get 429")
 	workers := flag.Int("workers", 2, "job worker pool size")
 	jobTimeout := flag.Duration("job-timeout", 2*time.Minute, "per-attempt job deadline")
@@ -78,8 +76,6 @@ func main() {
 	traceCap := flag.Int("trace-ring", 256, "finished service traces kept in memory for GET /traces; oldest evicted first")
 	saveManifests := flag.Bool("save-manifests", false, "write each completed job's run manifest into the -manifests directory")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (off by default)")
-	runtimeMetrics := flag.Bool("runtime-metrics", false, "sample Go runtime telemetry into /metrics (fibersim_runtime_* families) and mount GET /debug/runtime")
-	runtimeInterval := flag.Duration("runtime-interval", 10*time.Second, "background runtime-telemetry sampling cadence (with -runtime-metrics)")
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -120,7 +116,7 @@ func main() {
 			logger.Info("journal compacted", "path", *journalPath,
 				"kept", kept, "dropped", dropped, "retention", journalRetention.String())
 		}
-		journal, recovered, err = jobs.OpenJournal(*journalPath, jobs.SyncInterval(time.Millisecond, *journalMTBF))
+		journal, recovered, err = jobs.OpenJournal(*journalPath)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "fiberd:", err)
 			os.Exit(1)
@@ -172,15 +168,6 @@ func main() {
 	s.events = hub
 	s.log = logger
 	s.pprofOn = *pprofOn
-	if *runtimeMetrics {
-		sampler, serr := obs.NewRuntimeSampler(obs.RuntimeSamplerConfig{Registry: reg, Now: time.Now})
-		if serr != nil {
-			fmt.Fprintln(os.Stderr, "fiberd:", serr)
-			os.Exit(1)
-		}
-		s.sampler = sampler
-		go sampler.Run(ctx.Done(), *runtimeInterval)
-	}
 	code := serve(ctx, *addr, s.handler(), *drain, os.Stderr, manager)
 	if journal != nil {
 		if err := journal.Close(); err != nil {

@@ -49,11 +49,6 @@ type server struct {
 	// pprofOn mounts net/http/pprof under /debug/pprof/ (opt-in: the
 	// profiling surface stays off unless -pprof was given).
 	pprofOn bool
-	// sampler feeds Go runtime telemetry into the registry and backs
-	// GET /debug/runtime; nil (the default) keeps both off, so the
-	// /metrics exposition is unchanged unless -runtime-metrics was
-	// given.
-	sampler *obs.RuntimeSampler
 }
 
 func newServer(reg *obs.Registry, manifestDir, progressPath string, pollEvery time.Duration,
@@ -88,9 +83,6 @@ func (s *server) handler() http.Handler {
 	mux.Handle("GET /jobs/{id}/events", s.instrument("/jobs/{id}/events", s.handleJobEvents))
 	mux.Handle("GET /traces", s.instrument("/traces", s.handleTraces))
 	mux.Handle("GET /traces/{id}", s.instrument("/traces/{id}", s.handleTrace))
-	if s.sampler != nil {
-		mux.Handle("GET /debug/runtime", s.instrument("/debug/runtime", s.handleRuntime))
-	}
 	if s.pprofOn {
 		// The pprof mux is intentionally unmetered: profiling traffic
 		// would pollute the serving histograms it exists to explain.
@@ -192,26 +184,6 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	if _, err := w.Write(buf.Bytes()); err != nil {
-		// Client went away mid-body; nothing useful to do.
-		return
-	}
-}
-
-// handleRuntime serves the runtime sampler's snapshot as JSON. It
-// samples on demand, so a GET always reflects the process right now
-// (and two GETs diff into an interval — fiberload leans on that),
-// rather than the background tick's staleness.
-func (s *server) handleRuntime(w http.ResponseWriter, _ *http.Request) {
-	s.sampler.Sample()
-	snap, ok := s.sampler.Snapshot()
-	if !ok {
-		http.Error(w, "runtime sampler has not sampled yet", http.StatusServiceUnavailable)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(snap); err != nil {
 		// Client went away mid-body; nothing useful to do.
 		return
 	}

@@ -371,39 +371,26 @@ func TestServeBadAddressFails(t *testing.T) {
 	}
 }
 
-func TestDebugRuntime(t *testing.T) {
+// TestDebugPprof: the process's own profiles are served only under
+// -pprof, and then unmetered.
+func TestDebugPprof(t *testing.T) {
 	s, h := testServer(t)
-	// Without -runtime-metrics the route does not exist at all.
 	rr := httptest.NewRecorder()
-	h.ServeHTTP(rr, httptest.NewRequest("GET", "/debug/runtime", nil))
+	h.ServeHTTP(rr, httptest.NewRequest("GET", "/debug/pprof/", nil))
 	if rr.Code != http.StatusNotFound {
-		t.Fatalf("/debug/runtime without sampler = %d, want 404", rr.Code)
+		t.Fatalf("/debug/pprof/ without -pprof = %d, want 404", rr.Code)
 	}
 
-	sampler, err := obs.NewRuntimeSampler(obs.RuntimeSamplerConfig{Registry: s.reg, Now: time.Now})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.sampler = sampler
+	s.pprofOn = true
 	h = s.handler()
 	rr = httptest.NewRecorder()
-	h.ServeHTTP(rr, httptest.NewRequest("GET", "/debug/runtime", nil))
-	if rr.Code != http.StatusOK {
-		t.Fatalf("/debug/runtime with sampler = %d, body %q", rr.Code, rr.Body.String())
+	h.ServeHTTP(rr, httptest.NewRequest("GET", "/debug/pprof/", nil))
+	if rr.Code != http.StatusOK || !strings.Contains(rr.Body.String(), "goroutine") {
+		t.Fatalf("/debug/pprof/ with -pprof = %d, body %q", rr.Code, rr.Body.String())
 	}
-	var snap obs.RuntimeSnapshot
-	if err := json.Unmarshal(rr.Body.Bytes(), &snap); err != nil {
-		t.Fatalf("snapshot does not parse: %v", err)
-	}
-	if snap.SampledAt == "" || snap.Goroutines <= 0 || snap.AllocBytes == 0 {
-		t.Errorf("snapshot looks empty: %+v", snap)
-	}
-
-	// The on-demand sample also populated the fibersim_runtime_*
-	// families in the shared registry.
 	rr = httptest.NewRecorder()
 	h.ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
-	if !strings.Contains(rr.Body.String(), "fibersim_runtime_heap_live_bytes") {
-		t.Error("/metrics lacks fibersim_runtime_* families after sampling")
+	if strings.Contains(rr.Body.String(), "/debug/pprof") {
+		t.Error("pprof traffic reached the serving metrics")
 	}
 }

@@ -38,7 +38,7 @@ func tracedServer(t *testing.T, cfg jobs.Config) (*server, http.Handler, *jobs.M
 	if err != nil {
 		t.Fatal(err)
 	}
-	journal, _, err := jobs.OpenJournal(filepath.Join(t.TempDir(), "j.journal"), 0)
+	journal, _, err := jobs.OpenJournal(filepath.Join(t.TempDir(), "j.journal"))
 	if err != nil {
 		t.Fatal(err)
 	}

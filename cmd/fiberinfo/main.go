@@ -138,18 +138,18 @@ func runValidateTrace(path string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// runValidateSelfProfile checks a fibersim/self-profile/v1 document:
-// schema identity, the canonical stage set, finite non-negative
-// numbers, and stage times that sum to the recorded wall total —
-// ReadSelfProfileFile enforces all of it, so a parse is a validation.
+// runValidateSelfProfile checks a fibersim/self-profile/v2 document:
+// schema identity, no unknown fields, and finite non-negative
+// measurements — ReadSelfProfileFile enforces all of it, so a parse is
+// a validation.
 func runValidateSelfProfile(path string, stdout, stderr io.Writer) int {
 	p, err := obs.ReadSelfProfileFile(path)
 	if err != nil {
 		fmt.Fprintln(stderr, "fiberinfo:", err)
 		return 1
 	}
-	fmt.Fprintf(stdout, "%s: valid self-profile %q: %d stages, wall %.6fs, %d allocs\n",
-		path, p.Label, len(p.Stages), p.WallSeconds, p.Allocs)
+	fmt.Fprintf(stdout, "%s: valid self-profile %q: elapsed %.6fs, %d allocs\n",
+		path, p.Label, p.ElapsedSeconds, p.Allocs)
 	return 0
 }
 

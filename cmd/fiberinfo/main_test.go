@@ -157,8 +157,7 @@ func selfProfilePath(t *testing.T) string {
 	clock := time.Unix(1700000000, 0)
 	cost := obs.NewCostRecorder(func() time.Time { clock = clock.Add(time.Millisecond); return clock })
 	cost.Start()
-	cost.End(obs.StageCharge, cost.Begin())
-	cost.End(obs.StageRender, cost.Begin())
+	cost.SnapshotHeap()
 	cost.Finish()
 	path := filepath.Join(t.TempDir(), "self.json")
 	if err := cost.Profile("stream").WriteFile(path); err != nil {
@@ -177,15 +176,15 @@ func TestValidateSelfProfileAcceptsGoodProfile(t *testing.T) {
 	}
 }
 
-// The committed fixture claims 0.25 s of wall time over stages summing
-// to 0.5 s — a broken-invariant document validation must reject.
+// The committed fixture is a well-formed v2 document that claims a
+// negative elapsed time, which validation must reject.
 func TestValidateSelfProfileRejectsCorruptFixture(t *testing.T) {
 	var out, errb strings.Builder
 	if code := runValidateSelfProfile(filepath.Join("testdata", "corrupt-selfprofile.json"), &out, &errb); code == 0 {
 		t.Fatal("corrupt self-profile passed validation")
 	}
-	if !strings.Contains(errb.String(), "stages sum to") {
-		t.Errorf("stderr should name the sum mismatch: %q", errb.String())
+	if !strings.Contains(errb.String(), "elapsed_seconds") {
+		t.Errorf("stderr should name the invalid elapsed time: %q", errb.String())
 	}
 }
 
@@ -200,6 +199,16 @@ func TestValidateSelfProfileRejectsGarbage(t *testing.T) {
 	}
 	if code := runValidateSelfProfile(filepath.Join(t.TempDir(), "none.json"), &out, &errb); code != 1 {
 		t.Fatal("missing file must fail")
+	}
+	// A v1 document, stage sums and all, is not a v2 self-profile.
+	v1 := filepath.Join(t.TempDir(), "v1.json")
+	if err := os.WriteFile(v1, []byte(`{"schema":"fibersim/self-profile/v1","wall_seconds":0.25,
+		"elapsed_seconds":0.3,"stages":[{"stage":"setup","seconds":0.25,"calls":1}],
+		"alloc_bytes":1,"allocs":1,"gc_cycles":0,"gc_pause_seconds":0}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code := runValidateSelfProfile(v1, &out, &errb); code != 1 {
+		t.Fatal("a v1 self-profile must fail")
 	}
 }
 

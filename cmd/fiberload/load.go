@@ -145,77 +145,6 @@ type Report struct {
 	// Admission is the POST /jobs round-trip alone.
 	Admission Percentiles `json:"admission_seconds"`
 	Split     TraceSplit  `json:"trace_split"`
-	// Runtime is the server process's own GC/scheduler interference
-	// over the run (nil when fiberd runs without -runtime-metrics).
-	Runtime *RuntimeDelta `json:"server_runtime,omitempty"`
-}
-
-// RuntimeDelta diffs two fiberd /debug/runtime snapshots taken around
-// the load run: how much the server's own runtime — GC cycles, pause
-// time, allocation — interfered with the latencies this report
-// measures. End-of-run state rides along for context.
-type RuntimeDelta struct {
-	// GCCycles/AllocBytes/GCPauseSeconds are deltas over the run.
-	GCCycles       int64   `json:"gc_cycles"`
-	AllocBytes     uint64  `json:"alloc_bytes"`
-	GCPauseSeconds float64 `json:"gc_pause_seconds"`
-	// HeapLiveBytes/Goroutines are the end-of-run state.
-	HeapLiveBytes uint64 `json:"heap_live_bytes"`
-	Goroutines    int64  `json:"goroutines"`
-	// SchedLatencyP99Seconds is the server's process-lifetime p99
-	// goroutine scheduling latency at end of run.
-	SchedLatencyP99Seconds float64 `json:"sched_latency_p99_seconds"`
-}
-
-// fetchRuntime grabs one /debug/runtime snapshot; ok is false when the
-// endpoint is absent (fiberd without -runtime-metrics) or unreachable —
-// the report then simply omits server-side interference.
-func (l *loader) fetchRuntime(ctx context.Context) (obs.RuntimeSnapshot, bool) {
-	req, err := http.NewRequestWithContext(ctx, "GET", l.base+"/debug/runtime", nil)
-	if err != nil {
-		return obs.RuntimeSnapshot{}, false
-	}
-	resp, err := l.client.Do(req)
-	if err != nil {
-		return obs.RuntimeSnapshot{}, false
-	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
-		return obs.RuntimeSnapshot{}, false
-	}
-	var snap obs.RuntimeSnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		return obs.RuntimeSnapshot{}, false
-	}
-	return snap, true
-}
-
-// diffRuntime folds two snapshots into the interference delta. A
-// counter that went backwards (server restarted mid-run) restarts the
-// baseline at the after value rather than going negative.
-func diffRuntime(before, after obs.RuntimeSnapshot) *RuntimeDelta {
-	d := &RuntimeDelta{
-		HeapLiveBytes:          after.HeapLiveBytes,
-		Goroutines:             after.Goroutines,
-		SchedLatencyP99Seconds: after.SchedLatencyP99Seconds,
-	}
-	if after.GCCycles >= before.GCCycles {
-		d.GCCycles = int64(after.GCCycles - before.GCCycles)
-	} else {
-		d.GCCycles = int64(after.GCCycles)
-	}
-	if after.AllocBytes >= before.AllocBytes {
-		d.AllocBytes = after.AllocBytes - before.AllocBytes
-	} else {
-		d.AllocBytes = after.AllocBytes
-	}
-	if dp := after.GCPauseSeconds - before.GCPauseSeconds; dp > 0 {
-		d.GCPauseSeconds = dp
-	}
-	return d
 }
 
 // loader drives one load run.
@@ -491,11 +420,6 @@ func (r Report) WriteText(w io.Writer) error {
 			r.Split.BackoffSeconds, r.Split.JournalSeconds)
 	} else {
 		fmt.Fprintln(w, "trace split: no traces sampled (tracing off or ring evicted)")
-	}
-	if r.Runtime != nil {
-		fmt.Fprintf(w, "server runtime over the run: %d GC cycles, %.4fs GC pause, %.1f MiB allocated; heap live %.1f MiB, %d goroutines, sched-latency p99 %.6fs\n",
-			r.Runtime.GCCycles, r.Runtime.GCPauseSeconds, float64(r.Runtime.AllocBytes)/(1<<20),
-			float64(r.Runtime.HeapLiveBytes)/(1<<20), r.Runtime.Goroutines, r.Runtime.SchedLatencyP99Seconds)
 	}
 	_, err := fmt.Fprintln(w)
 	return err

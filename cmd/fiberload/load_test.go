@@ -331,68 +331,3 @@ func TestVerdictGates(t *testing.T) {
 		t.Error("slow p99 passed")
 	}
 }
-
-func TestFetchRuntimeAndDiff(t *testing.T) {
-	var calls int
-	var mu sync.Mutex
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/debug/runtime" {
-			http.NotFound(w, r)
-			return
-		}
-		mu.Lock()
-		calls++
-		n := calls
-		mu.Unlock()
-		json.NewEncoder(w).Encode(obs.RuntimeSnapshot{
-			SampledAt:              "2023-11-14T22:13:20Z",
-			HeapLiveBytes:          uint64(n) << 20,
-			Goroutines:             int64(4 + n),
-			GCCycles:               uint64(10 * n),
-			AllocBytes:             uint64(1000 * n),
-			GCPauseSeconds:         0.001 * float64(n),
-			SchedLatencyP99Seconds: 1e-6,
-		})
-	}))
-	defer ts.Close()
-
-	l := &loader{base: ts.URL, client: ts.Client()}
-	before, ok := l.fetchRuntime(context.Background())
-	if !ok {
-		t.Fatal("fetchRuntime failed against a serving endpoint")
-	}
-	after, ok := l.fetchRuntime(context.Background())
-	if !ok {
-		t.Fatal("second fetchRuntime failed")
-	}
-	d := diffRuntime(before, after)
-	if d.GCCycles != 10 || d.AllocBytes != 1000 {
-		t.Errorf("delta gc/alloc = %d/%d, want 10/1000", d.GCCycles, d.AllocBytes)
-	}
-	if math.Abs(d.GCPauseSeconds-0.001) > 1e-12 {
-		t.Errorf("delta pause = %g, want 0.001", d.GCPauseSeconds)
-	}
-	if d.HeapLiveBytes != 2<<20 || d.Goroutines != 6 {
-		t.Errorf("end state heap/goroutines = %d/%d, want %d/6", d.HeapLiveBytes, d.Goroutines, 2<<20)
-	}
-
-	// A fiberd without -runtime-metrics answers 404; the loader shrugs.
-	l404 := &loader{base: ts.URL + "/missing", client: ts.Client()}
-	if _, ok := l404.fetchRuntime(context.Background()); ok {
-		t.Error("fetchRuntime reported ok against a 404 endpoint")
-	}
-}
-
-func TestDiffRuntimeCounterReset(t *testing.T) {
-	// A server restart mid-run resets the cumulative counters; the diff
-	// restarts the baseline at the after value instead of going negative.
-	before := obs.RuntimeSnapshot{GCCycles: 100, AllocBytes: 5000, GCPauseSeconds: 3}
-	after := obs.RuntimeSnapshot{GCCycles: 13, AllocBytes: 1500, GCPauseSeconds: 0.75}
-	d := diffRuntime(before, after)
-	if d.GCCycles != 13 || d.AllocBytes != 1500 {
-		t.Errorf("reset delta gc/alloc = %d/%d, want 13/1500", d.GCCycles, d.AllocBytes)
-	}
-	if d.GCPauseSeconds != 0 {
-		t.Errorf("reset delta pause = %g, want 0 (negative clamped)", d.GCPauseSeconds)
-	}
-}

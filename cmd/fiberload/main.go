@@ -62,18 +62,12 @@ func main() {
 		poll:    *poll,
 		seed:    *seed,
 	}
-	before, haveBefore := l.fetchRuntime(ctx)
 	l.run(ctx)
 	var split TraceSplit
 	if *traceSample > 0 {
 		split = l.sampleTraces(ctx, *traceSample)
 	}
 	rep := l.report(split)
-	if haveBefore {
-		if after, ok := l.fetchRuntime(ctx); ok {
-			rep.Runtime = diffRuntime(before, after)
-		}
-	}
 
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)

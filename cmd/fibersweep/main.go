@@ -174,7 +174,7 @@ sweep:
 						doneRuns++
 						if *progress {
 							p := progressRow(app.Name(), m.Name, d, cc.String(), sz,
-								doneRuns, total, common.Result{}, nil, true)
+								doneRuns, total, common.Result{}, nil, true, nil)
 							emitProgress(&p)
 						}
 						continue
@@ -192,7 +192,6 @@ sweep:
 					var cost *obs.CostRecorder
 					if *selfProfileDir != "" {
 						cost = obs.NewCostRecorder(time.Now)
-						rc.Cost = cost
 						cost.Start()
 					}
 					res, err := runOne(ctx, app, rc, *retries)
@@ -211,11 +210,9 @@ sweep:
 						if rec != nil {
 							path := filepath.Join(*manifestDir, fmt.Sprintf("%s-%s-%dx%d-%s.json",
 								app.Name(), m.Name, d[0], d[1], sanitize(cc.String())))
-							renderStart := cost.Begin()
 							if err := common.BuildManifest(res, rec).WriteFile(path); err != nil {
 								fatal(err)
 							}
-							cost.End(obs.StageRender, renderStart)
 						}
 						cells = []string{app.Name(), m.Name,
 							fmt.Sprintf("%dx%d", d[0], d[1]),
@@ -229,28 +226,26 @@ sweep:
 						}
 					}
 					t.AddRow(cells...)
-					journalStart := cost.Begin()
 					if err := state.record(key, cells); err != nil {
 						fatal(err)
 					}
-					cost.End(obs.StageJournal, journalStart)
 					cost.Finish()
+					var prof *obs.SelfProfile
 					if cost != nil {
-						prof := cost.Profile(app.Name())
+						prof = cost.Profile(app.Name())
 						path := filepath.Join(*selfProfileDir, fmt.Sprintf("selfprofile-%s-%s-%dx%d-%s.json",
 							app.Name(), m.Name, d[0], d[1], sanitize(cc.String())))
 						if err := prof.WriteFile(path); err != nil {
 							fatal(err)
 						}
 					}
+					if afterCheckpoint != nil {
+						afterCheckpoint(state)
+					}
 					doneRuns++
 					if *progress {
 						p := progressRow(app.Name(), m.Name, d, cc.String(), sz,
-							doneRuns, total, res, err, false)
-						if cost != nil {
-							p.WallSeconds = cost.WallSeconds()
-							p.HeapPeakBytes = cost.HeapPeakBytes()
-						}
+							doneRuns, total, res, err, false, prof)
 						emitProgress(&p)
 					}
 				}
@@ -306,6 +301,11 @@ func runOnce(app common.App, rc common.RunConfig) (res common.Result, err error)
 	}()
 	return app.Run(rc)
 }
+
+// afterCheckpoint, when non-nil, runs after each fresh row is
+// checkpointed and its self-profile written. The shipped command leaves
+// it nil; the crash tests set it to stop a child sweep at a chosen row.
+var afterCheckpoint func(*sweepState)
 
 // sweepState is the -resume checkpoint: one JSON line per finished
 // configuration, holding the key and the fully formatted row cells.
@@ -514,9 +514,11 @@ func writeTrace(app common.App, rc common.RunConfig, path string) error {
 // progressRow builds the machine-readable progress line for one
 // finished configuration: numbers for a fresh success, the error text
 // for a failed run, and the bare identity for a resumed row (whose
-// numbers live only as formatted cells in the checkpoint).
+// numbers live only as formatted cells in the checkpoint). A fresh
+// row's self-profile, non-nil under -selfprofile, adds the cell's
+// measured elapsed time and heap peak.
 func progressRow(appName, machine string, d [2]int, compiler string, sz common.Size,
-	done, total int, res common.Result, runErr error, resumed bool) obs.SweepProgress {
+	done, total int, res common.Result, runErr error, resumed bool, self *obs.SelfProfile) obs.SweepProgress {
 	p := obs.SweepProgress{
 		Schema: obs.ProgressSchema,
 		App:    appName, Machine: machine,
@@ -533,6 +535,10 @@ func progressRow(appName, machine string, d [2]int, compiler string, sz common.S
 		p.TimeSeconds = res.Time
 		p.GFlops = res.GFlops()
 		p.Verified = res.Verified
+	}
+	if self != nil {
+		p.WallSeconds = self.ElapsedSeconds
+		p.HeapPeakBytes = self.HeapPeakBytes
 	}
 	return p
 }

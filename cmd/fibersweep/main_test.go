@@ -12,6 +12,7 @@ import (
 	"fibersim/internal/core"
 	"fibersim/internal/harness"
 	"fibersim/internal/miniapps/common"
+	"fibersim/internal/obs"
 )
 
 func TestDecompsFor(t *testing.T) {
@@ -266,7 +267,7 @@ func TestSweepStateEmptyPathDisabled(t *testing.T) {
 func TestProgressRowFresh(t *testing.T) {
 	res := common.Result{Time: 0.25, Flops: 1e9, Verified: true}
 	p := progressRow("stream", "a64fx", [2]int{4, 12}, "as-is", common.SizeTest,
-		3, 6, res, nil, false)
+		3, 6, res, nil, false, nil)
 	if err := p.Validate(); err != nil {
 		t.Fatalf("fresh row does not validate: %v", err)
 	}
@@ -280,7 +281,7 @@ func TestProgressRowFresh(t *testing.T) {
 
 func TestProgressRowErrorAndResumed(t *testing.T) {
 	p := progressRow("stream", "a64fx", [2]int{1, 48}, "tuned", common.SizeSmall,
-		1, 6, common.Result{}, errors.New("panic: synthetic"), false)
+		1, 6, common.Result{}, errors.New("panic: synthetic"), false, nil)
 	if err := p.Validate(); err != nil {
 		t.Fatalf("error row does not validate: %v", err)
 	}
@@ -291,11 +292,27 @@ func TestProgressRowErrorAndResumed(t *testing.T) {
 	// A resumed row carries identity and counters but no numbers, even
 	// if a (stale) result happens to be lying around.
 	p = progressRow("stream", "a64fx", [2]int{48, 1}, "as-is", common.SizeTest,
-		2, 6, common.Result{Time: 9, Verified: true}, nil, true)
+		2, 6, common.Result{Time: 9, Verified: true}, nil, true, nil)
 	if err := p.Validate(); err != nil {
 		t.Fatalf("resumed row does not validate: %v", err)
 	}
 	if !p.Resumed || p.TimeSeconds != 0 || p.Verified || p.Err != "" {
 		t.Errorf("resumed row = %+v", p)
+	}
+}
+
+// TestProgressRowSelfProfile: under -selfprofile a fresh row's
+// wall_seconds is the cell's measured elapsed time and its heap peak
+// the profile's.
+func TestProgressRowSelfProfile(t *testing.T) {
+	self := &obs.SelfProfile{Schema: obs.SelfProfileSchema, ElapsedSeconds: 0.0859, HeapPeakBytes: 3 << 20}
+	res := common.Result{Time: 0.25, Flops: 1e9, Verified: true}
+	p := progressRow("stream", "a64fx", [2]int{48, 1}, "as-is", common.SizeTest,
+		1, 24, res, nil, false, self)
+	if err := p.Validate(); err != nil {
+		t.Fatalf("profiled row does not validate: %v", err)
+	}
+	if p.WallSeconds != 0.0859 || p.HeapPeakBytes != 3<<20 {
+		t.Errorf("profiled row wall=%g heap=%d, want 0.0859 and %d", p.WallSeconds, p.HeapPeakBytes, 3<<20)
 	}
 }

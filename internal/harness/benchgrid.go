@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"time"
 
@@ -88,7 +87,8 @@ func FilterBenchGrid(grid []BenchConfig, apps string) ([]BenchConfig, error) {
 // result into a trajectory record: virtual runtime, ECM attribution
 // split summed over kernels, and total communication volume. A
 // non-nil clock additionally measures the simulator's own cost — the
-// cell's wall-clock seconds and heap allocations — into the record's
+// run's elapsed seconds and heap allocations, read by an
+// obs.CostRecorder around app.Run — into the record's
 // self-observability fields; nil skips the measurement (old-style
 // records).
 func RunBench(c BenchConfig, size common.Size, rev string, clock func() time.Time) (perfdb.Record, error) {
@@ -110,22 +110,10 @@ func RunBench(c BenchConfig, size common.Size, rev string, clock func() time.Tim
 		Compiler: cc, Size: size, Recorder: rec,
 	}
 	rec.SetMeta(app.Name(), rc.Normalized().String())
-	var wallSeconds, allocsPerRun float64
-	run := func() (common.Result, error) { return app.Run(rc) }
-	if clock != nil {
-		inner := run
-		run = func() (common.Result, error) {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			t0 := clock()
-			res, err := inner()
-			wallSeconds = clock().Sub(t0).Seconds()
-			runtime.ReadMemStats(&after)
-			allocsPerRun = float64(after.Mallocs - before.Mallocs)
-			return res, err
-		}
-	}
-	res, err := run()
+	cost := obs.NewCostRecorder(clock)
+	cost.Start()
+	res, err := app.Run(rc)
+	cost.Finish()
 	if err != nil {
 		return perfdb.Record{}, fmt.Errorf("harness: bench %s %s %dx%d %s: %w",
 			c.App, c.Machine, c.Procs, c.Threads, c.Compiler, err)
@@ -141,6 +129,7 @@ func RunBench(c BenchConfig, size common.Size, rev string, clock func() time.Tim
 			split[r.String()] = v
 		}
 	}
+	self := cost.Profile(c.App)
 	comm := res.Comm.SendBytes
 	for _, b := range res.Comm.CollectiveBytes {
 		comm += b
@@ -158,8 +147,8 @@ func RunBench(c BenchConfig, size common.Size, rev string, clock func() time.Tim
 		Verified:     res.Verified,
 		Attribution:  split,
 		CommBytes:    comm,
-		WallSeconds:  wallSeconds,
-		AllocsPerRun: allocsPerRun,
+		WallSeconds:  self.ElapsedSeconds,
+		AllocsPerRun: float64(self.Allocs),
 	}, nil
 }
 

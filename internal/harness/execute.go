@@ -19,14 +19,6 @@ import (
 // manifest carries no link — the manifest itself is identical either
 // way.
 func (s RunSpec) Execute(ctx context.Context) (*obs.Manifest, error) {
-	return s.ExecuteWithCost(ctx, nil)
-}
-
-// ExecuteWithCost is Execute with the run's self-cost threaded into
-// the given recorder: the launcher's setup, the kernel-charge hot
-// path, collective rendezvous and virtual-clock advancement all charge
-// their wall time to cost's stages. A nil cost is exactly Execute.
-func (s RunSpec) ExecuteWithCost(ctx context.Context, cost *obs.CostRecorder) (*obs.Manifest, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -36,7 +28,6 @@ func (s RunSpec) ExecuteWithCost(ctx context.Context, cost *obs.CostRecorder) (*
 	}
 	rec := obs.NewRecorder()
 	rc.Recorder = rec
-	rc.Cost = cost
 	rec.SetMeta(app.Name(), rc.String())
 
 	span := obs.SpanFromContext(ctx).StartChild("run")

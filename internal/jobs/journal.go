@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"fibersim/internal/fault"
 	"fibersim/internal/jsonl"
 )
 
@@ -61,49 +60,25 @@ func (r Record) Validate() error {
 	return nil
 }
 
-// SyncInterval derives the journal's fsync cadence from Daly's
-// checkpoint model (fault.CheckpointPolicy): the fsync is the
-// "checkpoint write" (cost = writeCost), a daemon crash is the
-// "failure" (rate = 1/mtbf), and the work lost to a crash is the
-// un-synced journal suffix. Daly's near-optimal interval
-// sqrt(2·δ·M) − δ balances fsync overhead against replayed work. A
-// zero or negative mtbf — "assume the daemon can die any instant" —
-// returns 0, which Journal treats as sync-every-append.
-func SyncInterval(writeCost, mtbf time.Duration) time.Duration {
-	if mtbf <= 0 {
-		return 0
-	}
-	if writeCost <= 0 {
-		writeCost = time.Millisecond // a conservative fsync estimate
-	}
-	tau := fault.OptimalInterval(writeCost.Seconds(), mtbf.Seconds())
-	return time.Duration(tau * float64(time.Second))
-}
-
 // Journal is the crash-safe transition log: one JSON line per Record,
-// append-only, fsynced on a Daly-derived cadence (terminal records
-// are always synced immediately — a completed job must never replay).
+// append-only, and fsynced before each Append returns, so every
+// transition the manager has acted on survives an immediate SIGKILL.
 // Like fibersweep's -resume checkpoint and the perfdb trajectory, it is
 // read under jsonl's torn-tail rule: OpenJournal truncates a torn tail
 // away, and the affected transition simply reappears when the job
 // re-runs.
 type Journal struct {
-	mu        sync.Mutex
-	f         *os.File
-	path      string
-	syncEvery time.Duration
-	lastSync  time.Time
-	dirty     bool
-	now       func() time.Time
+	mu    sync.Mutex
+	f     *os.File
+	path  string
+	dirty bool // written but not yet synced (a failed fsync leaves it set)
 }
 
 // OpenJournal opens (creating if absent) the journal at path, replays
 // every record under jsonl's torn-tail rule, and positions the file
-// for appending. syncEvery is the fsync cadence (see SyncInterval); 0
-// syncs every append. A malformed record that IS newline-terminated
-// means the file is not a job journal — that is an error, not data
-// loss.
-func OpenJournal(path string, syncEvery time.Duration) (*Journal, []Record, error) {
+// for appending. A malformed record that IS newline-terminated means
+// the file is not a job journal — that is an error, not data loss.
+func OpenJournal(path string) (*Journal, []Record, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, nil, err
@@ -113,7 +88,7 @@ func OpenJournal(path string, syncEvery time.Duration) (*Journal, []Record, erro
 		_ = f.Close() // the load error is the one worth reporting
 		return nil, nil, fmt.Errorf("jobs: %w", err)
 	}
-	return &Journal{f: f, path: path, syncEvery: syncEvery, now: time.Now}, recs, nil
+	return &Journal{f: f, path: path}, recs, nil
 }
 
 // decodeRecord returns the jsonl decode function for journal lines: it
@@ -229,9 +204,9 @@ func CompactJournal(path string, retention time.Duration, now time.Time) (kept, 
 }
 
 // Append writes one record (line plus newline in a single write, so
-// the torn-tail rule holds) and syncs according to the cadence.
-// Terminal records sync unconditionally: the done/failed line is the
-// exactly-once marker and must survive an immediate SIGKILL.
+// the torn-tail rule holds) and syncs it before returning: the
+// done/failed line is the exactly-once marker, and the accepted and
+// running lines are what recovery re-queues from.
 func (j *Journal) Append(r Record) error {
 	if err := r.Validate(); err != nil {
 		return err
@@ -249,10 +224,7 @@ func (j *Journal) Append(r Record) error {
 		return err
 	}
 	j.dirty = true
-	if r.State.Terminal() || j.syncEvery <= 0 || j.now().Sub(j.lastSync) >= j.syncEvery {
-		return j.syncLocked()
-	}
-	return nil
+	return j.syncLocked()
 }
 
 func (j *Journal) syncLocked() error {
@@ -263,11 +235,11 @@ func (j *Journal) syncLocked() error {
 		return err
 	}
 	j.dirty = false
-	j.lastSync = j.now()
 	return nil
 }
 
-// Sync forces any buffered cadence window to disk.
+// Sync retries the fsync of an Append whose own sync failed; it is a
+// no-op when every append is already on disk.
 func (j *Journal) Sync() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()

@@ -23,7 +23,7 @@ func rec(id string, state State, spec *Spec) Record {
 
 func TestJournalRoundTrip(t *testing.T) {
 	path := tmpJournal(t)
-	j, recs, err := OpenJournal(path, 0)
+	j, recs, err := OpenJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, recs, err = OpenJournal(path, 0)
+	_, recs, err = OpenJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestJournalRoundTrip(t *testing.T) {
 
 func TestJournalTornTailTruncated(t *testing.T) {
 	path := tmpJournal(t)
-	j, _, err := OpenJournal(path, 0)
+	j, _, err := OpenJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestJournalTornTailTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	j2, recs, err := OpenJournal(path, 0)
+	j2, recs, err := OpenJournal(path)
 	if err != nil {
 		t.Fatalf("torn tail must be tolerated: %v", err)
 	}
@@ -93,7 +93,7 @@ func TestJournalTornTailTruncated(t *testing.T) {
 	if err := j2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, recs, err = OpenJournal(path, 0)
+	_, recs, err = OpenJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestJournalMalformedTerminatedLineErrors(t *testing.T) {
 	if err := os.WriteFile(path, []byte("not a journal\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := OpenJournal(path, 0); err == nil ||
+	if _, _, err := OpenJournal(path); err == nil ||
 		!strings.Contains(err.Error(), "not a job-journal line") {
 		t.Fatalf("err = %v, want not-a-journal", err)
 	}
@@ -115,67 +115,35 @@ func TestJournalMalformedTerminatedLineErrors(t *testing.T) {
 	if err := os.WriteFile(path, []byte(`{"schema":"bogus/v9","id":"x","state":"done"}`+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := OpenJournal(path, 0); err == nil || !strings.Contains(err.Error(), ":1:") {
+	if _, _, err := OpenJournal(path); err == nil || !strings.Contains(err.Error(), ":1:") {
 		t.Fatalf("err = %v, want schema error at line 1", err)
 	}
 }
 
+// TestJournalSyncCadence: every append, terminal or not, is on disk
+// before Append returns.
 func TestJournalSyncCadence(t *testing.T) {
-	path := tmpJournal(t)
-	j, _, err := OpenJournal(path, time.Hour)
+	j, _, err := OpenJournal(tmpJournal(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	clock := time.Unix(0, 0)
-	j.now = func() time.Time { return clock }
-	j.lastSync = clock
-
 	spec := &Spec{App: "stream"}
-	syncs := 0
-	// Count fsyncs indirectly: dirty flips false only in syncLocked.
-	checkDirty := func(wantDirty bool) {
-		t.Helper()
-		j.mu.Lock()
-		defer j.mu.Unlock()
-		if j.dirty != wantDirty {
-			t.Fatalf("dirty = %v, want %v (after %d syncs)", j.dirty, wantDirty, syncs)
+	for _, r := range []Record{
+		rec("job-000001", StateAccepted, spec),
+		rec("job-000001", StateRunning, nil),
+		rec("job-000001", StateDone, nil),
+	} {
+		if err := j.Append(r); err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Within the cadence window, non-terminal records buffer.
-	if err := j.Append(rec("job-000001", StateAccepted, spec)); err != nil {
-		t.Fatal(err)
-	}
-	checkDirty(true)
-	// Past the window, the next append syncs.
-	clock = clock.Add(2 * time.Hour)
-	if err := j.Append(rec("job-000001", StateRunning, nil)); err != nil {
-		t.Fatal(err)
-	}
-	syncs++
-	checkDirty(false)
-	// Terminal records sync unconditionally, window or not.
-	if err := j.Append(rec("job-000001", StateDone, nil)); err != nil {
-		t.Fatal(err)
-	}
-	syncs++
-	checkDirty(false)
-}
-
-func TestSyncIntervalDaly(t *testing.T) {
-	// Daly: tau = sqrt(2*delta*M) - delta. With delta=1ms, M=100s:
-	// sqrt(0.2) - 0.001 ≈ 446ms.
-	got := SyncInterval(time.Millisecond, 100*time.Second)
-	if got < 400*time.Millisecond || got > 500*time.Millisecond {
-		t.Errorf("SyncInterval(1ms, 100s) = %v, want ≈446ms", got)
-	}
-	// "Crash any instant" → sync every append.
-	if got := SyncInterval(time.Millisecond, 0); got != 0 {
-		t.Errorf("SyncInterval(_, 0) = %v, want 0", got)
-	}
-	// Longer MTBF → longer cadence (monotone in M).
-	if a, b := SyncInterval(time.Millisecond, time.Minute), SyncInterval(time.Millisecond, time.Hour); a >= b {
-		t.Errorf("cadence not monotone in MTBF: %v vs %v", a, b)
+		// dirty is cleared only after a successful fsync.
+		j.mu.Lock()
+		dirty := j.dirty
+		j.mu.Unlock()
+		if dirty {
+			t.Fatalf("%s record left the journal unsynced", r.State)
+		}
 	}
 }
 
@@ -242,7 +210,7 @@ func TestRecordValidate(t *testing.T) {
 }
 
 func TestJournalClosedAppendFails(t *testing.T) {
-	j, _, err := OpenJournal(tmpJournal(t), 0)
+	j, _, err := OpenJournal(tmpJournal(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,11 +226,11 @@ func TestJournalClosedAppendFails(t *testing.T) {
 }
 
 func TestOpenJournalBadPath(t *testing.T) {
-	if _, _, err := OpenJournal(filepath.Join(t.TempDir(), "no", "such", "dir", "j"), 0); err == nil {
+	if _, _, err := OpenJournal(filepath.Join(t.TempDir(), "no", "such", "dir", "j")); err == nil {
 		t.Fatal("open under missing dir passed")
 	}
 	var pe *os.PathError
-	_, _, err := OpenJournal(t.TempDir(), 0) // a directory, not a file
+	_, _, err := OpenJournal(t.TempDir()) // a directory, not a file
 	if err == nil || !errors.As(err, &pe) {
 		t.Fatalf("open of a directory = %v", err)
 	}
@@ -298,7 +266,7 @@ func TestJournalV1BackwardCompat(t *testing.T) {
 			if err := os.WriteFile(path, []byte(strings.Join(tc.lines, "\n")+"\n"), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			j, recs, err := OpenJournal(path, 0)
+			j, recs, err := OpenJournal(path)
 			if err != nil {
 				t.Fatalf("older journal refused: %v", err)
 			}
@@ -342,7 +310,7 @@ func TestJournalV1BackwardCompat(t *testing.T) {
 			if err := j.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if _, recs, err = OpenJournal(path, 0); err != nil || len(recs) != 7 {
+			if _, recs, err = OpenJournal(path); err != nil || len(recs) != 7 {
 				t.Fatalf("mixed journal: %d records, err %v", len(recs), err)
 			}
 			if jobs := Replay(recs); len(jobs) != 2 || jobs[1].State != StateDone {
@@ -354,7 +322,7 @@ func TestJournalV1BackwardCompat(t *testing.T) {
 
 func TestCompactJournalDropsSettledJobs(t *testing.T) {
 	path := tmpJournal(t)
-	j, _, err := OpenJournal(path, 0)
+	j, _, err := OpenJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +370,7 @@ func TestCompactJournalDropsSettledJobs(t *testing.T) {
 	}
 	// The compacted journal replays cleanly: the stale jobs are gone,
 	// the recent terminal, the in-flight, and the ageless one remain.
-	_, recs, err := OpenJournal(path, 0)
+	_, recs, err := OpenJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +407,7 @@ func TestCompactJournalDropsSettledJobs(t *testing.T) {
 // overwrites the debris.
 func TestCompactJournalTornCompactionCrash(t *testing.T) {
 	path := tmpJournal(t)
-	j, _, err := OpenJournal(path, 0)
+	j, _, err := OpenJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,7 +434,7 @@ func TestCompactJournalTornCompactionCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The journal itself still opens fine — compaction never touched it.
-	if _, recs, err := OpenJournal(path, 0); err != nil || len(recs) != 3 {
+	if _, recs, err := OpenJournal(path); err != nil || len(recs) != 3 {
 		t.Fatalf("journal after torn compaction: %d records, err %v", len(recs), err)
 	}
 	got, _ := os.ReadFile(path)
@@ -482,7 +450,7 @@ func TestCompactJournalTornCompactionCrash(t *testing.T) {
 	if _, err := os.Stat(path + ".compact"); !errors.Is(err, os.ErrNotExist) {
 		t.Fatal("temp file left behind after successful compaction")
 	}
-	_, recs, err := OpenJournal(path, 0)
+	_, recs, err := OpenJournal(path)
 	if err != nil || len(recs) != 1 || recs[0].ID != "job-000002" {
 		t.Fatalf("post-retry journal: %+v, err %v", recs, err)
 	}

@@ -287,7 +287,7 @@ func TestManagerBreakerTripsAndReports(t *testing.T) {
 
 func TestManagerDrainPersistsQueueAndRefusesWork(t *testing.T) {
 	path := tmpJournal(t)
-	j, _, err := OpenJournal(path, 0)
+	j, _, err := OpenJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +340,7 @@ func TestManagerDrainPersistsQueueAndRefusesWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The queued job survives in the journal for the next life.
-	_, recs, err := OpenJournal(path, 0)
+	_, recs, err := OpenJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +363,7 @@ func TestManagerDrainPersistsQueueAndRefusesWork(t *testing.T) {
 // completed job untouched.
 func TestManagerCrashRecoveryExactlyOnce(t *testing.T) {
 	path := tmpJournal(t)
-	j, _, err := OpenJournal(path, 0)
+	j, _, err := OpenJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +387,7 @@ func TestManagerCrashRecoveryExactlyOnce(t *testing.T) {
 	}
 
 	// Era B: recover and finish.
-	j2, recs, err := OpenJournal(path, 0)
+	j2, recs, err := OpenJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +445,7 @@ func TestManagerCrashRecoveryExactlyOnce(t *testing.T) {
 
 func TestManagerSubmitDurableBeforeAck(t *testing.T) {
 	path := tmpJournal(t)
-	j, _, err := OpenJournal(path, 0)
+	j, _, err := OpenJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,7 +478,7 @@ func TestManagerSubmitDurableBeforeAck(t *testing.T) {
 // on disk and the queue still empty.
 func TestAcceptedBeforeVisibleToWorkers(t *testing.T) {
 	path := tmpJournal(t)
-	j, _, err := OpenJournal(path, 0)
+	j, _, err := OpenJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}

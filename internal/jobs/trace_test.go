@@ -36,7 +36,7 @@ func spanNames(doc *obs.Trace) []string {
 // by the terminal transition.
 func TestTracedJobLifecycleSpans(t *testing.T) {
 	tracer := testTracer(t)
-	journal, _, err := OpenJournal(filepath.Join(t.TempDir(), "j.journal"), 0)
+	journal, _, err := OpenJournal(filepath.Join(t.TempDir(), "j.journal"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestTracedJobLifecycleSpans(t *testing.T) {
 		t.Errorf("open spans = %d, want 0", doc.OpenSpans)
 	}
 	// The journal's accepted record carries the trace id for triage.
-	_, recs, err := OpenJournal(journal.path, 0)
+	_, recs, err := OpenJournal(journal.path)
 	if err != nil {
 		t.Fatal(err)
 	}

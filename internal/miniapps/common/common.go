@@ -115,11 +115,6 @@ type RunConfig struct {
 	// and OS noise, link faults scale message costs, and scheduled rank
 	// crashes abort the world. Nil is a clean run at zero cost.
 	Fault *fault.Schedule
-	// Cost, when non-nil, accounts the simulator's own wall-clock spend
-	// per stage (setup, charge, collective, vtime-advance) — the
-	// self-observability counterpart of Recorder. Nil disables the
-	// accounting at zero cost.
-	Cost *obs.CostRecorder
 }
 
 // Normalized returns the config with defaults applied (machine, 1x1
@@ -290,7 +285,6 @@ type Env struct {
 	log   *opLog                 // the rank program being recorded, nil otherwise
 	rec   *obs.Recorder          // run recorder, nil when profiling is off
 	inj   *fault.Injector        // fault injector, nil on clean runs
-	cost  *obs.CostRecorder      // self-cost recorder, nil when disabled
 }
 
 // span is one named span of a rank's virtual time: the start of its
@@ -328,8 +322,6 @@ func (e *Env) ChargeCapped(k core.Kernel, iters float64, threads int) error {
 // compute-only phases.
 func (e *Env) charge(k core.Kernel, iters float64, threads int) error {
 	e.log.charge(k, iters, threads)
-	costStart := e.cost.Begin()
-	defer e.cost.End(obs.StageCharge, costStart)
 	ex := e.exec
 	if threads > 0 && threads < len(ex.ThreadCores) {
 		ex.ThreadCores = ex.ThreadCores[:threads]
@@ -411,10 +403,6 @@ func Launch(cfg RunConfig, body func(env *Env) error) (*RunStats, error) {
 // launch is Launch on a normalized config. When logs is non-nil, rank
 // r's model-visible operations are recorded into logs[r].
 func launch(cfg RunConfig, body func(env *Env) error, logs []*opLog) (*RunStats, error) {
-	// Everything before the ranks start — placement, model, fabric,
-	// injector construction — is setup cost.
-	setupStart := cfg.Cost.Begin()
-
 	var pl *affinity.Placement
 	var err error
 	if cfg.NodeStride > 0 {
@@ -454,15 +442,12 @@ func launch(cfg RunConfig, body func(env *Env) error, logs []*opLog) (*RunStats,
 		return nil, err
 	}
 
-	cfg.Cost.End(obs.StageSetup, setupStart)
-
 	envs := make([]*Env, cfg.Procs)
 	res, err := mpi.Run(mpi.Config{
 		Ranks: cfg.Procs, Fabric: fabric, PairScale: pairScale,
 		TraceCapacity: cfg.TraceCapacity,
 		Recorder:      cfg.Recorder,
 		Fault:         inj,
-		Cost:          cfg.Cost,
 	}, func(c *mpi.Comm) error {
 		team, err := omp.NewTeam(cfg.Machine, pl.ThreadCore[c.Rank()], c.Clock(), omp.DefaultOverheads())
 		if err != nil {
@@ -485,7 +470,6 @@ func launch(cfg RunConfig, body func(env *Env) error, logs []*opLog) (*RunStats,
 			prof: map[string]KernelStats{},
 			rec:  cfg.Recorder,
 			inj:  inj,
-			cost: cfg.Cost,
 		}
 		if logs != nil {
 			env.log = logs[c.Rank()]

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
-	"fibersim/internal/obs"
 	"fibersim/internal/vtime"
 )
 
@@ -49,13 +47,7 @@ func (c *Comm) rendezvous(op string, bytes int64, value any,
 	}
 	c.world.stats.countCollective(op, bytes)
 	traceStart := c.Clock().Now()
-	// Self-observability: the rendezvous is collective host work, except
-	// the clock-sync loop, measured below as vtime-advance, and the time
-	// from parking to retaking a run slot, which is waiting, not work.
-	costStart := c.world.cost.Begin()
-	var excluded time.Duration
 	defer func() {
-		c.world.cost.EndExcluding(obs.StageCollective, costStart, excluded)
 		end := c.Clock().Now()
 		c.Trace(op, "mpi", traceStart, end)
 		c.world.rec.MPIOp(c.rank, collectiveName(op), -1, bytes, end-traceStart)
@@ -95,11 +87,9 @@ func (c *Comm) rendezvous(op string, bytes int64, value any,
 		}
 		start := vtime.Max(vtime.Comm, clocks...)
 		syncT := start + cost()
-		syncStart := c.world.cost.Begin()
 		for _, cl := range clocks {
 			cl.AdvanceTo(syncT, vtime.Comm)
 		}
-		excluded = c.world.cost.End(obs.StageVtimeAdvance, syncStart)
 		for _, e := range ph.entries {
 			if e.rank != c.rank {
 				c.world.unpark(e.rank)
@@ -115,10 +105,7 @@ func (c *Comm) rendezvous(op string, bytes int64, value any,
 	c.world.blocked[c.rank] = BlockedOp{Rank: c.rank, Op: op, Peer: -1, Tag: -1, Clock: traceStart}
 	ph.mu.Unlock()
 
-	parkStart := c.world.cost.Begin()
-	err := c.world.park(c.rank)
-	excluded = c.world.cost.Begin().Sub(parkStart)
-	if err != nil {
+	if err := c.world.park(c.rank); err != nil {
 		return nil, err
 	}
 	return gen.result, gen.err

@@ -129,10 +129,6 @@ type Config struct {
 	// faults scale point-to-point costs in post, and FaultCheck fires
 	// scheduled rank crashes as world-wide aborts.
 	Fault *fault.Injector
-	// Cost, when non-nil, receives the simulator's own wall-clock
-	// spend: collective rendezvous and virtual-clock advancement are
-	// charged to their self-observability stages.
-	Cost *obs.CostRecorder
 }
 
 func (c Config) withDefaults() Config {
@@ -187,7 +183,6 @@ type World struct {
 	stats  *statCounters
 	traces []*trace.Log // per rank, nil when tracing is off
 	rec    *obs.Recorder
-	cost   *obs.CostRecorder
 	msgID  atomic.Uint64 // flow ids; 0 is reserved for "no flow"
 
 	// The rank scheduler (see the package doc). A rank holds a slot
@@ -308,7 +303,6 @@ func Run(cfg Config, body func(*Comm) error) (*Result, error) {
 		ph:      &phaser{cur: &generation{}},
 		stats:   newStatCounters(),
 		rec:     cfg.Recorder,
-		cost:    cfg.Cost,
 		slots:   make(chan struct{}, min(cfg.Ranks, runtime.GOMAXPROCS(0))),
 		wake:    make([]chan struct{}, cfg.Ranks),
 		inj:     cfg.Fault,
@@ -547,9 +541,7 @@ func (c *Comm) sendrecv(dst, sendTag int, data []float64, n, src, recvTag int) (
 	if err != nil {
 		return nil, err
 	}
-	vs := c.world.cost.Begin()
 	c.Clock().AdvanceTo(m.avail, vtime.Comm)
-	c.world.cost.End(obs.StageVtimeAdvance, vs)
 	end := c.Clock().Now()
 	c.traceFlow("recv", "mpi", t0, end, m.flow, trace.FlowIn)
 	c.world.rec.MPIOp(c.rank, "recv", m.src, m.bytes, end-t0)

@@ -8,8 +8,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"fibersim/internal/obs"
 )
 
 // withGOMAXPROCS runs f with GOMAXPROCS set to p, which fixes the slot
@@ -226,47 +224,5 @@ func TestParkedReceiveWakesOnlyOnMatch(t *testing.T) {
 					*tc.post, len(w.wake[0]), w.active.Load(), mb.parked, mb.got, len(mb.queue), tc.hit)
 			}
 		})
-	}
-}
-
-// TestCollectiveStageExcludesPark: the collective self-profile stage
-// is host work, not waiting. With one slot, ranks 0 and 2 are parked in
-// the Allreduce while rank 1 moves the injected clock an hour ahead
-// before arriving; none of that hour may be charged to the stage.
-func TestCollectiveStageExcludesPark(t *testing.T) {
-	base := time.Unix(1700000000, 0)
-	var ticks, jump atomic.Int64
-	cost := obs.NewCostRecorder(func() time.Time {
-		return base.Add(time.Duration(ticks.Add(1))*time.Microsecond + time.Duration(jump.Load()))
-	})
-	withGOMAXPROCS(1, func() {
-		// Each rank's Sendrecvs as {dst, sendTag, src, recvTag}. Rank 0's
-		// second receive takes rank 2's first message, queued before rank
-		// 0's first receive completed, so rank 0 goes from releasing rank
-		// 1 straight into the Allreduce and parks there before rank 1 can
-		// run.
-		programs := [][][4]int{
-			{{2, 0, 2, 1}, {1, 0, 2, 0}},
-			{{2, 0, 0, 0}},
-			{{0, 0, 0, 0}, {0, 1, 1, 0}},
-		}
-		_, err := runWithin(t, 10*time.Second, Config{Ranks: 3, Cost: cost}, func(c *Comm) error {
-			for _, x := range programs[c.Rank()] {
-				if _, err := c.Sendrecv(x[0], x[1], nil, x[2], x[3]); err != nil {
-					return err
-				}
-			}
-			if c.Rank() == 1 {
-				jump.Add(int64(time.Hour))
-			}
-			_, err := c.AllreduceScalar(OpSum, 1)
-			return err
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
-	if got := cost.StageSeconds(obs.StageCollective); got <= 0 || got > 1e-3 {
-		t.Errorf("collective stage = %gs, want the few steps of host work, not the hour rank 0 was parked", got)
 	}
 }

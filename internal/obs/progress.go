@@ -35,8 +35,9 @@ type SweepProgress struct {
 	Resumed     bool    `json:"resumed,omitempty"`
 	Err         string  `json:"error,omitempty"`
 	// WallSeconds/HeapPeakBytes carry self-observability readings when
-	// the sweep runs under -selfprofile: the real wall cost of the cell
-	// and the live-heap high-water mark after it.
+	// the sweep runs under -selfprofile: the cell's measured elapsed
+	// time (its self-profile's elapsed_seconds) and the live-heap
+	// high-water mark after it.
 	WallSeconds   float64 `json:"wall_seconds,omitempty"`
 	HeapPeakBytes uint64  `json:"heap_peak_bytes,omitempty"`
 }

@@ -128,23 +128,6 @@ func (h *Histogram) Observe(v float64) {
 	h.sum.Add(v)
 }
 
-// ObserveN records n identical samples of value v in one shot. Bulk
-// feeders (runtime/metrics histogram deltas) use it to replay a bucket
-// count without n separate Observe calls. n <= 0 is a no-op.
-func (h *Histogram) ObserveN(v float64, n int64) {
-	if n <= 0 {
-		return
-	}
-	i := sort.SearchFloat64s(h.uppers, v)
-	if i < len(h.uppers) {
-		h.buckets[i].Add(n)
-	} else {
-		h.inf.Add(n)
-	}
-	h.count.Add(n)
-	h.sum.Add(v * float64(n))
-}
-
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 

@@ -4,12 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
-	"math"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -81,25 +79,6 @@ func TestHistogramBucketEdges(t *testing.T) {
 	}
 }
 
-func TestHistogramObserveN(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("lat", "", []float64{1, 10}, nil)
-	h.ObserveN(0.5, 3)
-	h.ObserveN(50, 2)
-	h.ObserveN(1, 0)  // no-op
-	h.ObserveN(1, -4) // no-op
-	if h.Count() != 5 {
-		t.Errorf("count = %d, want 5", h.Count())
-	}
-	if got, want := h.Sum(), 3*0.5+2*50.0; got != want {
-		t.Errorf("sum = %g, want %g", got, want)
-	}
-	_, cum := h.Buckets()
-	if cum[0] != 3 || cum[1] != 3 {
-		t.Errorf("cumulative = %v, want [3 3] (+Inf holds 2)", cum)
-	}
-}
-
 func TestLogBuckets(t *testing.T) {
 	b := LogBuckets(1e-9, 10, 4)
 	want := []float64{1e-9, 1e-8, 1e-7, 1e-6}
@@ -140,9 +119,7 @@ func TestRegistryConcurrency(t *testing.T) {
 }
 
 // goldenRegistry builds the fixture behind the exposition golden file:
-// the modelled-hardware families plus one runtime-sampler pass over a
-// fixed synthetic reading, so the fibersim_runtime_* self-observability
-// families are pinned too.
+// one family of each kind.
 func goldenRegistry() *Registry {
 	r := NewRegistry()
 	r.Counter("fibersim_kernel_calls_total", "modelled kernel charges",
@@ -155,37 +132,7 @@ func goldenRegistry() *Registry {
 	h.Observe(5e-7)
 	h.Observe(5e-4)
 	h.Observe(2)
-
-	s, err := NewRuntimeSampler(RuntimeSamplerConfig{
-		Registry: r,
-		Now:      func() time.Time { return time.Unix(1700000000, 0) },
-		Read:     goldenReading,
-	})
-	if err != nil {
-		panic(err)
-	}
-	s.Sample()
 	return r
-}
-
-// goldenReading is the synthetic runtime telemetry behind the golden
-// fibersim_runtime_* families.
-func goldenReading() RuntimeReading {
-	return RuntimeReading{
-		HeapLiveBytes: 48 << 20,
-		HeapGoalBytes: 64 << 20,
-		Goroutines:    52,
-		GCCycles:      7,
-		AllocBytes:    512 << 20,
-		GCPauses: HistReading{
-			Buckets: []float64{0, 1e-6, 1e-4, math.Inf(1)},
-			Counts:  []uint64{3, 4, 1},
-		},
-		SchedLatency: HistReading{
-			Buckets: []float64{0, 1e-6, 1e-3, math.Inf(1)},
-			Counts:  []uint64{100, 20, 2},
-		},
-	}
 }
 
 func TestPrometheusGolden(t *testing.T) {
@@ -224,8 +171,8 @@ func TestRegistryJSON(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &samples); err != nil {
 		t.Fatal(err)
 	}
-	if len(samples) != 11 {
-		t.Fatalf("got %d samples, want 11", len(samples))
+	if len(samples) != 4 {
+		t.Fatalf("got %d samples, want 4", len(samples))
 	}
 	// Families are name-sorted; the histogram comes second.
 	h := samples[2]

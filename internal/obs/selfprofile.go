@@ -8,71 +8,25 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"sync/atomic"
 	"time"
 )
 
 // SelfProfileSchema identifies the self-profile document layout; bump
 // on any incompatible change so downstream tooling can dispatch.
-const SelfProfileSchema = "fibersim/self-profile/v1"
+const SelfProfileSchema = "fibersim/self-profile/v2"
 
-// Stage enumerates the simulator's own cost centers: where the real
-// process spends real wall-clock time while computing virtual time.
-// The set is fixed so profiles from different runs line up column for
-// column.
-type Stage int
-
-const (
-	// StageSetup covers machine/app construction, placement and fabric
-	// wiring before ranks start.
-	StageSetup Stage = iota
-	// StageCharge covers the Env.Charge kernel-model hot path.
-	StageCharge
-	// StageCollective covers collective rendezvous host work: entry,
-	// validation, combine and cost evaluation. It is not waiting: the
-	// virtual-clock sync loop counts as vtime-advance, and the time a
-	// rank spends parked until it retakes a run slot counts nowhere.
-	StageCollective
-	// StageVtimeAdvance covers virtual-clock AdvanceTo work on both the
-	// point-to-point receive path and the collective sync loop.
-	StageVtimeAdvance
-	// StageJournal covers durable state writes (sweep journal fsyncs).
-	StageJournal
-	// StageRender covers artifact emission: manifests, tables, reports.
-	StageRender
-	stageCount
-)
-
-var stageNames = [stageCount]string{
-	"setup", "charge", "collective", "vtime-advance", "journal", "render",
-}
-
-func (s Stage) String() string {
-	if s < 0 || s >= stageCount {
-		return fmt.Sprintf("stage(%d)", int(s))
-	}
-	return stageNames[s]
-}
-
-// StageNames lists every stage name in canonical (enum) order.
-func StageNames() []string {
-	return append([]string(nil), stageNames[:]...)
-}
-
-// CostRecorder accumulates per-stage wall-clock cost of the simulator
-// process itself. Stage accounting is lock-free (per-stage atomics) so
-// every rank goroutine can report concurrently; Start/Finish/Profile
-// belong to the single owning goroutine. All methods are no-ops on a
-// nil receiver, so a disabled recorder costs nothing on the hot paths.
+// CostRecorder measures what one section of the simulator process
+// costs the host: elapsed wall time, heap allocations and GC activity
+// between Start and Finish, and the live-heap high-water mark that
+// SnapshotHeap samples. Start, Finish and Profile belong to the single
+// owning goroutine; SnapshotHeap is safe from any. All methods are
+// no-ops on a nil receiver, so a disabled recorder costs nothing.
 //
 // Time comes from the injected clock only — model code never reads the
 // wall clock directly (the nondet lint rule enforces this).
 type CostRecorder struct {
-	now   func() time.Time
-	ns    [stageCount]atomic.Int64
-	calls [stageCount]atomic.Int64
-
+	now      func() time.Time
 	heapPeak atomic.Uint64
 
 	begin, end time.Time
@@ -88,9 +42,6 @@ func NewCostRecorder(now func() time.Time) *CostRecorder {
 	}
 	return &CostRecorder{now: now}
 }
-
-// Enabled reports whether the recorder is collecting (non-nil).
-func (c *CostRecorder) Enabled() bool { return c != nil }
 
 // Start captures the allocation baseline and opens the measured
 // section. Call once, before the work.
@@ -108,53 +59,9 @@ func (c *CostRecorder) Finish() {
 	if c == nil || c.finished {
 		return
 	}
-	runtime.ReadMemStats(&c.last)
 	c.end = c.now()
+	runtime.ReadMemStats(&c.last)
 	c.finished = true
-}
-
-// Begin returns the stage-timing start point (the zero time when
-// disabled, which End treats as a no-op).
-func (c *CostRecorder) Begin() time.Time {
-	if c == nil {
-		return time.Time{}
-	}
-	return c.now()
-}
-
-// End charges the elapsed time since start to stage and returns the
-// charged duration. A zero start (from a nil recorder's Begin) records
-// nothing.
-func (c *CostRecorder) End(stage Stage, start time.Time) time.Duration {
-	if c == nil || start.IsZero() {
-		return 0
-	}
-	d := c.now().Sub(start)
-	c.Add(stage, d)
-	return d
-}
-
-// EndExcluding charges the elapsed time since start minus exclude to
-// stage — the idiom for a section whose inner span is charged to a
-// different stage (collective rendezvous around the clock-sync loop).
-func (c *CostRecorder) EndExcluding(stage Stage, start time.Time, exclude time.Duration) {
-	if c == nil || start.IsZero() {
-		return
-	}
-	c.Add(stage, c.now().Sub(start)-exclude)
-}
-
-// Add charges d to stage directly; negative durations clamp to zero so
-// a stepping test clock cannot drive a stage negative.
-func (c *CostRecorder) Add(stage Stage, d time.Duration) {
-	if c == nil || stage < 0 || stage >= stageCount {
-		return
-	}
-	if d < 0 {
-		d = 0
-	}
-	c.ns[stage].Add(int64(d))
-	c.calls[stage].Add(1)
 }
 
 // SnapshotHeap samples the live heap and keeps the high-water mark.
@@ -174,60 +81,14 @@ func (c *CostRecorder) SnapshotHeap() {
 	}
 }
 
-// HeapPeakBytes returns the high-water live-heap mark seen by
-// SnapshotHeap (zero if never sampled).
-func (c *CostRecorder) HeapPeakBytes() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.heapPeak.Load()
-}
-
-// StageSeconds returns the accumulated wall time of one stage.
-func (c *CostRecorder) StageSeconds(stage Stage) float64 {
-	if c == nil || stage < 0 || stage >= stageCount {
-		return 0
-	}
-	return time.Duration(c.ns[stage].Load()).Seconds()
-}
-
-// WallSeconds sums the accumulated stage times (goroutine-seconds:
-// concurrent ranks add up, so this can exceed elapsed time).
-func (c *CostRecorder) WallSeconds() float64 {
-	if c == nil {
-		return 0
-	}
-	var t float64
-	for s := Stage(0); s < stageCount; s++ {
-		t += c.StageSeconds(s)
-	}
-	return t
-}
-
 // Profile folds the recorder into a SelfProfile artifact. Call after
-// Finish (an unfinished recorder folds with zero allocation deltas and
-// elapsed time).
+// Finish: an unfinished or nil recorder folds with zero elapsed time
+// and allocation deltas.
 func (c *CostRecorder) Profile(label string) *SelfProfile {
 	p := &SelfProfile{Schema: SelfProfileSchema, Label: label}
 	if c == nil {
-		// A disabled recorder still folds into a complete (all-zero)
-		// profile so every consumer sees the canonical stage set.
-		for s := Stage(0); s < stageCount; s++ {
-			p.Stages = append(p.Stages, StageCost{Stage: s.String()})
-		}
 		return p
 	}
-	var wall float64
-	for s := Stage(0); s < stageCount; s++ {
-		sec := c.StageSeconds(s)
-		wall += sec
-		p.Stages = append(p.Stages, StageCost{
-			Stage:   s.String(),
-			Seconds: sec,
-			Calls:   c.calls[s].Load(),
-		})
-	}
-	p.WallSeconds = wall
 	if c.finished {
 		p.ElapsedSeconds = c.end.Sub(c.begin).Seconds()
 		p.AllocBytes = c.last.TotalAlloc - c.base.TotalAlloc
@@ -240,29 +101,16 @@ func (c *CostRecorder) Profile(label string) *SelfProfile {
 	return p
 }
 
-// StageCost is one stage's accumulated wall cost.
-type StageCost struct {
-	Stage   string  `json:"stage"`
-	Seconds float64 `json:"seconds"`
-	Calls   int64   `json:"calls"`
-}
-
-// SelfProfile is the validated record of what one run (or sweep) of
-// the simulator cost the host: per-stage wall time, allocation volume,
-// GC pressure. It is the pre-optimization baseline the ROADMAP's
-// zero-alloc hot-path work must beat.
+// SelfProfile is the validated record of what one run (or sweep cell)
+// of the simulator cost the host, as measured between CostRecorder's
+// Start and Finish: elapsed wall time, allocation volume, GC pressure.
 type SelfProfile struct {
 	Schema string `json:"schema"`
 	// Label names the measured workload ("stream", "sweep", ...).
 	Label string `json:"label,omitempty"`
-	// WallSeconds is the sum of the stage times below — goroutine
-	// wall-seconds, so concurrent ranks add up.
-	WallSeconds float64 `json:"wall_seconds"`
 	// ElapsedSeconds is the begin-to-end wall time of the measured
 	// section (zero until the recorder is finished).
 	ElapsedSeconds float64 `json:"elapsed_seconds"`
-	// Stages holds one entry per cost center, in canonical order.
-	Stages []StageCost `json:"stages"`
 	// AllocBytes/Allocs are heap allocation deltas over the section.
 	AllocBytes uint64 `json:"alloc_bytes"`
 	Allocs     uint64 `json:"allocs"`
@@ -279,29 +127,10 @@ type SelfProfile struct {
 }
 
 // Validate checks the structural invariants downstream tooling relies
-// on: schema identity, the canonical stage set, finite non-negative
-// numbers, and stage times that sum to the recorded wall total within
-// 1e-9 relative error.
+// on: schema identity and finite, non-negative measurements.
 func (p *SelfProfile) Validate() error {
 	if p.Schema != SelfProfileSchema {
 		return fmt.Errorf("obs: self-profile schema %q, want %q", p.Schema, SelfProfileSchema)
-	}
-	if len(p.Stages) != int(stageCount) {
-		return fmt.Errorf("obs: self-profile has %d stages, want %d", len(p.Stages), stageCount)
-	}
-	var sum float64
-	for i, sc := range p.Stages {
-		if sc.Stage != stageNames[i] {
-			return fmt.Errorf("obs: self-profile stage[%d] = %q, want %q (canonical order)",
-				i, sc.Stage, stageNames[i])
-		}
-		if sc.Seconds < 0 || math.IsNaN(sc.Seconds) || math.IsInf(sc.Seconds, 0) {
-			return fmt.Errorf("obs: self-profile stage %q seconds %g invalid", sc.Stage, sc.Seconds)
-		}
-		if sc.Calls < 0 {
-			return fmt.Errorf("obs: self-profile stage %q calls %d negative", sc.Stage, sc.Calls)
-		}
-		sum += sc.Seconds
 	}
 	// An ordered slice, not a map: which invalid field the error names
 	// must not depend on iteration order.
@@ -309,20 +138,15 @@ func (p *SelfProfile) Validate() error {
 		name string
 		v    float64
 	}{
-		{"wall_seconds", p.WallSeconds},
 		{"elapsed_seconds", p.ElapsedSeconds},
 		{"gc_pause_seconds", p.GCPauseSeconds},
 	} {
-		name, v := c.name, c.v
-		if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("obs: self-profile %s=%g invalid", name, v)
+		if c.v < 0 || math.IsNaN(c.v) || math.IsInf(c.v, 0) {
+			return fmt.Errorf("obs: self-profile %s=%g invalid", c.name, c.v)
 		}
 	}
 	if p.GCCycles < 0 {
 		return fmt.Errorf("obs: self-profile gc_cycles %d negative", p.GCCycles)
-	}
-	if relErr(sum, p.WallSeconds) > 1e-9 {
-		return fmt.Errorf("obs: self-profile stages sum to %g, recorded wall %g", sum, p.WallSeconds)
 	}
 	return nil
 }
@@ -374,34 +198,12 @@ func ReadSelfProfileFile(path string) (*SelfProfile, error) {
 	return ParseSelfProfile(f)
 }
 
-// WriteReport renders the top-n stages by wall cost as a human table.
-func (p *SelfProfile) WriteReport(w io.Writer, n int) error {
-	stages := append([]StageCost(nil), p.Stages...)
-	sort.Slice(stages, func(i, j int) bool {
-		//fiberlint:ignore floatcmp exact tie-break keeps the ordering deterministic
-		if stages[i].Seconds != stages[j].Seconds {
-			return stages[i].Seconds > stages[j].Seconds
-		}
-		return stages[i].Stage < stages[j].Stage
-	})
-	if n > 0 && n < len(stages) {
-		stages = stages[:n]
-	}
-	if _, err := fmt.Fprintf(w, "self-profile %s: wall %.3fs elapsed %.3fs allocs %d (%.1f MiB)\n",
-		p.Label, p.WallSeconds, p.ElapsedSeconds, p.Allocs, float64(p.AllocBytes)/(1<<20)); err != nil {
-		return err
-	}
-	for _, sc := range stages {
-		pct := 0.0
-		if p.WallSeconds > 0 {
-			pct = 100 * sc.Seconds / p.WallSeconds
-		}
-		if _, err := fmt.Fprintf(w, "  %-14s %10.6fs %5.1f%% %9d calls\n",
-			sc.Stage, sc.Seconds, pct, sc.Calls); err != nil {
-			return err
-		}
-	}
-	return nil
+// WriteReport renders the profile as one human-readable line.
+func (p *SelfProfile) WriteReport(w io.Writer) error {
+	_, err := fmt.Fprintf(w, "self-profile %s: elapsed %.3fs allocs %d (%.1f MiB) gc %d cycles (%.3fms paused) heap peak %.1f MiB\n",
+		p.Label, p.ElapsedSeconds, p.Allocs, float64(p.AllocBytes)/(1<<20),
+		p.GCCycles, p.GCPauseSeconds*1e3, float64(p.HeapPeakBytes)/(1<<20))
+	return err
 }
 
 // StartCPUProfile begins a pprof CPU capture to path, returning the

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -21,91 +22,51 @@ func TestCostRecorderNilIsSafe(t *testing.T) {
 	if c != nil {
 		t.Fatal("nil clock must return a nil (disabled) recorder")
 	}
-	if c.Enabled() {
-		t.Error("nil recorder reports enabled")
-	}
 	c.Start()
-	c.End(StageCharge, c.Begin())
-	c.Add(StageSetup, time.Second)
 	c.SnapshotHeap()
 	c.Finish()
-	if c.WallSeconds() != 0 || c.HeapPeakBytes() != 0 {
-		t.Error("nil recorder accumulated state")
-	}
 	p := c.Profile("off")
 	if err := p.Validate(); err != nil {
 		t.Errorf("nil recorder's profile must validate: %v", err)
 	}
-	if p.WallSeconds != 0 || len(p.Stages) != len(StageNames()) {
+	if p.ElapsedSeconds != 0 || p.Allocs != 0 || p.HeapPeakBytes != 0 {
 		t.Errorf("nil profile = %+v", p)
 	}
 }
 
 var allocSink []byte
 
-func TestCostRecorderStages(t *testing.T) {
+func TestCostRecorderMeasuresSection(t *testing.T) {
 	c := NewCostRecorder(stepClock(10 * time.Millisecond))
 	c.Start()
 	allocSink = make([]byte, 1<<16) // a visible allocation inside the section
-	// Each Begin/End pair advances the stepping clock twice: the stage
-	// is charged exactly one 10 ms step.
-	c.End(StageCharge, c.Begin())
-	c.End(StageCharge, c.Begin())
-	c.End(StageCollective, c.Begin())
-	c.Add(StageVtimeAdvance, 5*time.Millisecond)
+	c.SnapshotHeap()
 	c.Finish()
-
-	if got := c.StageSeconds(StageCharge); relErr(got, 0.02) > 1e-12 {
-		t.Errorf("charge = %g, want 0.02", got)
-	}
-	if got := c.WallSeconds(); relErr(got, 0.035) > 1e-12 {
-		t.Errorf("wall = %g, want 0.035", got)
-	}
+	c.Finish() // a second Finish keeps the first reading
 
 	p := c.Profile("stream")
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if p.Label != "stream" {
-		t.Errorf("label = %q", p.Label)
+	if p.Label != "stream" || p.Schema != SelfProfileSchema {
+		t.Errorf("identity = %q %q", p.Schema, p.Label)
 	}
-	if relErr(p.WallSeconds, 0.035) > 1e-12 {
-		t.Errorf("profile wall = %g", p.WallSeconds)
+	// Start and Finish read the stepping clock once each.
+	if p.ElapsedSeconds != 0.01 {
+		t.Errorf("elapsed = %g, want 0.01 from the stepping clock", p.ElapsedSeconds)
 	}
-	// Start..Finish spans 6 clock reads at 10 ms after Start's read.
-	if p.ElapsedSeconds <= 0 {
-		t.Errorf("elapsed = %g, want > 0", p.ElapsedSeconds)
+	if p.Allocs == 0 || p.AllocBytes < 1<<16 {
+		t.Errorf("allocs = %d (%d B), want the 64 KiB allocation inside the section", p.Allocs, p.AllocBytes)
 	}
-	if p.Stages[int(StageCharge)].Calls != 2 {
-		t.Errorf("charge calls = %d, want 2", p.Stages[int(StageCharge)].Calls)
-	}
-	if p.Allocs == 0 {
-		t.Error("allocation delta must be captured between Start and Finish")
+	if p.HeapPeakBytes == 0 || p.Goroutines == 0 {
+		t.Errorf("heap peak %d, goroutines %d: want both sampled", p.HeapPeakBytes, p.Goroutines)
 	}
 }
 
-func TestCostRecorderNegativeDurationClamps(t *testing.T) {
-	c := NewCostRecorder(stepClock(time.Millisecond))
-	c.Add(StageJournal, -time.Second)
-	if got := c.StageSeconds(StageJournal); got != 0 {
-		t.Errorf("negative add charged %g", got)
-	}
-	c.Add(Stage(99), time.Second) // out of range: ignored
-	if got := c.WallSeconds(); got != 0 {
-		t.Errorf("out-of-range stage charged %g", got)
-	}
-}
-
-// TestCostRecorderConcurrent pins the lock-free stage accounting under
-// -race: many rank goroutines charging stages at once.
+// TestCostRecorderConcurrent pins SnapshotHeap's lock-free high-water
+// mark under -race: many rank goroutines sampling at once.
 func TestCostRecorderConcurrent(t *testing.T) {
-	var mu sync.Mutex
-	base := stepClock(time.Microsecond)
-	c := NewCostRecorder(func() time.Time {
-		mu.Lock()
-		defer mu.Unlock()
-		return base()
-	})
+	c := NewCostRecorder(stepClock(time.Microsecond))
 	c.Start()
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
@@ -113,8 +74,6 @@ func TestCostRecorderConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				c.Add(StageCharge, time.Microsecond)
-				c.Add(StageVtimeAdvance, 2*time.Microsecond)
 				c.SnapshotHeap()
 			}
 		}()
@@ -125,13 +84,7 @@ func TestCostRecorderConcurrent(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Stages[int(StageCharge)].Calls; got != 1600 {
-		t.Errorf("charge calls = %d, want 1600", got)
-	}
-	if relErr(c.StageSeconds(StageVtimeAdvance), 3200e-6) > 1e-12 {
-		t.Errorf("vtime-advance = %g, want 3.2ms", c.StageSeconds(StageVtimeAdvance))
-	}
-	if c.HeapPeakBytes() == 0 {
+	if p.HeapPeakBytes == 0 {
 		t.Error("heap high-water mark not captured")
 	}
 }
@@ -139,9 +92,9 @@ func TestCostRecorderConcurrent(t *testing.T) {
 func TestSelfProfileRoundTrip(t *testing.T) {
 	c := NewCostRecorder(stepClock(time.Millisecond))
 	c.Start()
-	c.End(StageSetup, c.Begin())
 	c.Finish()
 	p := c.Profile("roundtrip")
+	p.CPUProfile = "cpu.pprof"
 	path := filepath.Join(t.TempDir(), "self.json")
 	if err := p.WriteFile(path); err != nil {
 		t.Fatal(err)
@@ -150,7 +103,7 @@ func TestSelfProfileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Label != "roundtrip" || relErr(back.WallSeconds, p.WallSeconds) > 1e-12 {
+	if *back != *p {
 		t.Errorf("roundtrip drifted: %+v vs %+v", back, p)
 	}
 }
@@ -165,14 +118,10 @@ func TestSelfProfileValidateRejects(t *testing.T) {
 		want    string
 	}{
 		{"schema", func(p *SelfProfile) { p.Schema = "nope" }, "schema"},
-		{"missing stage", func(p *SelfProfile) { p.Stages = p.Stages[:3] }, "stages"},
-		{"stage order", func(p *SelfProfile) {
-			p.Stages[0], p.Stages[1] = p.Stages[1], p.Stages[0]
-		}, "canonical order"},
-		{"negative seconds", func(p *SelfProfile) { p.Stages[2].Seconds = -1 }, "invalid"},
-		{"negative calls", func(p *SelfProfile) { p.Stages[0].Calls = -1 }, "negative"},
-		{"sum mismatch", func(p *SelfProfile) { p.WallSeconds = 99 }, "sum"},
-		{"bad wall", func(p *SelfProfile) { p.WallSeconds = -1 }, "wall_seconds"},
+		{"v1 schema", func(p *SelfProfile) { p.Schema = "fibersim/self-profile/v1" }, "schema"},
+		{"negative elapsed", func(p *SelfProfile) { p.ElapsedSeconds = -1 }, "elapsed_seconds"},
+		{"nan elapsed", func(p *SelfProfile) { p.ElapsedSeconds = math.NaN() }, "elapsed_seconds"},
+		{"inf gc pause", func(p *SelfProfile) { p.GCPauseSeconds = math.Inf(1) }, "gc_pause_seconds"},
 		{"bad gc cycles", func(p *SelfProfile) { p.GCCycles = -2 }, "gc_cycles"},
 	}
 	for _, tc := range cases {
@@ -190,27 +139,26 @@ func TestSelfProfileValidateRejects(t *testing.T) {
 }
 
 func TestSelfProfileParseRejectsUnknownFields(t *testing.T) {
-	if _, err := ParseSelfProfile(strings.NewReader(`{"schema":"fibersim/self-profile/v1","bogus":1}`)); err == nil {
+	if _, err := ParseSelfProfile(strings.NewReader(`{"schema":"fibersim/self-profile/v2","bogus":1}`)); err == nil {
 		t.Error("unknown field must fail to parse")
 	}
 }
 
 func TestSelfProfileReport(t *testing.T) {
-	c := NewCostRecorder(stepClock(time.Millisecond))
-	c.Add(StageCharge, 3*time.Second)
-	c.Add(StageSetup, time.Second)
-	c.Add(StageRender, 2*time.Second)
+	p := &SelfProfile{Schema: SelfProfileSchema, Label: "report", ElapsedSeconds: 1.5,
+		Allocs: 42, AllocBytes: 3 << 20, GCCycles: 2, HeapPeakBytes: 8 << 20}
 	var buf bytes.Buffer
-	if err := c.Profile("report").WriteReport(&buf, 2); err != nil {
+	if err := p.WriteReport(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	ci, ri := strings.Index(out, "charge"), strings.Index(out, "render")
-	if ci < 0 || ri < 0 || ci > ri {
-		t.Errorf("top-2 stages missing or misordered:\n%s", out)
+	for _, want := range []string{"report", "elapsed 1.500s", "allocs 42", "3.0 MiB", "gc 2 cycles", "heap peak 8.0 MiB"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("report lacks %q:\n%s", want, out)
+		}
 	}
-	if strings.Contains(out, "setup") {
-		t.Errorf("top-2 report must omit the third stage:\n%s", out)
+	if strings.Count(out, "\n") != 1 {
+		t.Errorf("report is not one line:\n%s", out)
 	}
 }
 
