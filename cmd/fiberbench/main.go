@@ -195,7 +195,6 @@ func runSingle(o singleOpts) {
 	}
 	cost.Start()
 	res, err := app.Run(rc)
-	cost.SnapshotHeap()
 	cost.Finish()
 	stopCPU()
 	if err != nil {

@@ -157,7 +157,6 @@ func selfProfilePath(t *testing.T) string {
 	clock := time.Unix(1700000000, 0)
 	cost := obs.NewCostRecorder(func() time.Time { clock = clock.Add(time.Millisecond); return clock })
 	cost.Start()
-	cost.SnapshotHeap()
 	cost.Finish()
 	path := filepath.Join(t.TempDir(), "self.json")
 	if err := cost.Profile("stream").WriteFile(path); err != nil {

@@ -12,7 +12,9 @@ import (
 
 // record then check on an unchanged tree: the simulator is
 // deterministic in virtual time, so every cell must score z = 0 and
-// the gate must pass.
+// the gate must pass. The host wall-clock gate is off: against a
+// one-record baseline, a ms-scale cell slowed by a loaded host would
+// fail it; TestWallGateFlagsOnlyTheVictim covers that gate.
 func TestRecordThenCheckCleanGate(t *testing.T) {
 	traj := filepath.Join(t.TempDir(), "bench.json")
 	var out, errb bytes.Buffer
@@ -29,7 +31,7 @@ func TestRecordThenCheckCleanGate(t *testing.T) {
 	out.Reset()
 	errb.Reset()
 	code = run([]string{"check", "-trajectory", traj, "-size", "test",
-		"-apps", "stream", "-rev", "r2"}, &out, &errb)
+		"-apps", "stream", "-rev", "r2", "-wall-min-rel", "0"}, &out, &errb)
 	if code != 0 {
 		t.Fatalf("unchanged tree failed the gate (exit %d)\nstdout: %s\nstderr: %s",
 			code, out.String(), errb.String())
@@ -42,6 +44,7 @@ func TestRecordThenCheckCleanGate(t *testing.T) {
 // The acceptance scenario: a synthetic 2x slowdown in one config must
 // trip the gate. The slowdown is injected by halving that key's stored
 // baseline times, which makes the (unchanged) fresh run look 2x slower.
+// The host wall-clock gate is off, as in TestRecordThenCheckCleanGate.
 func TestCheckCatchesInjectedSlowdown(t *testing.T) {
 	traj := filepath.Join(t.TempDir(), "bench.json")
 	var out, errb bytes.Buffer
@@ -68,7 +71,7 @@ func TestCheckCatchesInjectedSlowdown(t *testing.T) {
 	out.Reset()
 	errb.Reset()
 	code := run([]string{"check", "-trajectory", scaled.Path, "-size", "test",
-		"-apps", "stream", "-rev", "r2"}, &out, &errb)
+		"-apps", "stream", "-rev", "r2", "-wall-min-rel", "0"}, &out, &errb)
 	if code == 0 {
 		t.Fatalf("2x slowdown in %s passed the gate\nstdout: %s", victim, out.String())
 	}
@@ -78,6 +81,52 @@ func TestCheckCatchesInjectedSlowdown(t *testing.T) {
 	// Only the injected key regresses.
 	if n := strings.Count(out.String(), "REGRESS"); n != 1 {
 		t.Errorf("got %d regressions, want exactly 1:\n%s", n, out.String())
+	}
+}
+
+// TestWallGateFlagsOnlyTheVictim pins the host wall-clock gate's
+// wiring without timing anything: every baseline record's wall time is
+// scaled by 1e6, so no fresh run can look slower, except the victim's,
+// scaled by 1e-6, which any fresh run exceeds about a millionfold.
+// Exactly one #wall regression must name the victim.
+func TestWallGateFlagsOnlyTheVictim(t *testing.T) {
+	traj := filepath.Join(t.TempDir(), "bench.json")
+	var out, errb bytes.Buffer
+	if code := run([]string{"record", "-trajectory", traj, "-size", "test",
+		"-apps", "stream", "-rev", "r1"}, &out, &errb); code != 0 {
+		t.Fatalf("record exit %d: %s", code, errb.String())
+	}
+	loaded, err := perfdb.Load(traj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := loaded.Records[0].Key()
+	scaled := &perfdb.Trajectory{Path: filepath.Join(t.TempDir(), "scaled.json")}
+	for _, r := range loaded.Records {
+		if r.Key() == victim {
+			r.WallSeconds *= 1e-6
+		} else {
+			r.WallSeconds *= 1e6
+		}
+		if err := scaled.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	out.Reset()
+	errb.Reset()
+	if code := run([]string{"check", "-trajectory", scaled.Path, "-size", "test",
+		"-apps", "stream", "-rev", "r2"}, &out, &errb); code == 0 {
+		t.Fatalf("wall regression in %s passed the gate\nstdout: %s", victim, out.String())
+	}
+	var walls []string
+	for _, line := range strings.Split(out.String(), "\n") {
+		if strings.Contains(line, "REGRESS") && strings.Contains(line, "#wall") {
+			walls = append(walls, line)
+		}
+	}
+	if len(walls) != 1 || !strings.Contains(walls[0], victim+"#wall") {
+		t.Errorf("want exactly one #wall REGRESS naming %s, got %q:\n%s", victim, walls, out.String())
 	}
 }
 

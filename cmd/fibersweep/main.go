@@ -200,7 +200,6 @@ sweep:
 						fmt.Fprintln(os.Stderr, "fibersweep: interrupted; completed rows are checkpointed")
 						os.Exit(130)
 					}
-					cost.SnapshotHeap()
 					freshRuns++
 					var cells []string
 					if err != nil {
@@ -516,7 +515,7 @@ func writeTrace(app common.App, rc common.RunConfig, path string) error {
 // for a failed run, and the bare identity for a resumed row (whose
 // numbers live only as formatted cells in the checkpoint). A fresh
 // row's self-profile, non-nil under -selfprofile, adds the cell's
-// measured elapsed time and heap peak.
+// measured elapsed time and the process's heap peak so far.
 func progressRow(appName, machine string, d [2]int, compiler string, sz common.Size,
 	done, total int, res common.Result, runErr error, resumed bool, self *obs.SelfProfile) obs.SweepProgress {
 	p := obs.SweepProgress{

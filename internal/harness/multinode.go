@@ -61,10 +61,10 @@ func FigMultiNode(o Options) (*Table, error) {
 				if _, err := mdl.Charge(c.Clock(), kern, 1e5, ex); err != nil {
 					return err
 				}
-				if _, err := c.Sendrecv(right, 1, halo, left, 1); err != nil {
+				if err := c.SendrecvInto(right, 1, halo, left, 1, halo); err != nil {
 					return err
 				}
-				if _, err := c.Sendrecv(left, 2, halo, right, 2); err != nil {
+				if err := c.SendrecvInto(left, 2, halo, right, 2, halo); err != nil {
 					return err
 				}
 				if _, err := c.AllreduceScalar(mpi.OpSum, 1); err != nil {

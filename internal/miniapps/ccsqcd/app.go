@@ -104,8 +104,9 @@ type solver struct {
 	// Wilson-Clover matvec. The even-odd path plugs its Schur operator
 	// in here.
 	apply func(dst, src Field) error
-	// halo holds exchangeHalo's two packed boundary slices.
-	halo [2][]float64
+	// send and recv hold exchangeHalo's packed boundary slice and the
+	// packed halo it receives.
+	send, recv []float64
 }
 
 // applyOp dispatches to the configured operator.
@@ -166,24 +167,23 @@ func (s *solver) exchangeHalo(src Field) error {
 		copy(slice(g.LTloc), slice(0))
 		return nil
 	}
-	// pack writes slice t into buffer b as interleaved real and
-	// imaginary parts. Sendrecv copies its payload, so the buffers
-	// are reused from call to call.
-	pack := func(b, t int) []float64 {
-		if s.halo[b] == nil {
-			s.halo[b] = make([]float64, 2*sv)
-		}
-		out := s.halo[b]
-		for i, v := range slice(t) {
-			out[2*i] = real(v)
-			out[2*i+1] = imag(v)
-		}
-		return out
+	if s.send == nil {
+		s.send, s.recv = make([]float64, 2*sv), make([]float64, 2*sv)
 	}
-	unpack := func(t int, data []float64) {
+	// pack writes slice t into s.send as interleaved real and imaginary
+	// parts. SendrecvInto copies its payload, so both exchanges pack
+	// into the same buffer.
+	pack := func(t int) []float64 {
+		for i, v := range slice(t) {
+			s.send[2*i] = real(v)
+			s.send[2*i+1] = imag(v)
+		}
+		return s.send
+	}
+	unpack := func(t int) {
 		f := slice(t)
 		for i := range f {
-			f[i] = complex(data[2*i], data[2*i+1])
+			f[i] = complex(s.recv[2*i], s.recv[2*i+1])
 		}
 	}
 
@@ -191,17 +191,15 @@ func (s *solver) exchangeHalo(src Field) error {
 	up := (g.Rank + 1) % g.Procs
 	down := (g.Rank - 1 + g.Procs) % g.Procs
 	// Send top slice up / receive bottom halo from down.
-	got, err := c.Sendrecv(up, 100, pack(0, g.LTloc-1), down, 100)
-	if err != nil {
+	if err := c.SendrecvInto(up, 100, pack(g.LTloc-1), down, 100, s.recv); err != nil {
 		return err
 	}
-	unpack(-1, got)
+	unpack(-1)
 	// Send bottom slice down / receive top halo from up.
-	got, err = c.Sendrecv(down, 101, pack(1, 0), up, 101)
-	if err != nil {
+	if err := c.SendrecvInto(down, 101, pack(0), up, 101, s.recv); err != nil {
 		return err
 	}
-	unpack(g.LTloc, got)
+	unpack(g.LTloc)
 	return nil
 }
 

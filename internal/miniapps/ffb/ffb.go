@@ -211,6 +211,8 @@ type solver struct {
 	kL    core.Kernel
 	flops float64
 	iters int
+	// recv receives exchangeAdd's neighbour plane.
+	recv []float64
 }
 
 // exchangeAdd sums the interface-plane contributions of y with both
@@ -221,23 +223,24 @@ func (s *solver) exchangeAdd(y []float64) error {
 	c := s.env.Comm
 	top := y[m.NodeID(0, 0, m.NZnodes-1) : m.NodeID(0, 0, m.NZnodes-1)+pn]
 	bottom := y[m.NodeID(0, 0, 0) : m.NodeID(0, 0, 0)+pn]
+	if s.recv == nil {
+		s.recv = make([]float64, pn)
+	}
 	// Exchange with upper neighbour: our top plane is their bottom.
 	if m.Rank < m.Procs-1 {
-		got, err := c.Sendrecv(m.Rank+1, 200, top, m.Rank+1, 201)
-		if err != nil {
+		if err := c.SendrecvInto(m.Rank+1, 200, top, m.Rank+1, 201, s.recv); err != nil {
 			return err
 		}
 		for i := range top {
-			top[i] += got[i]
+			top[i] += s.recv[i]
 		}
 	}
 	if m.Rank > 0 {
-		got, err := c.Sendrecv(m.Rank-1, 201, bottom, m.Rank-1, 200)
-		if err != nil {
+		if err := c.SendrecvInto(m.Rank-1, 201, bottom, m.Rank-1, 200, s.recv); err != nil {
 			return err
 		}
 		for i := range bottom {
-			bottom[i] += got[i]
+			bottom[i] += s.recv[i]
 		}
 	}
 	return nil

@@ -172,7 +172,7 @@ type runner struct {
 
 // exchange swaps halo planes of one field with the z-neighbours.
 // Non-periodic: boundary ranks mirror their edge plane (Neumann).
-// Sendrecv copies its payload, so a plane is sent in place.
+// Planes are sent from and received into the field in place.
 func (r *runner) exchange(f []float64, tag int) error {
 	g := r.st.g
 	sv := g.SliceVol()
@@ -182,21 +182,17 @@ func (r *runner) exchange(f []float64, tag int) error {
 	c := r.env.Comm
 	// Up (towards higher z).
 	if g.Rank < g.Procs-1 {
-		got, err := c.Sendrecv(g.Rank+1, tag, plane(g.NZloc-1), g.Rank+1, tag+1000)
-		if err != nil {
+		if err := c.SendrecvInto(g.Rank+1, tag, plane(g.NZloc-1), g.Rank+1, tag+1000, plane(g.NZloc)); err != nil {
 			return err
 		}
-		copy(plane(g.NZloc), got)
 	} else {
 		copy(plane(g.NZloc), plane(g.NZloc-1))
 	}
 	// Down.
 	if g.Rank > 0 {
-		got, err := c.Sendrecv(g.Rank-1, tag+1000, plane(0), g.Rank-1, tag)
-		if err != nil {
+		if err := c.SendrecvInto(g.Rank-1, tag+1000, plane(0), g.Rank-1, tag, plane(-1)); err != nil {
 			return err
 		}
-		copy(plane(-1), got)
 	} else {
 		copy(plane(-1), plane(0))
 	}

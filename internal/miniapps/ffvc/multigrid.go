@@ -42,36 +42,28 @@ func (r *runner) newMGState() (*mgState, error) {
 }
 
 // exchangeCoarse swaps the coarse halo planes with the z-neighbours
-// (mirroring at the global boundaries, like the fine exchange).
+// (mirroring at the global boundaries, like the fine exchange). Planes
+// are sent from and received into the field in place.
 func (r *runner) exchangeCoarse(m *mgState, f []float64, tag int) error {
 	g := r.st.g
 	sv := m.nxc * m.nyc
 	plane := func(k int) []float64 {
-		out := make([]float64, sv)
-		copy(out, f[m.coarseIdx(0, 0, k):m.coarseIdx(0, 0, k)+sv])
-		return out
-	}
-	setPlane := func(k int, data []float64) {
-		copy(f[m.coarseIdx(0, 0, k):m.coarseIdx(0, 0, k)+sv], data)
+		return f[m.coarseIdx(0, 0, k) : m.coarseIdx(0, 0, k)+sv]
 	}
 	c := r.env.Comm
 	if g.Rank < g.Procs-1 {
-		got, err := c.Sendrecv(g.Rank+1, tag, plane(m.nzc-1), g.Rank+1, tag+1000)
-		if err != nil {
+		if err := c.SendrecvInto(g.Rank+1, tag, plane(m.nzc-1), g.Rank+1, tag+1000, plane(m.nzc)); err != nil {
 			return err
 		}
-		setPlane(m.nzc, got)
 	} else {
-		setPlane(m.nzc, plane(m.nzc-1))
+		copy(plane(m.nzc), plane(m.nzc-1))
 	}
 	if g.Rank > 0 {
-		got, err := c.Sendrecv(g.Rank-1, tag+1000, plane(0), g.Rank-1, tag)
-		if err != nil {
+		if err := c.SendrecvInto(g.Rank-1, tag+1000, plane(0), g.Rank-1, tag, plane(-1)); err != nil {
 			return err
 		}
-		setPlane(-1, got)
 	} else {
-		setPlane(-1, plane(0))
+		copy(plane(-1), plane(0))
 	}
 	return nil
 }

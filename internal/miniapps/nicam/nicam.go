@@ -136,36 +136,24 @@ type runner struct {
 }
 
 // exchange fills the halo rows of one field (periodic in y across
-// ranks).
+// ranks), sending from and receiving into the field in place.
 func (r *runner) exchange(f []float64, tag int) error {
 	g := r.st.g
 	row := func(j int) []float64 {
-		out := make([]float64, g.NX)
-		copy(out, f[g.Idx(0, j):g.Idx(0, j)+g.NX])
-		return out
-	}
-	setRow := func(j int, data []float64) {
-		copy(f[g.Idx(0, j):g.Idx(0, j)+g.NX], data)
+		return f[g.Idx(0, j) : g.Idx(0, j)+g.NX]
 	}
 	if g.Procs == 1 {
-		setRow(-1, row(g.NYloc-1))
-		setRow(g.NYloc, row(0))
+		copy(row(-1), row(g.NYloc-1))
+		copy(row(g.NYloc), row(0))
 		return nil
 	}
 	c := r.env.Comm
 	up := (g.Rank + 1) % g.Procs
 	down := (g.Rank - 1 + g.Procs) % g.Procs
-	got, err := c.Sendrecv(up, tag, row(g.NYloc-1), down, tag)
-	if err != nil {
+	if err := c.SendrecvInto(up, tag, row(g.NYloc-1), down, tag, row(-1)); err != nil {
 		return err
 	}
-	setRow(-1, got)
-	got, err = c.Sendrecv(down, tag+1, row(0), up, tag+1)
-	if err != nil {
-		return err
-	}
-	setRow(g.NYloc, got)
-	return nil
+	return c.SendrecvInto(down, tag+1, row(0), up, tag+1, row(g.NYloc))
 }
 
 // lfFlux computes the Lax-Friedrichs numerical flux for one face given

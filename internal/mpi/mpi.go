@@ -20,7 +20,8 @@
 // A rank gives its slot back early in exactly two places, the only
 // places it parks:
 //
-//   - in Sendrecv's receive when no queued message matches;
+//   - in a Sendrecv's or SendrecvInto's receive when no queued message
+//     matches;
 //   - in a collective when it is not the last rank to arrive.
 //
 // It records the park under the lock that proves the wait (its mailbox
@@ -50,6 +51,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -145,10 +147,11 @@ func (c Config) withDefaults() Config {
 // reductions, in seconds per byte.
 const reduceGamma = 0.25e-9
 
-// message is one in-flight point-to-point message.
+// message is one in-flight point-to-point message. Mailboxes hold
+// messages by value, so a message needs no allocation of its own.
 type message struct {
 	src, tag int
-	data     []float64
+	data     []float64 // an eager buffer from the world's free list; nil when data-free
 	bytes    int64
 	avail    float64 // virtual time at which the payload is available
 	flow     uint64  // world-unique message id, links send/recv trace slices
@@ -163,13 +166,52 @@ func (m *message) matches(src, tag int) bool {
 // order, and the rank's parked receive, if any.
 type mailbox struct {
 	mu    sync.Mutex
-	queue []*message
+	queue []message
 
 	// parked is set while the owner sleeps in a receive for (src, tag);
 	// the first matching post hands its message over in got.
 	parked   bool
 	src, tag int
-	got      *message
+	got      message
+}
+
+// bufList recycles the eager buffers of one world's messages: a post
+// copies its payload into a buffer from the list, and the matching
+// receive copies it out and hands the buffer back, so a steady-state
+// exchange allocates nothing. It is not a sync.Pool: a GC empties a
+// pool, and how much a launch allocates would then depend on GC
+// timing.
+type bufList struct {
+	mu   sync.Mutex
+	free [][]float64
+}
+
+// get returns a buffer of n float64s: the most recently freed one, or
+// a fresh one in place of a free buffer that is too small, so buffer
+// sizes converge on the largest message and the list holds at most as
+// many buffers as the world ever had messages in flight.
+func (l *bufList) get(n int) []float64 {
+	var b []float64
+	l.mu.Lock()
+	if k := len(l.free); k > 0 {
+		b = l.free[k-1]
+		l.free = l.free[:k-1]
+	}
+	l.mu.Unlock()
+	if cap(b) < n {
+		b = make([]float64, n)
+	}
+	return b[:n]
+}
+
+// put hands a buffer back; nil (a data-free message's) is ignored.
+func (l *bufList) put(b []float64) {
+	if b == nil {
+		return
+	}
+	l.mu.Lock()
+	l.free = append(l.free, b)
+	l.mu.Unlock()
 }
 
 // World is a running MPI job.
@@ -178,6 +220,7 @@ type World struct {
 	intra  *simnet.Fabric // the intra-node transport
 	coll   *simnet.Fabric // the transport collectives are costed on
 	boxes  []*mailbox
+	bufs   bufList // eager message buffers, recycled for the world's lifetime
 	clocks []*vtime.Clock
 	ph     *phaser // the world's collective rendezvous
 	stats  *statCounters
@@ -438,7 +481,7 @@ func float64Bytes(n int) int64 { return int64(n) * 8 }
 // sender's overhead, stamps the flow id and availability time, counts
 // the send, traces the send slice (the FlowOut end of the message
 // arrow) and records the operation span.
-func (c *Comm) post(dst int, m *message) {
+func (c *Comm) post(dst int, m message) {
 	src := c.rank
 	f := c.world.fabricFor(src, dst)
 	clk := c.Clock()
@@ -458,7 +501,7 @@ func (c *Comm) post(dst int, m *message) {
 // deliver queues m for rank dst, or hands it straight to dst's parked
 // receive when it matches, marking dst runnable before waking it. A
 // post that does not match leaves the receive asleep.
-func (w *World) deliver(dst int, m *message) {
+func (w *World) deliver(dst int, m message) {
 	mb := w.boxes[dst]
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
@@ -473,12 +516,12 @@ func (w *World) deliver(dst int, m *message) {
 // receive removes and returns rank g's oldest queued message matching
 // (src, tag). When none has arrived, it records the park as b under
 // the mailbox lock and parks until a matching post wakes it.
-func (w *World) receive(g, src, tag int, b BlockedOp) (*message, error) {
+func (w *World) receive(g, src, tag int, b BlockedOp) (message, error) {
 	mb := w.boxes[g]
 	mb.mu.Lock()
-	for i, m := range mb.queue {
-		if m.matches(src, tag) {
-			mb.queue = append(mb.queue[:i], mb.queue[i+1:]...)
+	for i := range mb.queue {
+		if m := mb.queue[i]; m.matches(src, tag) {
+			mb.queue = slices.Delete(mb.queue, i, i+1)
 			mb.mu.Unlock()
 			return m, nil
 		}
@@ -487,21 +530,44 @@ func (w *World) receive(g, src, tag int, b BlockedOp) (*message, error) {
 	w.blocked[g] = b
 	mb.mu.Unlock()
 	if err := w.park(g); err != nil {
-		return nil, err
+		return message{}, err
 	}
 	m := mb.got
-	mb.got = nil
+	mb.got = message{}
 	return m, nil
 }
 
-// Sendrecv posts a send to dst and then receives from src, the usual
-// halo-exchange primitive. The eager send makes the symmetric pattern
-// deadlock-free.
+// Sendrecv is SendrecvInto with a fresh receive slice of the incoming
+// message's length: it returns the message's eager buffer, which
+// leaves the world's free list.
 func (c *Comm) Sendrecv(dst, sendTag int, data []float64, src, recvTag int) ([]float64, error) {
 	if c.log != nil {
 		c.log.Sendrecv(dst, sendTag, src, recvTag, len(data))
 	}
-	return c.sendrecv(dst, sendTag, data, len(data), src, recvTag)
+	m, err := c.sendrecv(dst, sendTag, data, len(data), src, recvTag)
+	return m.data, err
+}
+
+// SendrecvInto posts data to dst and then receives the message from
+// src tagged recvTag into recv, the usual halo-exchange primitive. The
+// eager send makes the symmetric pattern deadlock-free, and it copies
+// data before the receive, so recv may be data itself. A message whose
+// length differs from len(recv) is an error that leaves recv untouched.
+func (c *Comm) SendrecvInto(dst, sendTag int, data []float64, src, recvTag int, recv []float64) error {
+	if c.log != nil {
+		c.log.Sendrecv(dst, sendTag, src, recvTag, len(data))
+	}
+	m, err := c.sendrecv(dst, sendTag, data, len(data), src, recvTag)
+	if err != nil {
+		return err
+	}
+	defer c.world.bufs.put(m.data)
+	if len(m.data) != len(recv) {
+		return fmt.Errorf("mpi: rank %d received %d float64s from rank %d tag %d into a buffer of %d",
+			c.rank, len(m.data), src, recvTag, len(recv))
+	}
+	copy(recv, m.data)
+	return nil
 }
 
 // ReplaySendrecv repeats a logged Sendrecv of n float64s with a
@@ -514,36 +580,37 @@ func (c *Comm) ReplaySendrecv(dst, sendTag, src, recvTag, n int) error {
 
 // sendrecv posts a copy of data to dst as an n-float64 message (nil
 // data posts a data-free message that costs and counts the same), then
-// blocks until the message from src tagged recvTag arrives and
-// advances the caller's clock to its availability time. The send is
-// eager: the sender pays only the send overhead before it receives.
-func (c *Comm) sendrecv(dst, sendTag int, data []float64, n, src, recvTag int) ([]float64, error) {
+// blocks until the message from src tagged recvTag arrives, advances
+// the caller's clock to its availability time and returns it. The send
+// is eager: the sender pays only the send overhead before it receives.
+// The caller owns the returned message's buffer.
+func (c *Comm) sendrecv(dst, sendTag int, data []float64, n, src, recvTag int) (message, error) {
 	if err := c.checkPeer(dst); err != nil {
-		return nil, err
+		return message{}, err
 	}
 	if err := c.checkPeer(src); err != nil {
-		return nil, err
+		return message{}, err
 	}
 	if err := c.FaultCheck(); err != nil {
-		return nil, err
+		return message{}, err
 	}
-	c.post(dst, &message{
-		src:   c.rank,
-		tag:   sendTag,
-		data:  append([]float64(nil), data...),
-		bytes: float64Bytes(n),
-	})
+	var buf []float64
+	if len(data) > 0 {
+		buf = c.world.bufs.get(len(data))
+		copy(buf, data)
+	}
+	c.post(dst, message{src: c.rank, tag: sendTag, data: buf, bytes: float64Bytes(n)})
 	if err := c.FaultCheck(); err != nil {
-		return nil, err
+		return message{}, err
 	}
 	t0 := c.Clock().Now()
 	m, err := c.world.receive(c.rank, src, recvTag, BlockedOp{Rank: c.rank, Op: "recv", Peer: src, Tag: recvTag, Clock: t0})
 	if err != nil {
-		return nil, err
+		return message{}, err
 	}
 	c.Clock().AdvanceTo(m.avail, vtime.Comm)
 	end := c.Clock().Now()
 	c.traceFlow("recv", "mpi", t0, end, m.flow, trace.FlowIn)
 	c.world.rec.MPIOp(c.rank, "recv", m.src, m.bytes, end-t0)
-	return m.data, nil
+	return m, nil
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"fibersim/internal/vtime"
 )
@@ -76,6 +77,87 @@ func TestSendCopiesData(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSendrecvIntoSteadyStateAllocatesNothing: once a world's eager
+// buffers and mailbox queues have grown to the ring's peak in-flight
+// count, further rounds of SendrecvInto allocate nothing, so 400 rounds
+// cost at most a few more allocations than 100 (the slack covers a
+// peak that the longer run happens to reach later).
+func TestSendrecvIntoSteadyStateAllocatesNothing(t *testing.T) {
+	ring := func(rounds int) func() {
+		return func() {
+			_, err := Run(Config{Ranks: 8}, func(c *Comm) error {
+				right, left := (c.Rank()+1)%c.Size(), (c.Rank()+c.Size()-1)%c.Size()
+				send, recv := make([]float64, 4096), make([]float64, 4096)
+				for i := 0; i < rounds; i++ {
+					if err := c.SendrecvInto(right, 0, send, left, 0, recv); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	short, long := testing.AllocsPerRun(3, ring(100)), testing.AllocsPerRun(3, ring(400))
+	if long > short+8 {
+		t.Errorf("400 rounds allocated %g objects, 100 rounds %g: want at most 8 more", long, short)
+	}
+}
+
+// TestSendrecvIntoLengthMismatch: a message longer than the receive
+// buffer is the receiver's error, naming both ranks, the tag and both
+// lengths; recv stays untouched and the world ends without deadlock.
+func TestSendrecvIntoLengthMismatch(t *testing.T) {
+	recv := []float64{-1, -1, -1, -1}
+	_, err := runWithin(t, 10*time.Second, Config{Ranks: 2}, func(c *Comm) error {
+		if c.Rank() == 0 {
+			return c.SendrecvInto(1, 5, make([]float64, 8), 1, 6, nil)
+		}
+		return c.SendrecvInto(0, 6, nil, 0, 5, recv)
+	})
+	if err == nil || errors.Is(err, ErrDeadlock) {
+		t.Fatalf("want the receiver's length error, got %v", err)
+	}
+	for _, want := range []string{"rank 1", "rank 0", "tag 5", "8 float64s", "buffer of 4"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+	if !reflect.DeepEqual(recv, []float64{-1, -1, -1, -1}) {
+		t.Errorf("recv = %v, want it untouched", recv)
+	}
+}
+
+// TestSendrecvIntoRecycledBuffer: rank 0 sends 8 floats, and once rank
+// 1 has received them (and handed their buffer back) it sends 4
+// different ones, which reuse that buffer. The second receive must get
+// exactly the 4 new values.
+func TestSendrecvIntoRecycledBuffer(t *testing.T) {
+	second := make([]float64, 4)
+	_, err := Run(Config{Ranks: 2}, func(c *Comm) error {
+		if c.Rank() == 0 {
+			if err := c.SendrecvInto(1, 0, []float64{1, 2, 3, 4, 5, 6, 7, 8}, 1, 0, nil); err != nil {
+				return err
+			}
+			// Rank 1's tag-0 reply comes after its first receive.
+			return c.SendrecvInto(1, 1, []float64{10, 20, 30, 40}, 1, 9, nil)
+		}
+		first := make([]float64, 8)
+		if err := c.SendrecvInto(0, 9, nil, 0, 0, first); err != nil {
+			return err
+		}
+		return c.SendrecvInto(0, 0, nil, 0, 1, second)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(second, []float64{10, 20, 30, 40}) {
+		t.Errorf("second receive = %v, want [10 20 30 40]", second)
 	}
 }
 

@@ -205,23 +205,26 @@ func TestFailedRankReleasesParkedRanks(t *testing.T) {
 func TestParkedReceiveWakesOnlyOnMatch(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		post *message
+		post message
 		hit  bool
 	}{
-		{"miss-by-tag", &message{src: 1, tag: 4}, false},
-		{"miss-by-source", &message{src: 2, tag: 3}, false},
-		{"hit", &message{src: 1, tag: 3}, true},
+		{"miss-by-tag", message{src: 1, tag: 4, flow: 1}, false},
+		{"miss-by-source", message{src: 2, tag: 3, flow: 2}, false},
+		{"hit", message{src: 1, tag: 3, flow: 3}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			w := &World{boxes: []*mailbox{{}}, wake: []chan struct{}{make(chan struct{}, 1)}}
 			mb := w.boxes[0]
 			mb.parked, mb.src, mb.tag = true, 1, 3
 			w.deliver(0, tc.post)
-			woken := len(w.wake[0]) == 1 && w.active.Load() == 1 && !mb.parked && mb.got == tc.post && len(mb.queue) == 0
-			asleep := len(w.wake[0]) == 0 && w.active.Load() == 0 && mb.parked && mb.got == nil && len(mb.queue) == 1
+			// Messages travel by value: the flow id tells which one
+			// the receive holds, and 0 means none.
+			woken := len(w.wake[0]) == 1 && w.active.Load() == 1 && !mb.parked && mb.got.flow == tc.post.flow && len(mb.queue) == 0
+			asleep := len(w.wake[0]) == 0 && w.active.Load() == 0 && mb.parked && mb.got.flow == 0 &&
+				len(mb.queue) == 1 && mb.queue[0].flow == tc.post.flow
 			if tc.hit && !woken || !tc.hit && !asleep {
-				t.Fatalf("post %+v: wake=%d active=%d parked=%v got=%v queued=%d, want woken=%v",
-					*tc.post, len(w.wake[0]), w.active.Load(), mb.parked, mb.got, len(mb.queue), tc.hit)
+				t.Fatalf("post %+v: wake=%d active=%d parked=%v got=%+v queued=%d, want woken=%v",
+					tc.post, len(w.wake[0]), w.active.Load(), mb.parked, mb.got, len(mb.queue), tc.hit)
 			}
 		})
 	}

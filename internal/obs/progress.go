@@ -36,8 +36,9 @@ type SweepProgress struct {
 	Err         string  `json:"error,omitempty"`
 	// WallSeconds/HeapPeakBytes carry self-observability readings when
 	// the sweep runs under -selfprofile: the cell's measured elapsed
-	// time (its self-profile's elapsed_seconds) and the live-heap
-	// high-water mark after it.
+	// time (its self-profile's elapsed_seconds) and its self-profile's
+	// heap_peak_bytes, which is the process's heap peak so far, not
+	// the cell's own.
 	WallSeconds   float64 `json:"wall_seconds,omitempty"`
 	HeapPeakBytes uint64  `json:"heap_peak_bytes,omitempty"`
 }

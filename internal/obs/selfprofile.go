@@ -8,7 +8,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sync/atomic"
 	"time"
 )
 
@@ -18,16 +17,15 @@ const SelfProfileSchema = "fibersim/self-profile/v2"
 
 // CostRecorder measures what one section of the simulator process
 // costs the host: elapsed wall time, heap allocations and GC activity
-// between Start and Finish, and the live-heap high-water mark that
-// SnapshotHeap samples. Start, Finish and Profile belong to the single
-// owning goroutine; SnapshotHeap is safe from any. All methods are
-// no-ops on a nil receiver, so a disabled recorder costs nothing.
+// between Start and Finish, and the process's heap peak at Finish.
+// Start, Finish and Profile belong to the single owning goroutine. All
+// methods are no-ops on a nil receiver, so a disabled recorder costs
+// nothing.
 //
 // Time comes from the injected clock only — model code never reads the
 // wall clock directly (the nondet lint rule enforces this).
 type CostRecorder struct {
-	now      func() time.Time
-	heapPeak atomic.Uint64
+	now func() time.Time
 
 	begin, end time.Time
 	base, last runtime.MemStats
@@ -64,23 +62,6 @@ func (c *CostRecorder) Finish() {
 	c.finished = true
 }
 
-// SnapshotHeap samples the live heap and keeps the high-water mark.
-// Callers sprinkle it at cell boundaries; it is safe from any
-// goroutine.
-func (c *CostRecorder) SnapshotHeap() {
-	if c == nil {
-		return
-	}
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	for {
-		old := c.heapPeak.Load()
-		if ms.HeapAlloc <= old || c.heapPeak.CompareAndSwap(old, ms.HeapAlloc) {
-			return
-		}
-	}
-}
-
 // Profile folds the recorder into a SelfProfile artifact. Call after
 // Finish: an unfinished or nil recorder folds with zero elapsed time
 // and allocation deltas.
@@ -95,8 +76,8 @@ func (c *CostRecorder) Profile(label string) *SelfProfile {
 		p.Allocs = c.last.Mallocs - c.base.Mallocs
 		p.GCCycles = int64(c.last.NumGC) - int64(c.base.NumGC)
 		p.GCPauseSeconds = time.Duration(c.last.PauseTotalNs - c.base.PauseTotalNs).Seconds()
+		p.HeapPeakBytes = c.last.HeapSys
 	}
-	p.HeapPeakBytes = c.heapPeak.Load()
 	p.Goroutines = runtime.NumGoroutine()
 	return p
 }
@@ -114,7 +95,10 @@ type SelfProfile struct {
 	// AllocBytes/Allocs are heap allocation deltas over the section.
 	AllocBytes uint64 `json:"alloc_bytes"`
 	Allocs     uint64 `json:"allocs"`
-	// HeapPeakBytes is the live-heap high-water mark (0 = unsampled).
+	// HeapPeakBytes is the runtime's HeapSys at Finish, which it
+	// documents as an estimate of the largest size the heap has had:
+	// the process's peak so far, garbage included, not the section's
+	// (0 = unfinished).
 	HeapPeakBytes uint64 `json:"heap_peak_bytes,omitempty"`
 	// GCCycles/GCPauseSeconds are GC deltas over the section.
 	GCCycles       int64   `json:"gc_cycles"`
