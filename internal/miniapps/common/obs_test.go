@@ -2,11 +2,17 @@ package common
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"fibersim/internal/core"
 	"fibersim/internal/obs"
+	"fibersim/internal/omp"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata golden files")
 
 // memKernel has a huge working set: the model must classify it as
 // memory-bound on any catalogue machine.
@@ -28,9 +34,13 @@ func fpuKernel() core.Kernel {
 }
 
 // TestManifestFromRun drives a real instrumented launch end to end and
-// checks the manifest invariants the issue pins down: attributions sum
-// to the recorded kernel time, and the dominant category of every
-// kernel agrees with the analyzer's bottleneck classification.
+// checks the manifest invariants: attributions sum to the recorded
+// kernel time, and the dominant category of every kernel agrees with
+// the analyzer's bottleneck classification. The recorder's Prometheus
+// exposition is pinned byte for byte to testdata/manifest_run.prom
+// (-update rewrites it), which covers every recording hook: kernel
+// charges, sends, receives, a collective, a static and a dynamic
+// parallel region, and the trace drops.
 func TestManifestFromRun(t *testing.T) {
 	rec := obs.NewRecorder()
 	rec.SetMeta("obs-test", "t0")
@@ -47,6 +57,10 @@ func TestManifestFromRun(t *testing.T) {
 				return err
 			}
 		}
+		env.Team.ParallelFor(omp.Schedule{Kind: omp.Static}, 64, func(int, int) {}, nil)
+		// 17 chunks over 4 threads: thread 0 grabs one more, so the
+		// region is imbalanced.
+		env.Team.ParallelFor(omp.Schedule{Kind: omp.Dynamic, Chunk: 4}, 66, func(int, int) {}, nil)
 		peer := 1 - env.Rank()
 		if _, err := env.Comm.Sendrecv(peer, 0, []float64{1, 2, 3}, peer, 0); err != nil {
 			return err
@@ -107,10 +121,11 @@ func TestManifestFromRun(t *testing.T) {
 	if m.Profile.Comm.Ops["send"].Count != 2 {
 		t.Errorf("profile send ops = %+v", m.Profile.Comm.Ops)
 	}
-	if m.Profile.OMP.Regions != 0 {
-		// Charge-based apps do not open parallel regions; just pin that
-		// the field decodes.
-		t.Errorf("unexpected OMP regions %d", m.Profile.OMP.Regions)
+	if m.Profile.OMP.Regions != 4 { // 2 regions on each of 2 ranks
+		t.Errorf("OMP regions = %d, want 4", m.Profile.OMP.Regions)
+	}
+	if m.Profile.OMP.BarrierSeconds <= 0 || m.Profile.OMP.ImbalanceSeconds <= 0 {
+		t.Errorf("OMP profile = %+v, want barrier and imbalance time", m.Profile.OMP)
 	}
 
 	// The tiny trace capacity must overflow and be accounted.
@@ -123,6 +138,24 @@ func TestManifestFromRun(t *testing.T) {
 	}
 	if m.Breakdown["comm"] <= 0 {
 		t.Errorf("breakdown = %v, want comm > 0", m.Breakdown)
+	}
+
+	var prom bytes.Buffer
+	if err := rec.Registry().WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	golden := filepath.Join("testdata", "manifest_run.prom")
+	if *update {
+		if err := os.WriteFile(golden, prom.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("read golden (run with -update to create): %v", err)
+	}
+	if prom.String() != string(want) {
+		t.Errorf("exposition drifted from %s:\n--- got ---\n%s--- want ---\n%s", golden, prom.String(), want)
 	}
 }
 

@@ -2,7 +2,6 @@ package common_test
 
 import (
 	"bytes"
-	"math"
 	"reflect"
 	"runtime"
 	"sync"
@@ -59,41 +58,10 @@ func comparable(r common.Result) map[string]any {
 	return out
 }
 
-// timed are the Result fields that hold virtual times.
-var timed = []string{"Time", "Figure", "Breakdown", "RankTimes", "Traces"}
-
-// tolerance is the relative tolerance a run's times are compared at:
-// exact, except modylas at 48x1. There, mpi's rendezvous has the last
-// rank to arrive cost an Allgather with its own payload, and modylas
-// gives ranks 5 or 6 of its 256 particles, so the cost depends on
-// which rank the host schedules last, on executed runs as on replays.
-func tolerance(app string, cfg common.RunConfig) float64 {
-	if app == "modylas" && cfg.Procs == 48 {
-		return 1e-3
-	}
-	return 0
-}
-
-func relDiff(a, b float64) float64 {
-	if a == b {
-		return 0
-	}
-	return math.Abs(a-b) / math.Max(math.Abs(a), math.Abs(b))
-}
-
-func manifestBytes(t *testing.T, o observed, tol float64) []byte {
+func manifestBytes(t *testing.T, o observed) []byte {
 	t.Helper()
-	m := common.BuildManifest(o.res, o.rec)
-	if tol > 0 {
-		m.TimeSeconds, m.GFlops, m.Figure, m.Breakdown = 0, 0, 0, nil
-		m.Profile.Comm.WaitSeconds = 0
-		for name, op := range m.Profile.Comm.Ops {
-			op.WaitSeconds = 0
-			m.Profile.Comm.Ops[name] = op
-		}
-	}
 	var b bytes.Buffer
-	if err := m.Encode(&b); err != nil {
+	if err := common.BuildManifest(o.res, o.rec).Encode(&b); err != nil {
 		t.Fatal(err)
 	}
 	return b.Bytes()
@@ -101,34 +69,16 @@ func manifestBytes(t *testing.T, o observed, tol float64) []byte {
 
 // checkSame requires two runs of the same config, such as a replay and
 // a fresh execution, to agree field by field and manifest byte for
-// byte; with a tolerance, the timed fields are left out and the
-// makespan and figure are compared at it. label names the pair.
-func checkSame(t *testing.T, label string, a, b observed, tol float64) {
+// byte. label names the pair.
+func checkSame(t *testing.T, label string, a, b observed) {
 	t.Helper()
 	got, want := comparable(a.res), comparable(b.res)
-	if tol > 0 {
-		for _, name := range timed {
-			delete(got, name)
-			delete(want, name)
-		}
-		for _, f := range []struct {
-			name string
-			a, b float64
-		}{
-			{"Time", a.res.Time, b.res.Time},
-			{"Figure", a.res.Figure, b.res.Figure},
-		} {
-			if relDiff(f.a, f.b) > tol {
-				t.Errorf("%s: Result.%s: %g vs %g", label, f.name, f.a, f.b)
-			}
-		}
-	}
 	for name, w := range want {
 		if !reflect.DeepEqual(got[name], w) {
 			t.Errorf("%s: Result.%s: %+v vs %+v", label, name, got[name], w)
 		}
 	}
-	if g, w := manifestBytes(t, a, tol), manifestBytes(t, b, tol); !bytes.Equal(g, w) {
+	if g, w := manifestBytes(t, a), manifestBytes(t, b); !bytes.Equal(g, w) {
 		t.Errorf("%s: manifests differ:\n%s\nvs\n%s", label, g, w)
 	}
 }
@@ -181,7 +131,7 @@ func TestReplayMatchesExecution(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s %dx%d %s: %v", name, d[0], d[1], v.name, err)
 				}
-				checkSame(t, name+" "+cfg.String()+" "+v.name+", replay vs fresh", replays[i], fresh, tolerance(name, cfg))
+				checkSame(t, name+" "+cfg.String()+" "+v.name+", replay vs fresh", replays[i], fresh)
 			}
 		}
 	}
@@ -215,7 +165,7 @@ func TestOutputsIndependentOfHostParallelism(t *testing.T) {
 				}
 				t.Fatalf("%s %dx%d: GOMAXPROCS 1: %v; GOMAXPROCS 4: %v", name, d[0], d[1], errs[0], errs[1])
 			}
-			checkSame(t, name+" "+cfg.String()+", GOMAXPROCS 1 vs 4", runs[0], runs[1], tolerance(name, cfg))
+			checkSame(t, name+" "+cfg.String()+", GOMAXPROCS 1 vs 4", runs[0], runs[1])
 		}
 	}
 }

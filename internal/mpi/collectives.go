@@ -27,66 +27,114 @@ type generation struct {
 
 type phaserEntry struct {
 	rank  int
-	op    string // operation signature, for mismatch detection
+	sig   signature // for mismatch detection
+	bytes int64     // this rank's payload
 	value any
 	clock *vtime.Clock
 }
 
-// rendezvous runs one collective round. op is the operation signature
-// (name plus shape); bytes is this rank's payload contribution (for
-// accounting only); value is this rank's contribution; combine runs on
-// the last arriver with all entries (sorted by rank) and returns the
-// shared result; cost returns the collective's virtual cost given the
-// synchronized start time. The returned value is combine's result.
-func (c *Comm) rendezvous(op string, bytes int64, value any,
-	combine func(entries []phaserEntry) (any, error),
-	cost func() float64) (any, error) {
+// Collective names the collectives a Log records and ReplayCollective
+// repeats.
+type Collective uint8
+
+const (
+	// CollBarrier is Barrier.
+	CollBarrier Collective = iota
+	// CollAllreduce is Allreduce (and AllreduceScalar).
+	CollAllreduce
+	// CollAllgather is Allgather.
+	CollAllgather
+	numCollectives
+)
+
+// String returns the collective's name, which keys its CommStats
+// entries and its Recorder op.
+func (k Collective) String() string {
+	switch k {
+	case CollBarrier:
+		return "barrier"
+	case CollAllreduce:
+		return "allreduce"
+	case CollAllgather:
+		return "allgather"
+	default:
+		return fmt.Sprintf("collective(%d)", int(k))
+	}
+}
+
+// signature identifies a collective round: every rank must enter it
+// with the same value. An Allreduce's carries its operator and length;
+// the ranks of an Allgather may pass different lengths, and a Barrier
+// has neither.
+type signature struct {
+	kind Collective
+	op   Op
+	n    int
+}
+
+// String renders the signature for a mismatch error, a deadlock dump
+// or a trace event: "barrier", "allreduce/sum/n=2" or "allgather".
+func (s signature) String() string {
+	if s.kind == CollAllreduce {
+		return fmt.Sprintf("allreduce/%s/n=%d", s.op, s.n)
+	}
+	return s.kind.String()
+}
+
+// rendezvous runs one collective round. sig is the round's signature;
+// bytes is this rank's payload contribution; value is this rank's
+// contribution; combine runs on the last arriver with all entries
+// (sorted by rank) and returns the shared result. The round costs what
+// the world's collective transport charges for its largest payload, so
+// the cost does not depend on which rank arrives last. The returned
+// value is combine's result.
+func (c *Comm) rendezvous(sig signature, bytes int64, value any,
+	combine func(entries []phaserEntry) (any, error)) (any, error) {
 
 	if err := c.FaultCheck(); err != nil {
 		return nil, err
 	}
-	c.world.stats.countCollective(op, bytes)
+	c.world.stats.countCollective(sig.kind, bytes)
 	traceStart := c.Clock().Now()
 	defer func() {
 		end := c.Clock().Now()
-		c.Trace(op, "mpi", traceStart, end)
-		c.world.rec.MPIOp(c.rank, collectiveName(op), -1, bytes, end-traceStart)
+		if c.world.traces != nil {
+			c.Trace(sig.String(), "mpi", traceStart, end)
+		}
+		c.world.rec.MPIOp(c.rank, sig.kind.String(), -1, bytes, end-traceStart)
 	}()
 	ph := c.world.ph
 	ph.mu.Lock()
 	gen := ph.cur
 	ph.entries = append(ph.entries, phaserEntry{
-		rank: c.rank, op: op, value: value, clock: c.Clock(),
+		rank: c.rank, sig: sig, bytes: bytes, value: value, clock: c.Clock(),
 	})
 	if len(ph.entries) == c.Size() {
 		// Last arriver: validate, combine, synchronize, wake.
 		sort.Slice(ph.entries, func(i, j int) bool { return ph.entries[i].rank < ph.entries[j].rank })
 		for _, e := range ph.entries {
-			if e.op != op {
+			if e.sig != sig {
 				gen.err = fmt.Errorf("mpi: mismatched collectives: rank %d called %s, rank %d called %s",
-					e.rank, e.op, c.rank, op)
+					e.rank, e.sig, c.rank, sig)
 				break
 			}
 		}
-		if gen.err == nil {
-			seen := map[int]bool{}
-			for _, e := range ph.entries {
-				if seen[e.rank] {
-					gen.err = fmt.Errorf("mpi: rank %d entered collective %s twice", e.rank, op)
-					break
-				}
-				seen[e.rank] = true
+		for i := 1; gen.err == nil && i < len(ph.entries); i++ {
+			if r := ph.entries[i].rank; r == ph.entries[i-1].rank {
+				gen.err = fmt.Errorf("mpi: rank %d entered collective %s twice", r, sig)
 			}
 		}
 		if gen.err == nil {
 			gen.result, gen.err = combine(ph.entries)
 		}
+		var largest int64
 		clocks := make([]*vtime.Clock, len(ph.entries))
 		for i, e := range ph.entries {
+			largest = max(largest, e.bytes)
 			clocks[i] = e.clock
 		}
 		start := vtime.Max(vtime.Comm, clocks...)
-		syncT := start + cost()
+		syncT := start + c.world.collectiveCost(sig.kind, c.Size(), largest)
 		for _, cl := range clocks {
 			cl.AdvanceTo(syncT, vtime.Comm)
 		}
@@ -102,7 +150,7 @@ func (c *Comm) rendezvous(op string, bytes int64, value any,
 		ph.mu.Unlock()
 		return gen.result, gen.err
 	}
-	c.world.blocked[c.rank] = BlockedOp{Rank: c.rank, Op: op, Peer: -1, Tag: -1, Clock: traceStart}
+	c.world.blocked[c.rank] = parked{waiting: true, sig: sig, peer: -1, clock: traceStart}
 	ph.mu.Unlock()
 
 	if err := c.world.park(c.rank); err != nil {
@@ -111,43 +159,40 @@ func (c *Comm) rendezvous(op string, bytes int64, value any,
 	return gen.result, gen.err
 }
 
-// Collective names the collectives a Log records and ReplayCollective
-// repeats.
-type Collective uint8
-
-const (
-	// CollBarrier is Barrier.
-	CollBarrier Collective = iota
-	// CollAllreduce is Allreduce (and AllreduceScalar).
-	CollAllreduce
-	// CollAllgather is Allgather.
-	CollAllgather
-)
+// collectiveCost returns the virtual cost of one round of kind among p
+// ranks whose largest payload is b bytes.
+func (w *World) collectiveCost(kind Collective, p int, b int64) float64 {
+	switch kind {
+	case CollAllreduce:
+		return w.coll.Allreduce(p, b, reduceGamma)
+	case CollAllgather:
+		return w.coll.Allgather(p, b)
+	default:
+		return w.coll.Barrier(p)
+	}
+}
 
 // noCombine is the combine step of a collective that returns no data.
 func noCombine([]phaserEntry) (any, error) { return nil, nil }
 
 // collective runs one round of kind with this rank's n-float64
-// contribution value: it derives the operation signature, the payload
-// accounting and the cost from (kind, op, n) alone, so a data-free
-// replay (nil value, noCombine) costs exactly what the logged call did.
+// contribution value: it derives the signature and this rank's payload
+// from (kind, op, n) alone, so a data-free replay (nil value,
+// noCombine) of a logged round enters and costs exactly what the
+// logged round did.
 func (c *Comm) collective(kind Collective, op Op, n int, value any,
 	combine func([]phaserEntry) (any, error)) (any, error) {
-	f := c.world.coll
-	p, b := c.Size(), float64Bytes(n)
+	sig, b := signature{kind: kind}, float64Bytes(n)
 	switch kind {
 	case CollBarrier:
-		return c.rendezvous("barrier", 0, value, combine,
-			func() float64 { return f.Barrier(p) })
+		b = 0
 	case CollAllreduce:
-		return c.rendezvous(fmt.Sprintf("allreduce/%s/n=%d", op, n), b, value, combine,
-			func() float64 { return f.Allreduce(p, b, reduceGamma) })
+		sig.op, sig.n = op, n
 	case CollAllgather:
-		return c.rendezvous("allgather", b, value, combine,
-			func() float64 { return f.Allgather(p, b) })
 	default:
 		return nil, fmt.Errorf("mpi: unknown collective %d", kind)
 	}
+	return c.rendezvous(sig, b, value, combine)
 }
 
 // logCollective reports a collective to the log, if any.

@@ -89,8 +89,11 @@ func TestCollectiveDeadlockNamesOperation(t *testing.T) {
 	if !errors.As(err, &de) {
 		t.Fatalf("want *DeadlockError, got %v", err)
 	}
-	if len(de.Blocked) != 1 || !strings.HasPrefix(de.Blocked[0].Op, "allreduce") {
-		t.Fatalf("dump = %v, want rank 0 blocked in allreduce", de)
+	// The park records the round's signature value; the dump renders
+	// it as text.
+	const want = "rank 0: allreduce/sum/n=1 clock=0s"
+	if len(de.Blocked) != 1 || de.Blocked[0].String() != want || !strings.Contains(err.Error(), want) {
+		t.Fatalf("dump = %v, want %q", de, want)
 	}
 }
 

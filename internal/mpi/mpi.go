@@ -8,9 +8,9 @@
 //	recvDone = max(recvClock, sendClock + fabric.PointToPoint(bytes))
 //
 // and collectives synchronize all clocks to max(clocks) + an analytic
-// cost from internal/simnet. Ranks are placed on simulated nodes
-// (Config.RanksPerNode); intra-node pairs use the shared-memory fabric,
-// inter-node pairs the machine's fabric.
+// cost from internal/simnet for the round's largest payload. Ranks are
+// placed on simulated nodes (Config.RanksPerNode); intra-node pairs use
+// the shared-memory fabric, inter-node pairs the machine's fabric.
 //
 // # Execution contract
 //
@@ -223,7 +223,7 @@ type World struct {
 	bufs   bufList // eager message buffers, recycled for the world's lifetime
 	clocks []*vtime.Clock
 	ph     *phaser // the world's collective rendezvous
-	stats  *statCounters
+	stats  statCounters
 	traces []*trace.Log // per rank, nil when tracing is off
 	rec    *obs.Recorder
 	msgID  atomic.Uint64 // flow ids; 0 is reserved for "no flow"
@@ -238,7 +238,7 @@ type World struct {
 	live   atomic.Int64
 
 	inj       *fault.Injector // nil on clean runs
-	blocked   []BlockedOp     // per rank, the op it is parked in; Op "" when none
+	blocked   []parked        // per rank, the op it is parked in
 	abortCh   chan struct{}   // closed on world-wide abort
 	abortOnce sync.Once
 	abortErr  error // root cause; written once before abortCh closes
@@ -344,12 +344,11 @@ func Run(cfg Config, body func(*Comm) error) (*Result, error) {
 		boxes:   make([]*mailbox, cfg.Ranks),
 		clocks:  make([]*vtime.Clock, cfg.Ranks),
 		ph:      &phaser{cur: &generation{}},
-		stats:   newStatCounters(),
 		rec:     cfg.Recorder,
 		slots:   make(chan struct{}, min(cfg.Ranks, runtime.GOMAXPROCS(0))),
 		wake:    make([]chan struct{}, cfg.Ranks),
 		inj:     cfg.Fault,
-		blocked: make([]BlockedOp, cfg.Ranks),
+		blocked: make([]parked, cfg.Ranks),
 		abortCh: make(chan struct{}),
 	}
 	// Collectives cross the fabric as soon as the world spans nodes.
@@ -514,9 +513,10 @@ func (w *World) deliver(dst int, m message) {
 }
 
 // receive removes and returns rank g's oldest queued message matching
-// (src, tag). When none has arrived, it records the park as b under
-// the mailbox lock and parks until a matching post wakes it.
-func (w *World) receive(g, src, tag int, b BlockedOp) (message, error) {
+// (src, tag). When none has arrived, it records the park, with g's
+// virtual time clock, under the mailbox lock and parks until a
+// matching post wakes it.
+func (w *World) receive(g, src, tag int, clock float64) (message, error) {
 	mb := w.boxes[g]
 	mb.mu.Lock()
 	for i := range mb.queue {
@@ -527,7 +527,7 @@ func (w *World) receive(g, src, tag int, b BlockedOp) (message, error) {
 		}
 	}
 	mb.parked, mb.src, mb.tag = true, src, tag
-	w.blocked[g] = b
+	w.blocked[g] = parked{waiting: true, peer: src, tag: tag, clock: clock}
 	mb.mu.Unlock()
 	if err := w.park(g); err != nil {
 		return message{}, err
@@ -604,7 +604,7 @@ func (c *Comm) sendrecv(dst, sendTag int, data []float64, n, src, recvTag int) (
 		return message{}, err
 	}
 	t0 := c.Clock().Now()
-	m, err := c.world.receive(c.rank, src, recvTag, BlockedOp{Rank: c.rank, Op: "recv", Peer: src, Tag: recvTag, Clock: t0})
+	m, err := c.world.receive(c.rank, src, recvTag, t0)
 	if err != nil {
 		return message{}, err
 	}

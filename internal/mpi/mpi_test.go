@@ -4,11 +4,13 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"fibersim/internal/simnet"
 	"fibersim/internal/vtime"
 )
 
@@ -331,6 +333,84 @@ func TestMismatchedCollectivesDetected(t *testing.T) {
 	}
 }
 
+// TestMismatchedCollectiveNamesBoth pins the mismatch error's text:
+// it names both rounds, rendered from their signatures.
+func TestMismatchedCollectiveNamesBoth(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		other func(c *Comm) error
+		want  string
+	}{
+		{"op", func(c *Comm) error { _, err := c.Allreduce(OpMax, []float64{1, 2}); return err }, "allreduce/max/n=2"},
+		{"length", func(c *Comm) error { _, err := c.Allreduce(OpSum, []float64{1, 2, 3}); return err }, "allreduce/sum/n=3"},
+		{"kind", func(c *Comm) error { return c.Barrier() }, "barrier"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Run(Config{Ranks: 2}, func(c *Comm) error {
+				if c.Rank() == 1 {
+					return tc.other(c)
+				}
+				_, err := c.Allreduce(OpSum, []float64{1, 2})
+				return err
+			})
+			if err == nil {
+				t.Fatal("mismatched collectives must error")
+			}
+			msg := err.Error()
+			for _, want := range []string{"mpi: mismatched collectives: rank ", " called allreduce/sum/n=2", " called " + tc.want} {
+				if !strings.Contains(msg, want) {
+					t.Errorf("error %q does not contain %q", msg, want)
+				}
+			}
+		})
+	}
+}
+
+// TestAllgatherCostsLargestPayload has three ranks gather 1, 2 and 3
+// floats, round after round, and holds a different rank back each
+// round until the other two have entered, so each rank is the last
+// arriver in turn. Every rank must leave each round at the latest
+// entry clock plus the cost of gathering the largest payload, 24 B.
+func TestAllgatherCostsLargestPayload(t *testing.T) {
+	// Three run slots, so the held-back rank can wait for the others.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const ranks, rounds = 3, 6
+	cost := simnet.MustLookup("shm").Allgather(ranks, 24)
+	var entry, exit [ranks][rounds]float64
+	_, err := Run(Config{Ranks: ranks}, func(c *Comm) error {
+		r, ph := c.Rank(), c.world.ph
+		for i := 0; i < rounds; i++ {
+			c.Clock().Advance(float64((r+i)%ranks)*1e-6, vtime.Compute)
+			for r == i%ranks {
+				ph.mu.Lock()
+				others := len(ph.entries)
+				ph.mu.Unlock()
+				if others == ranks-1 {
+					break
+				}
+				runtime.Gosched()
+			}
+			entry[r][i] = c.Clock().Now()
+			if _, err := c.Allgather(make([]float64, r+1)); err != nil {
+				return err
+			}
+			exit[r][i] = c.Clock().Now()
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < rounds; i++ {
+		want := max(entry[0][i], entry[1][i], entry[2][i]) + cost
+		for r := 0; r < ranks; r++ {
+			if exit[r][i] != want {
+				t.Errorf("round %d: rank %d left at %.17g, want %.17g", i, r, exit[r][i], want)
+			}
+		}
+	}
+}
+
 func TestAllgather(t *testing.T) {
 	_, err := Run(Config{Ranks: 3}, func(c *Comm) error {
 		mine := make([]float64, c.Rank()+1) // ragged contributions
@@ -523,7 +603,11 @@ func TestTracing(t *testing.T) {
 		if _, err := c.Sendrecv(1-c.Rank(), 0, []float64{1}, 1-c.Rank(), 0); err != nil {
 			return err
 		}
-		return c.Barrier()
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		_, err := c.AllreduceScalar(OpSum, 1)
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -540,7 +624,7 @@ func TestTracing(t *testing.T) {
 			}
 		}
 	}
-	if !names["send"] || !names["recv"] || !names["barrier"] {
+	if !names["send"] || !names["recv"] || !names["barrier"] || !names["allreduce/sum/n=1"] {
 		t.Errorf("missing expected events: %v", names)
 	}
 }

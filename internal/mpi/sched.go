@@ -1,5 +1,24 @@
 package mpi
 
+// parked is what one parked rank waits in, recorded under the lock
+// that proves the wait: a receive from peer with tag, or, when peer is
+// -1, the collective round sig. Only a deadlock dump renders it as
+// text.
+type parked struct {
+	waiting   bool
+	sig       signature
+	peer, tag int
+	clock     float64 // the rank's virtual time when it parked
+}
+
+// op renders rank's park for the deadlock dump.
+func (p parked) op(rank int) BlockedOp {
+	if p.peer < 0 {
+		return BlockedOp{Rank: rank, Op: p.sig.String(), Peer: -1, Tag: -1, Clock: p.clock}
+	}
+	return BlockedOp{Rank: rank, Op: "recv", Peer: p.peer, Tag: p.tag, Clock: p.clock}
+}
+
 // park frees rank g's run slot and sleeps until whoever ends its wait
 // wakes it, then retakes a slot. The caller has recorded the wait in
 // w.blocked under the lock that proves it. A park that leaves no
@@ -21,7 +40,7 @@ func (w *World) park(g int) error {
 		err = w.abortedError()
 	}
 	w.slots <- struct{}{}
-	w.blocked[g] = BlockedOp{}
+	w.blocked[g] = parked{}
 	return err
 }
 
@@ -57,9 +76,9 @@ func (w *World) stall(g int) error {
 	default:
 	}
 	e := &DeadlockError{Rank: g}
-	for _, b := range w.blocked {
-		if b.Op != "" {
-			e.Blocked = append(e.Blocked, b)
+	for rank, p := range w.blocked {
+		if p.waiting {
+			e.Blocked = append(e.Blocked, p.op(rank))
 		}
 	}
 	w.abort(e)

@@ -46,23 +46,8 @@ func (s CommStats) String() string {
 type statCounters struct {
 	sends     atomic.Int64
 	sendBytes atomic.Int64
-	coll      map[string]*atomic.Int64 // fixed key set, created up front
-	collBytes map[string]*atomic.Int64
-}
-
-// collectiveKinds is the fixed set of collective operation names.
-var collectiveKinds = []string{"barrier", "allreduce", "allgather"}
-
-func newStatCounters() *statCounters {
-	sc := &statCounters{
-		coll:      map[string]*atomic.Int64{},
-		collBytes: map[string]*atomic.Int64{},
-	}
-	for _, k := range collectiveKinds {
-		sc.coll[k] = &atomic.Int64{}
-		sc.collBytes[k] = &atomic.Int64{}
-	}
-	return sc
+	coll      [numCollectives]atomic.Int64 // entries per collective
+	collBytes [numCollectives]atomic.Int64
 }
 
 // countSend records one point-to-point message.
@@ -71,25 +56,12 @@ func (sc *statCounters) countSend(bytes int64) {
 	sc.sendBytes.Add(bytes)
 }
 
-// collectiveName extracts the operation name from an op signature.
-func collectiveName(op string) string {
-	if i := strings.IndexByte(op, '/'); i >= 0 {
-		return op[:i]
-	}
-	return op
-}
-
-// countCollective records one rank entering a collective whose op
-// signature starts with the operation name, carrying bytes of payload.
-func (sc *statCounters) countCollective(op string, bytes int64) {
-	name := collectiveName(op)
-	if c, ok := sc.coll[name]; ok {
-		c.Add(1)
-	}
+// countCollective records one rank entering a collective of kind,
+// carrying bytes of payload.
+func (sc *statCounters) countCollective(kind Collective, bytes int64) {
+	sc.coll[kind].Add(1)
 	if bytes > 0 {
-		if c, ok := sc.collBytes[name]; ok {
-			c.Add(bytes)
-		}
+		sc.collBytes[kind].Add(bytes)
 	}
 }
 
@@ -101,14 +73,12 @@ func (sc *statCounters) snapshot() CommStats {
 		Collectives:     map[string]int64{},
 		CollectiveBytes: map[string]int64{},
 	}
-	for name, c := range sc.coll {
-		if v := c.Load(); v > 0 {
-			out.Collectives[name] = v
+	for k := range numCollectives {
+		if v := sc.coll[k].Load(); v > 0 {
+			out.Collectives[k.String()] = v
 		}
-	}
-	for name, c := range sc.collBytes {
-		if v := c.Load(); v > 0 {
-			out.CollectiveBytes[name] = v
+		if v := sc.collBytes[k].Load(); v > 0 {
+			out.CollectiveBytes[k.String()] = v
 		}
 	}
 	return out

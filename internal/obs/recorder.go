@@ -11,36 +11,29 @@ import (
 // for concurrent use and are no-ops on a nil receiver, so a disabled
 // recorder costs nothing on the hot paths.
 //
-// Each registry series is resolved once per (rank, kernel), (rank, op)
-// and rank, and its handles are cached until SetMeta changes the
-// labels. A hot-path call is then one cache lookup under mu followed
-// by atomic adds on the handles, with no label map built.
-//
-// The profile accumulators are kept per (rank, kernel), (rank, op) and
-// rank, and Profile folds them in rank order: one rank's calls arrive
-// in its program order, so the folded sums do not depend on how the
-// host interleaved the ranks.
+// A record only updates accumulators kept per (rank, kernel), (rank,
+// op) and rank, under mu. Profile folds them in rank order: one rank's
+// calls arrive in its program order, so the folded sums do not depend
+// on how the host interleaved the ranks. Registry renders the same
+// accumulators as metric series when it is called.
 type Recorder struct {
 	mu      sync.Mutex
 	kernels map[seriesKey]*kernelAcc
 	ops     map[seriesKey]*opAcc
 	peers   map[peerKey]*peerAcc
-	omp     map[int]*OMPProfile
-	dropped int64
-
-	kernelSeries map[seriesKey]*kernelSeries
-	opSeries     map[seriesKey]*opSeries
-	rankSeries   map[int]*rankSeries
-
-	reg *Registry // lazily created metrics registry
-	app string
-	run string
+	ranks   map[int]*rankAcc
+	app     string
+	run     string
 }
 
 type kernelAcc struct {
 	calls        int64
 	iters, flops float64
 	attr         Attribution
+	// charges counts the charge durations per TimeBuckets bucket, the
+	// +Inf bucket last, and chargeSum sums them.
+	charges   [numTimeBuckets + 1]int64
+	chargeSum float64
 }
 
 type opAcc struct {
@@ -56,86 +49,45 @@ type peerAcc struct {
 	bytes int64
 }
 
-// seriesKey names the series cache entry of one rank's kernel or op.
+// rankAcc holds one rank's parallel-region and trace-drop totals.
+type rankAcc struct {
+	omp OMPProfile
+	// imbalance sums only the positive region imbalances: a counter
+	// never goes down, and a balanced region's can round below zero.
+	imbalance float64
+	dropped   int64
+}
+
+// seriesKey names one rank's kernel or op: the key of its accumulator
+// and of its metric series.
 type seriesKey struct {
 	rank int
 	name string
 }
 
-// kernelSeries holds the registry handles of one (rank, kernel). A
-// seconds counter stays nil until its resource first gets time, so
-// the exposition lists only the resources a kernel used.
-type kernelSeries struct {
-	calls   *Counter
-	charge  *Histogram
-	seconds [numResources]*Counter
-}
-
-// opSeries holds the handles of one (rank, op); bytes and wait stay
-// nil until their first nonzero value.
-type opSeries struct {
-	ops, bytes, wait *Counter
-}
-
-// rankSeries holds one rank's OMP and trace-drop handles, each nil
-// until its first nonzero value.
-type rankSeries struct {
-	barrier, imbalance, dropped *Counter
-}
+// chargeBuckets bounds the kernel-charge duration histogram.
+var chargeBuckets = TimeBuckets()
 
 // NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder {
 	return &Recorder{
-		kernels:      map[seriesKey]*kernelAcc{},
-		ops:          map[seriesKey]*opAcc{},
-		peers:        map[peerKey]*peerAcc{},
-		omp:          map[int]*OMPProfile{},
-		kernelSeries: map[seriesKey]*kernelSeries{},
-		opSeries:     map[seriesKey]*opSeries{},
-		rankSeries:   map[int]*rankSeries{},
-		reg:          NewRegistry(),
+		kernels: map[seriesKey]*kernelAcc{},
+		ops:     map[seriesKey]*opAcc{},
+		peers:   map[peerKey]*peerAcc{},
+		ranks:   map[int]*rankAcc{},
 	}
 }
 
-// Enabled reports whether the recorder is collecting (non-nil).
-func (r *Recorder) Enabled() bool { return r != nil }
-
-// SetMeta attaches the run/app identity used as metric labels. Later
-// records go to series with the new labels.
+// SetMeta names the run: its app and run identity label every metric
+// series Registry renders, so they apply to the whole run, records made
+// before the call included.
 func (r *Recorder) SetMeta(app, run string) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	r.app, r.run = app, run
-	clear(r.kernelSeries)
-	clear(r.opSeries)
-	clear(r.rankSeries)
 	r.mu.Unlock()
-}
-
-// Registry returns the recorder's metrics registry for exposition.
-func (r *Recorder) Registry() *Registry {
-	if r == nil {
-		return nil
-	}
-	return r.reg
-}
-
-// metaLabels returns the base label set plus rank and the given
-// key/value pairs; callers hold r.mu.
-func (r *Recorder) metaLabels(rank int, kv ...string) Labels {
-	l := Labels{"rank": strconv.Itoa(rank)}
-	if r.app != "" {
-		l["app"] = r.app
-	}
-	if r.run != "" {
-		l["run"] = r.run
-	}
-	for i := 0; i+1 < len(kv); i += 2 {
-		l[kv[i]] = kv[i+1]
-	}
-	return l
 }
 
 // KernelCharge records one modelled kernel invocation on one rank with
@@ -144,7 +96,9 @@ func (r *Recorder) KernelCharge(rank int, kernel string, iters, flops float64, a
 	if r == nil {
 		return
 	}
+	d := attr.Total()
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	acc, ok := r.kernels[seriesKey{rank, kernel}]
 	if !ok {
 		acc = &kernelAcc{}
@@ -154,32 +108,8 @@ func (r *Recorder) KernelCharge(rank int, kernel string, iters, flops float64, a
 	acc.iters += iters
 	acc.flops += flops
 	acc.attr = acc.attr.Add(attr)
-	s := r.kernelSeries[seriesKey{rank, kernel}]
-	if s == nil {
-		l := r.metaLabels(rank, "kernel", kernel)
-		s = &kernelSeries{
-			calls:  r.reg.Counter("fibersim_kernel_calls_total", "modelled kernel charges", l),
-			charge: r.reg.Histogram("fibersim_kernel_charge_seconds", "virtual duration of one kernel charge", nil, l),
-		}
-		r.kernelSeries[seriesKey{rank, kernel}] = s
-	}
-	for res := ResCompute; res < numResources; res++ {
-		if attr.Get(res) > 0 && s.seconds[res] == nil {
-			s.seconds[res] = r.reg.Counter("fibersim_kernel_seconds_total",
-				"virtual kernel time by bounding resource",
-				r.metaLabels(rank, "kernel", kernel, "resource", res.String()))
-		}
-	}
-	h := *s
-	r.mu.Unlock()
-
-	h.calls.Inc()
-	for res := ResCompute; res < numResources; res++ {
-		if v := attr.Get(res); v > 0 {
-			h.seconds[res].Add(v)
-		}
-	}
-	h.charge.Observe(attr.Total())
+	acc.charges[sort.SearchFloat64s(chargeBuckets, d)]++
+	acc.chargeSum += d
 }
 
 // MPIOp records one MPI operation on one rank: op is the operation
@@ -191,6 +121,7 @@ func (r *Recorder) MPIOp(rank int, op string, peer int, bytes int64, wait float6
 		return
 	}
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	acc, ok := r.ops[seriesKey{rank, op}]
 	if !ok {
 		acc = &opAcc{}
@@ -216,41 +147,16 @@ func (r *Recorder) MPIOp(rank int, op string, peer int, bytes int64, wait float6
 			p.bytes += bytes
 		}
 	}
-	s := r.opSeries[seriesKey{rank, op}]
-	if s == nil {
-		s = &opSeries{ops: r.reg.Counter("fibersim_mpi_ops_total", "MPI operations",
-			r.metaLabels(rank, "op", op))}
-		r.opSeries[seriesKey{rank, op}] = s
-	}
-	if bytes > 0 && s.bytes == nil {
-		s.bytes = r.reg.Counter("fibersim_mpi_bytes_total", "MPI payload bytes",
-			r.metaLabels(rank, "op", op))
-	}
-	if wait > 0 && s.wait == nil {
-		s.wait = r.reg.Counter("fibersim_mpi_wait_seconds_total",
-			"virtual time spent inside MPI operations", r.metaLabels(rank, "op", op))
-	}
-	h := *s
-	r.mu.Unlock()
-
-	h.ops.Inc()
-	if bytes > 0 {
-		h.bytes.Add(float64(bytes))
-	}
-	if wait > 0 {
-		h.wait.Add(wait)
-	}
 }
 
-// rankSeriesLocked returns rank's cached OMP/trace handles; callers
-// hold r.mu.
-func (r *Recorder) rankSeriesLocked(rank int) *rankSeries {
-	s := r.rankSeries[rank]
-	if s == nil {
-		s = &rankSeries{}
-		r.rankSeries[rank] = s
+// rankLocked returns rank's accumulator; callers hold r.mu.
+func (r *Recorder) rankLocked(rank int) *rankAcc {
+	acc, ok := r.ranks[rank]
+	if !ok {
+		acc = &rankAcc{}
+		r.ranks[rank] = acc
 	}
-	return s
+	return acc
 }
 
 // OMPRegion records one parallel region on one rank: overhead is the
@@ -261,31 +167,13 @@ func (r *Recorder) OMPRegion(rank int, overhead, imbalance float64) {
 		return
 	}
 	r.mu.Lock()
-	acc, ok := r.omp[rank]
-	if !ok {
-		acc = &OMPProfile{}
-		r.omp[rank] = acc
-	}
-	acc.Regions++
-	acc.BarrierSeconds += overhead
-	acc.ImbalanceSeconds += imbalance
-	s := r.rankSeriesLocked(rank)
-	if overhead > 0 && s.barrier == nil {
-		s.barrier = r.reg.Counter("fibersim_omp_barrier_seconds_total",
-			"fork/join and barrier overhead", r.metaLabels(rank))
-	}
-	if imbalance > 0 && s.imbalance == nil {
-		s.imbalance = r.reg.Counter("fibersim_omp_imbalance_seconds_total",
-			"critical-path excess over mean thread busy time", r.metaLabels(rank))
-	}
-	h := *s
-	r.mu.Unlock()
-
-	if overhead > 0 {
-		h.barrier.Add(overhead)
-	}
+	defer r.mu.Unlock()
+	acc := r.rankLocked(rank)
+	acc.omp.Regions++
+	acc.omp.BarrierSeconds += overhead
+	acc.omp.ImbalanceSeconds += imbalance
 	if imbalance > 0 {
-		h.imbalance.Add(imbalance)
+		acc.imbalance += imbalance
 	}
 }
 
@@ -296,15 +184,69 @@ func (r *Recorder) TraceDrops(rank int, dropped int64) {
 		return
 	}
 	r.mu.Lock()
-	r.dropped += dropped
-	s := r.rankSeriesLocked(rank)
-	if s.dropped == nil {
-		s.dropped = r.reg.Counter("fibersim_trace_dropped_total",
-			"timeline events dropped at trace capacity", r.metaLabels(rank))
+	defer r.mu.Unlock()
+	r.rankLocked(rank).dropped += dropped
+}
+
+// Registry renders the accumulators as a fresh metrics registry for
+// exposition, labelled with SetMeta's names. A series whose value
+// would be zero is left out (a kernel's unused resources, an op's
+// bytes or wait, a rank's region or drop totals), and the counters
+// are the running totals the records added up. A nil recorder returns
+// nil.
+func (r *Recorder) Registry() *Registry {
+	if r == nil {
+		return nil
 	}
-	c := s.dropped
-	r.mu.Unlock()
-	c.Add(float64(dropped))
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	labels := func(rank int, kv ...string) Labels {
+		l := Labels{"rank": strconv.Itoa(rank)}
+		if r.app != "" {
+			l["app"] = r.app
+		}
+		if r.run != "" {
+			l["run"] = r.run
+		}
+		for i := 0; i+1 < len(kv); i += 2 {
+			l[kv[i]] = kv[i+1]
+		}
+		return l
+	}
+	reg := NewRegistry()
+	counter := func(name, help string, v float64, l Labels) {
+		if v > 0 {
+			reg.Counter(name, help, l).Add(v)
+		}
+	}
+	for k, acc := range r.kernels {
+		l := labels(k.rank, "kernel", k.name)
+		counter("fibersim_kernel_calls_total", "modelled kernel charges", float64(acc.calls), l)
+		h := reg.Histogram("fibersim_kernel_charge_seconds", "virtual duration of one kernel charge", chargeBuckets, l)
+		for i := range h.buckets {
+			h.buckets[i].Store(acc.charges[i])
+		}
+		h.inf.Store(acc.charges[len(h.buckets)])
+		h.count.Store(acc.calls)
+		h.sum.Set(acc.chargeSum)
+		for res := ResCompute; res < numResources; res++ {
+			counter("fibersim_kernel_seconds_total", "virtual kernel time by bounding resource",
+				acc.attr.Get(res), labels(k.rank, "kernel", k.name, "resource", res.String()))
+		}
+	}
+	for k, acc := range r.ops {
+		l := labels(k.rank, "op", k.name)
+		counter("fibersim_mpi_ops_total", "MPI operations", float64(acc.count), l)
+		counter("fibersim_mpi_bytes_total", "MPI payload bytes", float64(acc.bytes), l)
+		counter("fibersim_mpi_wait_seconds_total", "virtual time spent inside MPI operations", acc.wait, l)
+	}
+	for rank, acc := range r.ranks {
+		l := labels(rank)
+		counter("fibersim_omp_barrier_seconds_total", "fork/join and barrier overhead", acc.omp.BarrierSeconds, l)
+		counter("fibersim_omp_imbalance_seconds_total", "critical-path excess over mean thread busy time", acc.imbalance, l)
+		counter("fibersim_trace_dropped_total", "timeline events dropped at trace capacity", float64(acc.dropped), l)
+	}
+	return reg
 }
 
 // KernelProfile is the folded charge history of one kernel.
@@ -450,18 +392,18 @@ func (r *Recorder) Profile() Profile {
 		return p.Comm.Peers[i].Dst < p.Comm.Peers[j].Dst
 	})
 
-	ranks := make([]int, 0, len(r.omp))
-	for rank := range r.omp {
+	ranks := make([]int, 0, len(r.ranks))
+	for rank := range r.ranks {
 		ranks = append(ranks, rank)
 	}
 	sort.Ints(ranks)
 	for _, rank := range ranks {
-		acc := r.omp[rank]
-		p.OMP.Regions += acc.Regions
-		p.OMP.BarrierSeconds += acc.BarrierSeconds
-		p.OMP.ImbalanceSeconds += acc.ImbalanceSeconds
+		acc := r.ranks[rank]
+		p.OMP.Regions += acc.omp.Regions
+		p.OMP.BarrierSeconds += acc.omp.BarrierSeconds
+		p.OMP.ImbalanceSeconds += acc.omp.ImbalanceSeconds
+		p.TraceDropped += acc.dropped
 	}
-	p.TraceDropped = r.dropped
 	return p
 }
 

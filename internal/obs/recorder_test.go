@@ -1,8 +1,11 @@
 package obs
 
 import (
+	"bytes"
 	"math"
 	"reflect"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,9 +16,6 @@ import (
 
 func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
-	if r.Enabled() {
-		t.Error("nil recorder must report disabled")
-	}
 	r.SetMeta("x", "y")
 	r.KernelCharge(0, "k", 1, 1, Attribution{Compute: 1})
 	r.MPIOp(0, "send", 1, 8, 0)
@@ -144,8 +144,8 @@ func TestRecorderConcurrent(t *testing.T) {
 }
 
 // TestRecorderSharedSeriesConcurrent has goroutines share ranks, so
-// they race to create the same lazily created series and then update
-// them; the totals must not depend on which goroutine created what.
+// they update the same accumulators at once; the rendered series and
+// the profile must both hold every record, whichever goroutine made it.
 func TestRecorderSharedSeriesConcurrent(t *testing.T) {
 	r := NewRecorder()
 	r.SetMeta("ffvc", "48x1")
@@ -174,12 +174,26 @@ func TestRecorderSharedSeriesConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 
+	var buf bytes.Buffer
+	if err := r.Registry().WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
 	got := map[string]float64{}
-	for _, s := range r.Registry().Samples() {
-		got[s.Name] += s.Value
+	for _, line := range strings.Split(buf.String(), "\n") {
+		name, rest, ok := strings.Cut(line, "{")
+		if !ok {
+			continue
+		}
+		v, err := strconv.ParseFloat(rest[strings.LastIndexByte(rest, ' ')+1:], 64)
+		if err != nil {
+			t.Fatalf("sample %q: %v", line, err)
+		}
+		got[name] += v
 	}
 	for name, want := range map[string]float64{
 		"fibersim_kernel_calls_total":          workers * per,
+		"fibersim_kernel_charge_seconds_count": workers * per,
+		"fibersim_kernel_charge_seconds_sum":   workers * per,
 		"fibersim_kernel_seconds_total":        workers * per,
 		"fibersim_mpi_ops_total":               workers * per,
 		"fibersim_mpi_bytes_total":             workers * per / 2,
@@ -191,18 +205,29 @@ func TestRecorderSharedSeriesConcurrent(t *testing.T) {
 			t.Errorf("%s sums to %g, want %g", name, got[name], want)
 		}
 	}
+	p := r.Profile()
+	if k := p.Kernels[0]; k.Calls != workers*per || k.Seconds != workers*per {
+		t.Errorf("profile kernel = %+v, want %d calls and seconds", k, workers*per)
+	}
+	if op := p.Comm.Ops["send"]; op.Count != workers*per || op.Bytes != workers*per/2 || op.WaitSeconds != workers/2*per {
+		t.Errorf("profile send = %+v", op)
+	}
+	if o := p.OMP; o.Regions != workers*per || o.BarrierSeconds != workers*per/2 || o.ImbalanceSeconds != workers/2*per {
+		t.Errorf("profile omp = %+v", o)
+	}
 }
 
 // recorderScript drives a Recorder through a fixed sequence on one
-// goroutine that touches every series rule: records before any
-// SetMeta, zero attribution buckets, MPI ops without bytes or without
-// wait, regions without overhead, a SetMeta change mid-run and trace
-// drops (one of them zero).
+// goroutine that touches every series rule: zero attribution buckets,
+// MPI ops without bytes or without wait, regions without overhead, a
+// region whose imbalance rounds below zero, and trace drops (one of
+// them zero). It names the run once, before any record, as every
+// launcher does.
 func recorderScript(r *Recorder) {
+	r.SetMeta("ccsqcd", "48x1")
 	for rank := 0; rank < 3; rank++ {
 		r.OMPRegion(rank, 1e-7, 0)
 	}
-	r.SetMeta("ccsqcd", "48x1")
 	for rank := 0; rank < 3; rank++ {
 		peer := (rank + 1) % 3
 		r.KernelCharge(rank, "dslash", 1e4, 1.32e7, Attribution{Compute: 2e-6, L2: 5e-6})
@@ -217,7 +242,6 @@ func recorderScript(r *Recorder) {
 	}
 	r.TraceDrops(2, 17)
 	r.TraceDrops(1, 0)
-	r.SetMeta("ccsqcd", "4x12")
 	for rank := 0; rank < 3; rank++ {
 		r.KernelCharge(rank, "dslash", 2e4, 2.64e7, Attribution{Compute: 4e-6, L1: 1e-6})
 		r.KernelCharge(rank, "dslash", 2e4, 2.64e7, Attribution{Compute: 4e-6, L1: 1e-6})
@@ -225,6 +249,10 @@ func recorderScript(r *Recorder) {
 		r.MPIOp(rank, "send", (rank+2)%3, 512, 0)
 		r.OMPRegion(rank, 0, 0)
 	}
+	// Three threads each busy 0.1 s: the longest minus the mean rounds
+	// to -1.4e-17, which the imbalance counter must skip.
+	r.OMPRegion(1, 2e-7, 0.1-(0.1+0.1+0.1)/3)
+	r.OMPRegion(2, 0, 0.1-(0.1+0.1+0.1)/3)
 }
 
 // TestRecorderExpositionGolden pins the series a Recorder creates, and
@@ -255,8 +283,8 @@ func TestProfileOrderingAndLookup(t *testing.T) {
 	}
 }
 
-// TestRecorderHotPathZeroAlloc pins that a call whose series are
-// already resolved allocates nothing.
+// TestRecorderHotPathZeroAlloc pins that a call whose accumulator
+// already exists allocates nothing.
 func TestRecorderHotPathZeroAlloc(t *testing.T) {
 	r := NewRecorder()
 	r.SetMeta("ccsqcd", "48x1")
@@ -269,15 +297,15 @@ func TestRecorderHotPathZeroAlloc(t *testing.T) {
 		{"MPIOp", func() { r.MPIOp(3, "send", 4, 4096, 1e-6) }},
 		{"OMPRegion", func() { r.OMPRegion(3, 2e-7, 1e-8) }},
 	} {
-		c.call() // resolves the series
+		c.call() // creates the accumulator
 		if n := testing.AllocsPerRun(100, c.call); n != 0 {
 			t.Errorf("%s allocates %.1f objects per call once warm, want 0", c.name, n)
 		}
 	}
 }
 
-// BenchmarkRecorder measures the Recorder hot path with every series
-// already resolved, cycling over 48 ranks as a 48x1 run does.
+// BenchmarkRecorder measures the Recorder hot path with every
+// accumulator already created, cycling over 48 ranks as a 48x1 run does.
 // mpi-op-parallel issues MPIOp from GOMAXPROCS goroutines, one rank
 // each, so it shows contention on the recorder lock.
 func BenchmarkRecorder(b *testing.B) {

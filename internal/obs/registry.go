@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -163,9 +162,12 @@ func LogBuckets(start, factor float64, n int) []float64 {
 	return out
 }
 
-// TimeBuckets is the default bucketing for virtual-time histograms:
-// decades from 1 ns to 100 s.
-func TimeBuckets() []float64 { return LogBuckets(1e-9, 10, 12) }
+// numTimeBuckets is how many bounds TimeBuckets returns.
+const numTimeBuckets = 12
+
+// TimeBuckets is the bucketing for virtual-time histograms: decades
+// from 1 ns to 100 s.
+func TimeBuckets() []float64 { return LogBuckets(1e-9, 10, numTimeBuckets) }
 
 // series is one labelled instance of a metric family.
 type series struct {
@@ -246,12 +248,8 @@ func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
 }
 
 // Histogram returns the histogram named name with the given labels and
-// upper bounds (nil picks TimeBuckets). All series of one family share
-// the first registration's buckets.
+// upper bounds. A series keeps the bounds of its first registration.
 func (r *Registry) Histogram(name, help string, uppers []float64, labels Labels) *Histogram {
-	if uppers == nil {
-		uppers = TimeBuckets()
-	}
 	if !sort.Float64sAreSorted(uppers) {
 		panic(fmt.Sprintf("obs: histogram %q buckets not sorted", name))
 	}
@@ -363,46 +361,4 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// MetricSample is the JSON form of one series.
-type MetricSample struct {
-	Name   string  `json:"name"`
-	Kind   string  `json:"kind"`
-	Labels Labels  `json:"labels,omitempty"`
-	Value  float64 `json:"value"`
-	// Histogram-only fields.
-	Count   int64     `json:"count,omitempty"`
-	Uppers  []float64 `json:"uppers,omitempty"`
-	Buckets []int64   `json:"buckets,omitempty"`
-}
-
-// Samples snapshots every series (for JSON export and tests), in the
-// same deterministic order as the text exposition.
-func (r *Registry) Samples() []MetricSample {
-	var out []MetricSample
-	for _, fam := range r.sortedFamilies() {
-		for _, s := range fam.sortedSeries() {
-			ms := MetricSample{Name: fam.name, Kind: fam.kind.String(), Labels: s.labels}
-			switch fam.kind {
-			case kindCounter:
-				ms.Value = s.counter.Value()
-			case kindGauge:
-				ms.Value = s.gauge.Value()
-			case kindHistogram:
-				ms.Value = s.hist.Sum()
-				ms.Count = s.hist.Count()
-				ms.Uppers, ms.Buckets = s.hist.Buckets()
-			}
-			out = append(out, ms)
-		}
-	}
-	return out
-}
-
-// WriteJSON writes the registry as a JSON array of samples.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Samples())
 }

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -159,27 +158,5 @@ func checkExpositionGolden(t *testing.T, reg *Registry, name string) {
 	}
 	if buf.String() != string(want) {
 		t.Errorf("exposition drifted from %s:\n--- got ---\n%s--- want ---\n%s", golden, buf.String(), want)
-	}
-}
-
-func TestRegistryJSON(t *testing.T) {
-	var buf bytes.Buffer
-	if err := goldenRegistry().WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var samples []MetricSample
-	if err := json.Unmarshal(buf.Bytes(), &samples); err != nil {
-		t.Fatal(err)
-	}
-	if len(samples) != 4 {
-		t.Fatalf("got %d samples, want 4", len(samples))
-	}
-	// Families are name-sorted; the histogram comes second.
-	h := samples[2]
-	if h.Name != "fibersim_kernel_charge_seconds" || h.Kind != "histogram" {
-		t.Fatalf("sample 2 = %+v", h)
-	}
-	if h.Count != 3 || len(h.Buckets) != 3 {
-		t.Errorf("histogram sample: count=%d buckets=%v", h.Count, h.Buckets)
 	}
 }

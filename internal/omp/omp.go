@@ -187,8 +187,8 @@ func (t *Team) LogTo(l Log) { t.log = l }
 // Inject attaches a fault-perturbation hook: f maps a region's
 // critical-path time (starting at virtual time start) to its perturbed
 // value, and the excess is charged to the rank clock as runtime
-// interference (Stats.Fault). The launcher binds this to the fault
-// injector's per-rank Perturb; nil turns injection off.
+// interference. The launcher binds this to the fault injector's
+// per-rank Perturb; nil turns injection off.
 func (t *Team) Inject(f func(start, d float64) float64) {
 	t.perturb = f
 }
@@ -211,31 +211,6 @@ func (t *Team) domainFactor() float64 {
 		return 1
 	}
 	return 1 + (t.over.CrossDomainFactor-1)*float64(t.domains-1)/float64(t.maxDomains-1)
-}
-
-// Stats reports what one parallel region did.
-type Stats struct {
-	// ThreadTime[t] is the modelled busy time of thread t (s).
-	ThreadTime []float64
-	// ThreadIters[t] is how many iterations thread t executed.
-	ThreadIters []int64
-	// Overhead is the fork/join cost charged for the region.
-	Overhead float64
-	// Elapsed is the region's virtual duration: max thread time +
-	// overhead + any chunk-grab costs folded into thread times, plus
-	// fault-injected time.
-	Elapsed float64
-	// Fault is the extra time injected by the fault schedule (s).
-	Fault float64
-}
-
-// Imbalance returns max/mean-1 over thread busy times.
-func (s *Stats) Imbalance() float64 {
-	ser := vtime.NewSeries("threads")
-	for _, v := range s.ThreadTime {
-		ser.Add(v)
-	}
-	return ser.Imbalance()
 }
 
 // Body is a per-element loop body: thread is the executing virtual
@@ -266,85 +241,61 @@ type plan struct {
 // of returns thread th's chunks.
 func (p plan) of(th int) []chunk { return p.chunks[p.off[th]:p.off[th+1]] }
 
-// chunksFor materializes the chunk list for a schedule over n
-// iterations and k threads. Static chunks are pre-assigned (returned
-// as a plan); dynamic/guided return a shared ordered list.
-func chunksFor(s Schedule, n, k int) (static plan, shared []chunk) {
-	switch s.Kind {
-	case Static:
-		static.off = make([]int, k+1)
-		if s.Chunk <= 0 {
-			// One contiguous block per thread, remainder spread left.
-			static.chunks = make([]chunk, 0, min(n, k))
-			base, rem := n/k, n%k
-			lo := 0
-			for t := 0; t < k; t++ {
-				sz := base
-				if t < rem {
-					sz++
-				}
-				if sz > 0 {
-					static.chunks = append(static.chunks, chunk{lo, lo + sz})
-				}
-				lo += sz
-				static.off[t+1] = len(static.chunks)
-			}
-		} else {
-			// Round-robin: chunk idx goes to thread idx%k.
-			m := (n + s.Chunk - 1) / s.Chunk
-			static.chunks = make([]chunk, 0, m)
-			for t := 0; t < k; t++ {
-				for idx := t; idx < m; idx += k {
-					lo := idx * s.Chunk
-					static.chunks = append(static.chunks, chunk{lo, min(lo+s.Chunk, n)})
-				}
-				static.off[t+1] = len(static.chunks)
-			}
-		}
-		return static, nil
-	case Dynamic:
-		c := s.Chunk
-		if c <= 0 {
-			c = 1
-		}
-		shared = make([]chunk, 0, (n+c-1)/c)
-		for lo := 0; lo < n; lo += c {
-			hi := lo + c
-			if hi > n {
-				hi = n
-			}
-			shared = append(shared, chunk{lo, hi})
-		}
-		return plan{}, shared
-	case Guided:
-		minC := s.Chunk
-		if minC <= 0 {
-			minC = 1
-		}
-		remaining := n
+// staticPlan deals n iterations to k threads before the loop runs:
+// one contiguous block per thread, or round-robin chunks when s.Chunk
+// is set.
+func staticPlan(s Schedule, n, k int) plan {
+	p := plan{off: make([]int, k+1)}
+	if s.Chunk <= 0 {
+		// One contiguous block per thread, remainder spread left.
+		p.chunks = make([]chunk, 0, min(n, k))
+		base, rem := n/k, n%k
 		lo := 0
-		for remaining > 0 {
-			c := (remaining + 2*k - 1) / (2 * k)
-			if c < minC {
-				c = minC
+		for t := 0; t < k; t++ {
+			sz := base
+			if t < rem {
+				sz++
 			}
-			if c > remaining {
-				c = remaining
+			if sz > 0 {
+				p.chunks = append(p.chunks, chunk{lo, lo + sz})
 			}
-			shared = append(shared, chunk{lo, lo + c})
-			lo += c
-			remaining -= c
+			lo += sz
+			p.off[t+1] = len(p.chunks)
 		}
-		return plan{}, shared
+		return p
+	}
+	// Round-robin: chunk idx goes to thread idx%k.
+	m := (n + s.Chunk - 1) / s.Chunk
+	p.chunks = make([]chunk, 0, m)
+	for t := 0; t < k; t++ {
+		for idx := t; idx < m; idx += k {
+			lo := idx * s.Chunk
+			p.chunks = append(p.chunks, chunk{lo, min(lo+s.Chunk, n)})
+		}
+		p.off[t+1] = len(p.chunks)
+	}
+	return p
+}
+
+// demandEnd returns where the on-demand chunk that starts at lo ends:
+// dynamic chunks are s.Chunk iterations (default 1), and guided chunks
+// are the remaining iterations split 2k ways, at least s.Chunk.
+func demandEnd(s Schedule, n, k, lo int) int {
+	c := max(s.Chunk, 1)
+	switch s.Kind {
+	case Dynamic:
+	case Guided:
+		c = max(c, (n-lo+2*k-1)/(2*k))
 	default:
 		panic(fmt.Sprintf("omp: unknown schedule kind %d", int(s.Kind)))
 	}
+	return min(lo+c, n)
 }
 
 // ParallelFor is ParallelRange with a per-element body: body runs once
 // for every i of each chunk, in order. A nil body is allowed for
 // timing-only loops.
-func (t *Team) ParallelFor(s Schedule, n int, body Body, cost CostFn) *Stats {
+func (t *Team) ParallelFor(s Schedule, n int, body Body, cost CostFn) {
 	var rb RangeBody
 	if body != nil {
 		rb = func(th, lo, hi int) {
@@ -353,13 +304,14 @@ func (t *Team) ParallelFor(s Schedule, n int, body Body, cost CostFn) *Stats {
 			}
 		}
 	}
-	return t.ParallelRange(s, n, rb, cost)
+	t.ParallelRange(s, n, rb, cost)
 }
 
 // ParallelRange executes body over [0,n) across the team using the
-// given schedule, one call per planned chunk, charges virtual time
-// (per-iteration costs from cost plus fork/join overhead) to the rank
-// clock, and returns the region statistics.
+// given schedule, one call per planned chunk, and charges virtual time
+// to the rank clock: the longest thread's busy time (per-iteration
+// costs from cost, plus grab costs) as compute, then any fault-injected
+// time and the fork/join overhead as runtime.
 //
 // The iteration→thread assignment is computed deterministically: static
 // schedules pre-assign chunks; dynamic/guided schedules are simulated
@@ -367,8 +319,9 @@ func (t *Team) ParallelFor(s Schedule, n int, body Body, cost CostFn) *Stats {
 // thread, plus a grab cost), so timing reflects the modelled machine
 // rather than the host's scheduler. Bodies then execute concurrently
 // with that assignment; they must be race-free. A nil body is allowed
-// for timing-only loops.
-func (t *Team) ParallelRange(s Schedule, n int, body RangeBody, cost CostFn) *Stats {
+// for timing-only loops, and a static one with a nil cost builds no
+// plan at all.
+func (t *Team) ParallelRange(s Schedule, n int, body RangeBody, cost CostFn) {
 	if t.log != nil {
 		if cost != nil {
 			t.log.Unreplayable("omp.ParallelRange with a CostFn")
@@ -377,93 +330,101 @@ func (t *Team) ParallelRange(s Schedule, n int, body RangeBody, cost CostFn) *St
 		}
 	}
 	k := t.Threads()
-	st := &Stats{
-		ThreadTime:  make([]float64, k),
-		ThreadIters: make([]int64, k),
-	}
+	var busy []float64 // per-thread busy time; nil while every thread's is 0
 	if n > 0 {
-		p, shared := chunksFor(s, n, k)
-		if p.off != nil {
-			// Static: busy time is the serial sum of the thread's costs.
-			for th := 0; th < k; th++ {
-				for _, ch := range p.of(th) {
-					st.ThreadIters[th] += int64(ch.hi - ch.lo)
-					if cost != nil {
+		var p plan
+		switch {
+		case s.Kind != Static:
+			busy = make([]float64, k)
+			p = t.assignDemand(s, n, cost, busy, body != nil)
+		case body != nil || cost != nil:
+			p = staticPlan(s, n, k)
+			if cost != nil {
+				// Busy time is the serial sum of the thread's costs.
+				busy = make([]float64, k)
+				for th := range busy {
+					for _, ch := range p.of(th) {
 						for i := ch.lo; i < ch.hi; i++ {
-							st.ThreadTime[th] += cost(i)
+							busy[th] += cost(i)
 						}
 					}
 				}
 			}
-		} else {
-			p = t.assignDemand(shared, cost, st)
 		}
 		if body != nil {
 			t.execute(p, body)
 		}
 	}
-	st.Overhead = t.regionOverhead()
-	var maxT float64
-	for _, v := range st.ThreadTime {
+	var maxT, sum float64
+	for _, v := range busy {
+		sum += v
 		if v > maxT {
 			maxT = v
 		}
 	}
+	overhead := t.regionOverhead()
+	var fault float64
 	if t.perturb != nil && maxT > 0 {
-		st.Fault = t.perturb(t.clock.Now(), maxT) - maxT
+		fault = t.perturb(t.clock.Now(), maxT) - maxT
 	}
-	st.Elapsed = maxT + st.Fault + st.Overhead
 	t.clock.Advance(maxT, vtime.Compute)
 	// Injected time is runtime interference, not useful compute.
-	t.clock.Advance(st.Fault+st.Overhead, vtime.Runtime)
-	if t.rec != nil {
-		var busy float64
-		for _, v := range st.ThreadTime {
-			busy += v
-		}
-		t.rec.OMPRegion(t.recRank, st.Overhead, maxT-busy/float64(k))
-	}
-	return st
+	t.clock.Advance(fault+overhead, vtime.Runtime)
+	t.rec.OMPRegion(t.recRank, overhead, maxT-sum/float64(k))
 }
 
 // assignDemand simulates on-demand chunk grabbing in virtual time:
 // chunks are handed out in order, each to the virtual thread with the
-// smallest accumulated busy time, which pays a grab cost plus the
-// chunk's iteration costs. This is deterministic and mirrors how a
-// dynamic schedule balances skewed work.
-func (t *Team) assignDemand(shared []chunk, cost CostFn, st *Stats) plan {
-	k := t.Threads()
-	owner := make([]int, len(shared))
-	off := make([]int, k+1)
-	for c, ch := range shared {
+// smallest busy time so far, which pays a grab cost plus the chunk's
+// iteration costs. This is deterministic and mirrors how a dynamic
+// schedule balances skewed work. It adds each thread's busy time to
+// busy, and returns the plan only when withPlan is set.
+func (t *Team) assignDemand(s Schedule, n int, cost CostFn, busy []float64, withPlan bool) plan {
+	k := len(busy)
+	var grabbed []chunk // in grab order
+	var owner []int
+	if c := max(s.Chunk, 1); withPlan && s.Kind == Dynamic {
+		grabbed, owner = make([]chunk, 0, (n+c-1)/c), make([]int, 0, (n+c-1)/c)
+	}
+	for lo := 0; lo < n; {
+		hi := demandEnd(s, n, k, lo)
 		// Least-busy thread; ties broken by lowest id, as a real runtime's
 		// first-waiter-wins race roughly does.
 		th := 0
 		for i := 1; i < k; i++ {
-			if st.ThreadTime[i] < st.ThreadTime[th] {
+			if busy[i] < busy[th] {
 				th = i
 			}
 		}
-		st.ThreadTime[th] += t.over.DynamicGrab
+		busy[th] += t.over.DynamicGrab
 		if cost != nil {
-			for i := ch.lo; i < ch.hi; i++ {
-				st.ThreadTime[th] += cost(i)
+			for i := lo; i < hi; i++ {
+				busy[th] += cost(i)
 			}
 		}
-		st.ThreadIters[th] += int64(ch.hi - ch.lo)
-		owner[c] = th
-		off[th]++
+		if withPlan {
+			grabbed = append(grabbed, chunk{lo, hi})
+			owner = append(owner, th)
+		}
+		lo = hi
+	}
+	if !withPlan {
+		return plan{}
 	}
 	// Stable counting sort by owner: off[th] first marks the end of
 	// thread th's range, then counts down to its start as it fills.
+	off := make([]int, k+1)
+	for _, th := range owner {
+		off[th]++
+	}
 	for th := 1; th < k; th++ {
 		off[th] += off[th-1]
 	}
-	off[k] = len(shared)
-	chunks := make([]chunk, len(shared))
-	for c := len(shared) - 1; c >= 0; c-- {
+	off[k] = len(grabbed)
+	chunks := make([]chunk, len(grabbed))
+	for c := len(grabbed) - 1; c >= 0; c-- {
 		off[owner[c]]--
-		chunks[off[owner[c]]] = shared[c]
+		chunks[off[owner[c]]] = grabbed[c]
 	}
 	return plan{chunks, off}
 }

@@ -5,6 +5,8 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"sort"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -64,11 +66,15 @@ func TestTeamAccessors(t *testing.T) {
 }
 
 // coverageCheck runs a loop and verifies every index ran exactly once.
-func coverageCheck(t *testing.T, tm *Team, s Schedule, n int) *Stats {
+// It returns how many iterations each thread ran, as the body's thread
+// argument tells.
+func coverageCheck(t *testing.T, tm *Team, s Schedule, n int) []int64 {
 	t.Helper()
 	counts := make([]int64, n)
-	st := tm.ParallelFor(s, n, func(_, i int) {
+	iters := make([]int64, tm.Threads())
+	tm.ParallelFor(s, n, func(th, i int) {
 		atomic.AddInt64(&counts[i], 1)
+		atomic.AddInt64(&iters[th], 1)
 	}, nil)
 	for i, c := range counts {
 		if c != 1 {
@@ -76,13 +82,23 @@ func coverageCheck(t *testing.T, tm *Team, s Schedule, n int) *Stats {
 		}
 	}
 	var total int64
-	for _, it := range st.ThreadIters {
+	for _, it := range iters {
 		total += it
 	}
 	if total != int64(n) {
 		t.Errorf("%v: thread iteration counts sum to %d, want %d", s, total, n)
 	}
-	return st
+	return iters
+}
+
+// observed returns a team on a fresh clock that reports its regions
+// to a fresh recorder.
+func observed(t *testing.T, cores []int) (*Team, *obs.Recorder) {
+	t.Helper()
+	tm := team(t, cores)
+	rec := obs.NewRecorder()
+	tm.Observe(rec, 0)
+	return tm, rec
 }
 
 func TestSchedulesCoverage(t *testing.T) {
@@ -122,28 +138,26 @@ func TestScheduleCoverageProperty(t *testing.T) {
 
 func TestStaticBalancesIterations(t *testing.T) {
 	tm := team(t, coresRange(4, 1))
-	st := coverageCheck(t, tm, Schedule{Kind: Static}, 10)
+	iters := coverageCheck(t, tm, Schedule{Kind: Static}, 10)
 	// 10 over 4 threads: 3,3,2,2.
-	want := []int64{3, 3, 2, 2}
-	for i, w := range want {
-		if st.ThreadIters[i] != w {
-			t.Errorf("thread %d iters = %d, want %d", i, st.ThreadIters[i], w)
-		}
+	if want := []int64{3, 3, 2, 2}; !reflect.DeepEqual(iters, want) {
+		t.Errorf("thread iters = %v, want %v", iters, want)
 	}
 }
 
 func TestVirtualTimeChargedMaxPlusOverhead(t *testing.T) {
 	tm := team(t, coresRange(4, 1))
 	// Uniform 1ms per iteration, 8 iterations on 4 threads: 2ms busy.
-	st := tm.ParallelFor(Schedule{Kind: Static}, 8, nil, func(int) float64 { return 1e-3 })
-	if math.Abs(st.Elapsed-(2e-3+st.Overhead)) > 1e-12 {
-		t.Errorf("Elapsed = %g, want 2ms + overhead %g", st.Elapsed, st.Overhead)
+	tm.ParallelFor(Schedule{Kind: Static}, 8, nil, func(int) float64 { return 1e-3 })
+	clk, over := tm.Clock(), tm.regionOverhead()
+	if math.Abs(clk.Spent(vtime.Compute)-2e-3) > 1e-12 {
+		t.Errorf("compute = %g, want the 2ms critical path", clk.Spent(vtime.Compute))
 	}
-	if got := tm.Clock().Now(); math.Abs(got-st.Elapsed) > 1e-12 {
-		t.Errorf("clock advanced %g, want %g", got, st.Elapsed)
+	if over <= 0 || clk.Spent(vtime.Runtime) != over {
+		t.Errorf("runtime = %g, want the overhead %g > 0", clk.Spent(vtime.Runtime), over)
 	}
-	if tm.Clock().Spent(vtime.Compute) <= 0 || tm.Clock().Spent(vtime.Runtime) <= 0 {
-		t.Error("breakdown should show compute and runtime time")
+	if math.Abs(clk.Now()-(2e-3+over)) > 1e-12 {
+		t.Errorf("clock advanced %g, want 2ms + overhead %g", clk.Now(), over)
 	}
 }
 
@@ -152,23 +166,28 @@ func TestDynamicBeatsStaticOnSkewedWork(t *testing.T) {
 	// iterations on the last thread, dynamic spreads them.
 	costs := func(i int) float64 { return float64(i) * 1e-6 }
 	const n = 256
-	stat := team(t, coresRange(8, 1)).ParallelFor(Schedule{Kind: Static}, n, nil, costs)
-	dyn := team(t, coresRange(8, 1)).ParallelFor(Schedule{Kind: Dynamic, Chunk: 4}, n, nil, costs)
-	if dyn.Elapsed >= stat.Elapsed {
-		t.Errorf("dynamic (%g) should beat static (%g) on skewed work", dyn.Elapsed, stat.Elapsed)
+	run := func(s Schedule) (elapsed, imbalance float64) {
+		tm, rec := observed(t, coresRange(8, 1))
+		tm.ParallelFor(s, n, nil, costs)
+		return tm.Clock().Now(), rec.Profile().OMP.ImbalanceSeconds
 	}
-	if stat.Imbalance() <= dyn.Imbalance() {
-		t.Errorf("static imbalance (%g) should exceed dynamic (%g)", stat.Imbalance(), dyn.Imbalance())
+	stat, statImb := run(Schedule{Kind: Static})
+	dyn, dynImb := run(Schedule{Kind: Dynamic, Chunk: 4})
+	if dyn >= stat {
+		t.Errorf("dynamic (%g) should beat static (%g) on skewed work", dyn, stat)
+	}
+	if statImb <= dynImb {
+		t.Errorf("static imbalance (%g) should exceed dynamic (%g)", statImb, dynImb)
 	}
 }
 
 func TestDynamicGrabCostCharged(t *testing.T) {
-	tm := team(t, coresRange(2, 1))
-	st := tm.ParallelFor(Schedule{Kind: Dynamic, Chunk: 1}, 100, nil, nil)
-	var busy float64
-	for _, v := range st.ThreadTime {
-		busy += v
-	}
+	tm, rec := observed(t, coresRange(2, 1))
+	tm.ParallelFor(Schedule{Kind: Dynamic, Chunk: 1}, 100, nil, nil)
+	// The clock's compute is the longest thread's busy time, and the
+	// recorded imbalance is that minus the mean.
+	longest := tm.Clock().Spent(vtime.Compute)
+	busy := 2 * (longest - rec.Profile().OMP.ImbalanceSeconds)
 	want := 100 * DefaultOverheads().DynamicGrab
 	if math.Abs(busy-want) > 1e-12 {
 		t.Errorf("total grab cost = %g, want %g", busy, want)
@@ -179,26 +198,26 @@ func TestCrossDomainOverheadLarger(t *testing.T) {
 	// Same team size; one binding inside a CMG, one spanning 4 CMGs.
 	inside := team(t, []int{0, 1, 2, 3})
 	across := team(t, []int{0, 12, 24, 36})
-	stIn := inside.ParallelFor(Schedule{Kind: Static}, 4, nil, nil)
-	stAcross := across.ParallelFor(Schedule{Kind: Static}, 4, nil, nil)
-	if stAcross.Overhead <= stIn.Overhead {
-		t.Errorf("cross-domain overhead (%g) should exceed within-domain (%g)",
-			stAcross.Overhead, stIn.Overhead)
+	inside.ParallelFor(Schedule{Kind: Static}, 4, nil, nil)
+	across.ParallelFor(Schedule{Kind: Static}, 4, nil, nil)
+	// With no cost and no fault, a region's runtime is its overhead.
+	in, out := inside.Clock().Spent(vtime.Runtime), across.Clock().Spent(vtime.Runtime)
+	if out <= in {
+		t.Errorf("cross-domain overhead (%g) should exceed within-domain (%g)", out, in)
 	}
-	ratio := stAcross.Overhead / stIn.Overhead
-	if math.Abs(ratio-DefaultOverheads().CrossDomainFactor) > 1e-9 {
+	if ratio := out / in; math.Abs(ratio-DefaultOverheads().CrossDomainFactor) > 1e-9 {
 		t.Errorf("overhead ratio = %g, want %g", ratio, DefaultOverheads().CrossDomainFactor)
 	}
 }
 
 func TestSingleThreadNoOverhead(t *testing.T) {
 	tm := team(t, []int{5})
-	st := tm.ParallelFor(Schedule{Kind: Static}, 10, nil, func(int) float64 { return 1e-3 })
-	if st.Overhead != 0 {
-		t.Errorf("single-thread overhead = %g, want 0", st.Overhead)
+	tm.ParallelFor(Schedule{Kind: Static}, 10, nil, func(int) float64 { return 1e-3 })
+	if rt := tm.Clock().Spent(vtime.Runtime); rt != 0 {
+		t.Errorf("single-thread overhead = %g, want 0", rt)
 	}
-	if math.Abs(st.Elapsed-10e-3) > 1e-12 {
-		t.Errorf("Elapsed = %g, want 10ms", st.Elapsed)
+	if now := tm.Clock().Now(); math.Abs(now-10e-3) > 1e-12 {
+		t.Errorf("elapsed = %g, want 10ms", now)
 	}
 }
 
@@ -239,14 +258,19 @@ func TestParallelRangeMatchesParallelFor(t *testing.T) {
 		for _, s := range scheds {
 			for _, n := range []int{0, 1, 47, 1000} {
 				byElem, byRange := newVisits(n), newVisits(n)
-				stFor := team(t, coresRange(k, 1)).ParallelFor(s, n, byElem.visit, cost)
-				stRange := team(t, coresRange(k, 1)).ParallelRange(s, n, func(th, lo, hi int) {
+				forTeam, forRec := observed(t, coresRange(k, 1))
+				rangeTeam, rangeRec := observed(t, coresRange(k, 1))
+				forTeam.ParallelFor(s, n, byElem.visit, cost)
+				rangeTeam.ParallelRange(s, n, func(th, lo, hi int) {
 					for i := lo; i < hi; i++ {
 						byRange.visit(th, i)
 					}
 				}, cost)
-				if !reflect.DeepEqual(stFor, stRange) {
-					t.Errorf("k=%d %v n=%d: Stats differ:\nfor   %+v\nrange %+v", k, s, n, stFor, stRange)
+				if a, b := forTeam.Clock(), rangeTeam.Clock(); a.Now() != b.Now() || a.Breakdown() != b.Breakdown() {
+					t.Errorf("k=%d %v n=%d: clocks differ: for %g %+v, range %g %+v", k, s, n, a.Now(), a.Breakdown(), b.Now(), b.Breakdown())
+				}
+				if a, b := forRec.Profile().OMP, rangeRec.Profile().OMP; a != b {
+					t.Errorf("k=%d %v n=%d: recorded regions differ:\nfor   %+v\nrange %+v", k, s, n, a, b)
 				}
 				for i := 0; i < n; i++ {
 					if byElem.count[i] != 1 || byRange.count[i] != 1 {
@@ -288,19 +312,26 @@ func TestRegionAllocs(t *testing.T) {
 	empty := func(int, int) {}
 	t1 := team(t, []int{0})
 	// A 1-thread region runs inline on the caller: no goroutine is
-	// spawned, and it allocates only its Stats, plan and body adapter.
+	// spawned, and it allocates only its plan and body adapter.
 	before := runtime.NumGoroutine()
 	t1.ParallelFor(Schedule{}, 1, func(int, int) {
 		if g := runtime.NumGoroutine(); g > before {
 			t.Errorf("1-thread region body sees %d goroutines, caller had %d", g, before)
 		}
 	}, nil)
-	if a := testing.AllocsPerRun(100, func() { t1.ParallelFor(Schedule{}, 1, empty, nil) }); a > 6 {
-		t.Errorf("1-thread region allocates %v, want <= 6", a)
+	if a := testing.AllocsPerRun(100, func() { t1.ParallelFor(Schedule{}, 1, empty, nil) }); a > 3 {
+		t.Errorf("1-thread region allocates %v, want <= 3", a)
 	}
 	t48 := team(t, coresRange(48, 1))
-	if a := testing.AllocsPerRun(100, func() { t48.ParallelFor(Schedule{}, 48, empty, nil) }); a >= 60 {
-		t.Errorf("48-thread region allocates %v, want < 60", a)
+	if a := testing.AllocsPerRun(100, func() { t48.ParallelFor(Schedule{}, 48, empty, nil) }); a > 6 {
+		t.Errorf("48-thread region allocates %v, want <= 6", a)
+	}
+	// A replayed static region has neither body nor cost: it builds no
+	// plan and allocates nothing.
+	for _, tm := range []*Team{t1, t48} {
+		if a := testing.AllocsPerRun(100, func() { tm.ParallelRange(Schedule{}, 480, nil, nil) }); a != 0 {
+			t.Errorf("%d-thread replayed region allocates %v, want 0", tm.Threads(), a)
+		}
 	}
 }
 
@@ -320,27 +351,37 @@ func TestScheduleString(t *testing.T) {
 
 func TestZeroIterations(t *testing.T) {
 	tm := team(t, coresRange(4, 1))
-	st := tm.ParallelFor(Schedule{Kind: Guided}, 0, func(_, _ int) {
+	tm.ParallelFor(Schedule{Kind: Guided}, 0, func(_, _ int) {
 		t.Error("body must not run for n=0")
 	}, nil)
-	if st.Elapsed != st.Overhead {
-		t.Errorf("empty loop elapsed = %g, want overhead only %g", st.Elapsed, st.Overhead)
+	clk := tm.Clock()
+	if clk.Spent(vtime.Compute) != 0 || clk.Now() != tm.regionOverhead() {
+		t.Errorf("empty loop elapsed = %g (compute %g), want overhead only %g",
+			clk.Now(), clk.Spent(vtime.Compute), tm.regionOverhead())
 	}
 }
 
 func TestGuidedChunksDecrease(t *testing.T) {
-	_, shared := chunksFor(Schedule{Kind: Guided}, 1000, 4)
-	if len(shared) < 3 {
-		t.Fatalf("guided produced %d chunks", len(shared))
+	var mu sync.Mutex
+	var got []chunk
+	team(t, coresRange(4, 1)).ParallelRange(Schedule{Kind: Guided}, 1000, func(_, lo, hi int) {
+		mu.Lock()
+		got = append(got, chunk{lo, hi})
+		mu.Unlock()
+	}, nil)
+	// Chunks are grabbed in iteration order.
+	sort.Slice(got, func(i, j int) bool { return got[i].lo < got[j].lo })
+	if len(got) < 3 {
+		t.Fatalf("guided produced %d chunks", len(got))
 	}
-	first := shared[0].hi - shared[0].lo
-	last := shared[len(shared)-1].hi - shared[len(shared)-1].lo
+	first := got[0].hi - got[0].lo
+	last := got[len(got)-1].hi - got[len(got)-1].lo
 	if first <= last {
 		t.Errorf("guided chunks should shrink: first=%d last=%d", first, last)
 	}
 	// Chunks tile [0,n) exactly.
 	pos := 0
-	for _, c := range shared {
+	for _, c := range got {
 		if c.lo != pos || c.hi <= c.lo {
 			t.Fatalf("guided chunks do not tile: %v at pos %d", c, pos)
 		}
@@ -355,9 +396,9 @@ func TestMoreVirtualThreadsThanWorkers(t *testing.T) {
 	// 48 virtual threads must execute correctly even when GOMAXPROCS is
 	// smaller; virtual timing still reflects 48-way parallelism.
 	tm := team(t, coresRange(48, 1))
-	st := tm.ParallelFor(Schedule{Kind: Static}, 480, nil, func(int) float64 { return 1e-3 })
-	if math.Abs(st.Elapsed-st.Overhead-10e-3) > 1e-9 {
-		t.Errorf("48-thread elapsed = %g, want 10ms busy", st.Elapsed-st.Overhead)
+	tm.ParallelFor(Schedule{Kind: Static}, 480, nil, func(int) float64 { return 1e-3 })
+	if busy := tm.Clock().Spent(vtime.Compute); math.Abs(busy-10e-3) > 1e-9 {
+		t.Errorf("48-thread critical path = %g, want 10ms busy", busy)
 	}
 }
 
@@ -367,7 +408,7 @@ func TestChunksForUnknownKindPanics(t *testing.T) {
 			t.Fatal("unknown schedule kind must panic")
 		}
 	}()
-	chunksFor(Schedule{Kind: ScheduleKind(9)}, 10, 2)
+	team(t, coresRange(2, 1)).ParallelRange(Schedule{Kind: ScheduleKind(9)}, 10, nil, nil)
 }
 
 func TestObserveRecordsRegions(t *testing.T) {
@@ -405,38 +446,36 @@ func TestObserveNilRecorderIsSafe(t *testing.T) {
 func TestInjectPerturbsRegions(t *testing.T) {
 	tm := team(t, coresRange(4, 1))
 	costs := func(i int) float64 { return 1e-6 }
-
-	clean := tm.ParallelFor(Schedule{Kind: Static}, 64, nil, costs)
-	if clean.Fault != 0 {
-		t.Fatalf("clean region has Fault = %g", clean.Fault)
+	over := tm.regionOverhead()
+	// region runs one 64-iteration region and returns what it added to
+	// the clock's compute and runtime.
+	region := func() (compute, rt float64) {
+		before := tm.Clock().Breakdown()
+		tm.ParallelFor(Schedule{Kind: Static}, 64, nil, costs)
+		after := tm.Clock().Breakdown()
+		return after.Get(vtime.Compute) - before.Get(vtime.Compute), after.Get(vtime.Runtime) - before.Get(vtime.Runtime)
 	}
-	before := tm.Clock().Breakdown()
 
-	// Double the critical path: the excess must land in Stats.Fault and
-	// be charged to the clock as runtime, not compute.
+	cleanCompute, cleanRuntime := region()
+	if math.Abs(cleanCompute-16e-6) > 1e-15 || math.Abs(cleanRuntime-over) > 1e-15 {
+		t.Fatalf("clean region added compute %g and runtime %g, want 16us and the overhead %g",
+			cleanCompute, cleanRuntime, over)
+	}
+
+	// Double the critical path: the excess must be charged to the clock
+	// as runtime, not compute.
 	tm.Inject(func(start, d float64) float64 { return 2 * d })
-	faulty := tm.ParallelFor(Schedule{Kind: Static}, 64, nil, costs)
-	after := tm.Clock().Breakdown()
-
-	if faulty.Fault <= 0 {
-		t.Fatalf("injected region Fault = %g, want > 0", faulty.Fault)
-	}
-	if math.Abs(faulty.Elapsed-(clean.Elapsed+faulty.Fault)) > 1e-15 {
-		t.Fatalf("Elapsed %g != clean %g + fault %g", faulty.Elapsed, clean.Elapsed, faulty.Fault)
-	}
-	dCompute := after.Get(vtime.Compute) - before.Get(vtime.Compute)
-	dRuntime := after.Get(vtime.Runtime) - before.Get(vtime.Runtime)
-	cleanCompute := clean.Elapsed - clean.Overhead
+	dCompute, dRuntime := region()
 	if math.Abs(dCompute-cleanCompute) > 1e-15 {
 		t.Fatalf("compute advanced %g, want clean critical path %g", dCompute, cleanCompute)
 	}
-	if math.Abs(dRuntime-(faulty.Fault+faulty.Overhead)) > 1e-15 {
-		t.Fatalf("runtime advanced %g, want fault %g + overhead %g", dRuntime, faulty.Fault, faulty.Overhead)
+	if math.Abs(dRuntime-(cleanCompute+over)) > 1e-15 {
+		t.Fatalf("runtime advanced %g, want fault %g + overhead %g", dRuntime, cleanCompute, over)
 	}
 
 	tm.Inject(nil)
-	if again := tm.ParallelFor(Schedule{Kind: Static}, 64, nil, costs); again.Fault != 0 {
-		t.Fatalf("after Inject(nil), Fault = %g", again.Fault)
+	if _, again := region(); math.Abs(again-over) > 1e-15 {
+		t.Fatalf("after Inject(nil), runtime advanced %g, want the overhead %g", again, over)
 	}
 }
 
