@@ -107,6 +107,10 @@ type solver struct {
 	// send and recv hold exchangeHalo's packed boundary slice and the
 	// packed halo it receives.
 	send, recv []float64
+	// partial and pair hold dot's per-thread sums and the (real, imag)
+	// pair it reduces across ranks.
+	partial []complex128
+	pair    [2]float64
 }
 
 // applyOp dispatches to the configured operator.
@@ -127,11 +131,12 @@ func newSolver(env *common.Env, size common.Size, seed int64) (*solver, error) {
 	}
 	return &solver{
 		env: env, geo: geo,
-		op:  NewDiracClover(geo, NewGauge(geo, seed), Kappa, Csw),
-		kD:  dslashKernel(geo.LocalVol(), size),
-		kL:  linalgKernel(geo.LocalVol(), size),
-		sch: omp.Schedule{Kind: omp.Static},
-		vol: geo.LocalVol(),
+		op:      NewDiracClover(geo, NewGauge(geo, seed), Kappa, Csw),
+		kD:      dslashKernel(geo.LocalVol(), size),
+		kL:      linalgKernel(geo.LocalVol(), size),
+		sch:     omp.Schedule{Kind: omp.Static},
+		vol:     geo.LocalVol(),
+		partial: make([]complex128, env.Threads()),
 	}, nil
 }
 
@@ -223,7 +228,8 @@ func (s *solver) matvec(dst, src Field) error {
 // dot computes the global complex inner product <a,b> over interior
 // sites: per site, then per thread in site order, then across threads.
 func (s *solver) dot(a, b Field) (complex128, error) {
-	partial := make([]complex128, s.env.Threads())
+	partial := s.partial
+	clear(partial)
 	base := s.geo.SliceVol()
 	s.env.Team.ParallelRange(s.sch, s.vol, func(th, lo, hi int) {
 		sum := partial[th]
@@ -245,11 +251,11 @@ func (s *solver) dot(a, b Field) (complex128, error) {
 	if err := s.env.Charge(s.kL, float64(s.vol)/3); err != nil { // dot is ~1/3 of an axpy's traffic
 		return 0, err
 	}
-	out, err := s.env.Comm.Allreduce(mpi.OpSum, []float64{real(local), imag(local)})
-	if err != nil {
+	s.pair = [2]float64{real(local), imag(local)}
+	if err := s.env.Comm.Allreduce(mpi.OpSum, s.pair[:]); err != nil {
 		return 0, err
 	}
-	return complex(out[0], out[1]), nil
+	return complex(s.pair[0], s.pair[1]), nil
 }
 
 // forEach runs body once per chunk of interior sites, passing the

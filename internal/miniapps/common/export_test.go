@@ -17,3 +17,7 @@ func RecordingCount() int {
 
 // RecordingCapacity is the cache bound.
 const RecordingCapacity = cacheCapacity
+
+// UpdateGolden reports whether -update asks the tests to rewrite their
+// testdata golden files.
+func UpdateGolden() bool { return *update }

@@ -65,8 +65,7 @@ func TestManifestFromRun(t *testing.T) {
 		if _, err := env.Comm.Sendrecv(peer, 0, []float64{1, 2, 3}, peer, 0); err != nil {
 			return err
 		}
-		_, err := env.Comm.Allreduce(0, []float64{1})
-		return err
+		return env.Comm.Allreduce(0, []float64{1})
 	})
 	if err != nil {
 		t.Fatal(err)

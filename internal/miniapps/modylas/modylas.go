@@ -14,6 +14,7 @@ package modylas
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"fibersim/internal/core"
 	"fibersim/internal/miniapps/common"
@@ -98,13 +99,26 @@ func (s *System) cellID(cx, cy, cz int) int {
 	return cx + m*(cy+m*cz)
 }
 
+// cellScratch holds what each force evaluation rebuilds, the cell
+// lists and the cells' multipoles, so that rebuilding them step after
+// step allocates nothing once it has grown to the system.
+type cellScratch struct {
+	ids   []int32
+	start []int
+	flat  []int32
+	lists [][]int32
+	mps   []multipole
+}
+
 // buildCells returns the particle list of every cell, each in
 // ascending particle order. The lists are capped windows of one
-// backing array, filled by a counting sort over the cell ids.
-func (s *System) buildCells() [][]int32 {
+// backing array, filled by a counting sort over the cell ids. They
+// live in sc, so they hold until sc's next build.
+func (s *System) buildCells(sc *cellScratch) [][]int32 {
 	nc := s.Cells * s.Cells * s.Cells
-	ids := make([]int32, s.N)
-	start := make([]int, nc+1)
+	ids := slices.Grow(sc.ids[:0], s.N)[:s.N]
+	start := slices.Grow(sc.start[:0], nc+1)[:nc+1]
+	clear(start)
 	for i := range ids {
 		id := s.cellID(s.cellOf(s.X[i]))
 		ids[i] = int32(id)
@@ -113,8 +127,8 @@ func (s *System) buildCells() [][]int32 {
 	for c := 0; c < nc; c++ {
 		start[c+1] += start[c]
 	}
-	flat := make([]int32, s.N)
-	lists := make([][]int32, nc)
+	flat := slices.Grow(sc.flat[:0], s.N)[:s.N]
+	lists := slices.Grow(sc.lists[:0], nc)[:nc]
 	for c := range lists {
 		lists[c] = flat[start[c]:start[c]:start[c+1]]
 	}
@@ -123,6 +137,7 @@ func (s *System) buildCells() [][]int32 {
 	for i, id := range ids {
 		lists[id] = append(lists[id], int32(i))
 	}
+	sc.ids, sc.start, sc.flat, sc.lists = ids, start, flat, lists
 	return lists
 }
 
@@ -136,10 +151,12 @@ type multipole struct {
 }
 
 // buildMultipoles computes the expansion of every cell (the P2M phase
-// of the FMM).
-func (s *System) buildMultipoles(cells [][]int32) []multipole {
+// of the FMM) into sc.
+func (s *System) buildMultipoles(cells [][]int32, sc *cellScratch) []multipole {
 	m := s.Cells
-	out := make([]multipole, len(cells))
+	out := slices.Grow(sc.mps[:0], len(cells))[:len(cells)]
+	clear(out)
+	sc.mps = out
 	for cz := 0; cz < m; cz++ {
 		for cy := 0; cy < m; cy++ {
 			for cx := 0; cx < m; cx++ {
@@ -262,8 +279,9 @@ func farField(s *System, x [3]float64, q float64, mp *multipole) (f [3]float64, 
 // Forces computes force and potential energy for particles [lo,hi)
 // using cells+multipoles; team parallelizes the sweep.
 func (s *System) Forces(team *omp.Team, sch omp.Schedule, lo, hi int, f [][3]float64, uPart []float64) (nearPairs, farCells int64) {
-	cells := s.buildCells()
-	mps := s.buildMultipoles(cells)
+	var sc cellScratch
+	cells := s.buildCells(&sc)
+	mps := s.buildMultipoles(cells, &sc)
 	m := s.Cells
 
 	counts := make([]int64, team.Threads())
@@ -451,6 +469,8 @@ func (a App) Run(cfg common.RunConfig) (common.Result, error) {
 		f := make([][3]float64, mine)
 		u := make([]float64, mine)
 		vs := NewVerletState(lo, hi)
+		// This rank's positions, and every rank's, as Allgather moves them.
+		mineX, allX := make([]float64, 3*mine), make([]float64, 3*n)
 		var flops float64
 
 		energy := func() (float64, error) {
@@ -471,21 +491,18 @@ func (a App) Run(cfg common.RunConfig) (common.Result, error) {
 			return env.Charge(kF, float64(fc))
 		}
 
-		// syncPositions gathers every rank's updated slice.
+		// syncPositions gathers every rank's updated slice. The ranks'
+		// slices are consecutive, so the gather, in rank order, is
+		// every position in particle order.
 		syncPositions := func() error {
-			flat := make([]float64, mine*3)
 			for r := 0; r < mine; r++ {
-				flat[3*r], flat[3*r+1], flat[3*r+2] = sys.X[lo+r][0], sys.X[lo+r][1], sys.X[lo+r][2]
+				mineX[3*r], mineX[3*r+1], mineX[3*r+2] = sys.X[lo+r][0], sys.X[lo+r][1], sys.X[lo+r][2]
 			}
-			all, err := env.Comm.Allgather(flat)
-			if err != nil {
+			if err := env.Comm.Allgather(allX, mineX); err != nil {
 				return err
 			}
-			for rk := 0; rk < procs; rk++ {
-				base := rk * n / procs
-				for r := 0; r < len(all[rk])/3; r++ {
-					sys.X[base+r] = [3]float64{all[rk][3*r], all[rk][3*r+1], all[rk][3*r+2]}
-				}
+			for i := range sys.X {
+				sys.X[i] = [3]float64{allX[3*i], allX[3*i+1], allX[3*i+2]}
 			}
 			return nil
 		}

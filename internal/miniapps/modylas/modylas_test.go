@@ -43,7 +43,7 @@ func TestSystemSetup(t *testing.T) {
 
 func TestCellsPartition(t *testing.T) {
 	s := NewSystem(256, 6, 2)
-	cells := s.buildCells()
+	cells := s.buildCells(&cellScratch{})
 	total := 0
 	for _, c := range cells {
 		total += len(c)
@@ -64,13 +64,18 @@ func appendCells(s *System) [][]int32 {
 	return lists
 }
 
+// TestBuildCellsMatchesAppend builds the cells and multipoles of four
+// different systems into one scratch, so every build after the first
+// reuses buffers that another system filled, and compares them with a
+// fresh build.
 func TestBuildCellsMatchesAppend(t *testing.T) {
+	var sc cellScratch
 	for _, c := range []struct {
 		n, cells int
 		seed     int64
 	}{{256, 6, 2}, {1000, 4, 7}, {2048, 8, 20210901}, {30, 5, 11}} {
 		s := NewSystem(c.n, c.cells, c.seed)
-		got, want := s.buildCells(), appendCells(s)
+		got, want := s.buildCells(&sc), appendCells(s)
 		if len(got) != len(want) {
 			t.Fatalf("n=%d cells=%d: %d lists, want %d", c.n, c.cells, len(got), len(want))
 		}
@@ -82,12 +87,16 @@ func TestBuildCellsMatchesAppend(t *testing.T) {
 				t.Errorf("n=%d cells=%d cell %d: cap %d, len %d", c.n, c.cells, id, cap(got[id]), len(got[id]))
 			}
 		}
+		if !slices.Equal(s.buildMultipoles(got, &sc), s.buildMultipoles(want, &cellScratch{})) {
+			t.Errorf("n=%d cells=%d: multipoles built in reused scratch differ from a fresh build", c.n, c.cells)
+		}
 	}
 }
 
 func TestMultipoleNeutralCellsHaveDipoles(t *testing.T) {
 	s := NewSystem(256, 6, 3)
-	mps := s.buildMultipoles(s.buildCells())
+	var sc cellScratch
+	mps := s.buildMultipoles(s.buildCells(&sc), &sc)
 	var anyDipole bool
 	for _, mp := range mps {
 		if math.Abs(mp.d[0])+math.Abs(mp.d[1])+math.Abs(mp.d[2]) > 1e-12 {

@@ -9,10 +9,14 @@ package modylas
 // pin that.
 
 import (
+	"slices"
+
 	"fibersim/internal/omp"
 )
 
-// VerletState caches the neighbour lists of one rank's particle range.
+// VerletState caches the neighbour lists of one rank's particle range,
+// and holds the cell lists, multipoles and per-thread counters that
+// each force evaluation rebuilds.
 type VerletState struct {
 	lo, hi    int
 	builtCell []int32   // cell of every particle at build time
@@ -20,6 +24,9 @@ type VerletState struct {
 	valid     bool
 	// Rebuilds counts list constructions (for tests and reporting).
 	Rebuilds int
+
+	cells                 cellScratch
+	nearCounts, farCounts []int64 // per thread
 }
 
 // NewVerletState prepares an empty cache for particles [lo, hi).
@@ -86,8 +93,8 @@ func (vs *VerletState) build(s *System, cells [][]int32) {
 func (s *System) ForcesVerlet(team *omp.Team, sch omp.Schedule, vs *VerletState,
 	f [][3]float64, uPart []float64) (nearPairs, farCells int64, rebuilt bool) {
 
-	cells := s.buildCells()
-	mps := s.buildMultipoles(cells)
+	cells := s.buildCells(&vs.cells)
+	mps := s.buildMultipoles(cells, &vs.cells)
 	m := s.Cells
 
 	if !vs.stillValid(s) {
@@ -95,8 +102,12 @@ func (s *System) ForcesVerlet(team *omp.Team, sch omp.Schedule, vs *VerletState,
 		rebuilt = true
 	}
 
-	counts := make([]int64, team.Threads())
-	farCounts := make([]int64, team.Threads())
+	k := team.Threads()
+	vs.nearCounts = slices.Grow(vs.nearCounts[:0], k)[:k]
+	vs.farCounts = slices.Grow(vs.farCounts[:0], k)[:k]
+	counts, farCounts := vs.nearCounts, vs.farCounts
+	clear(counts)
+	clear(farCounts)
 	team.ParallelFor(sch, vs.hi-vs.lo, func(th, rel int) {
 		i := vs.lo + rel
 		xi := s.X[i]

@@ -355,40 +355,22 @@ func (a App) Run(cfg common.RunConfig) (common.Result, error) {
 		kP := pileupKernel(g)
 		var ops float64
 
-		// Per-thread pileup counts, merged deterministically.
-		threads := env.Threads()
-		counts := make([][]float64, threads)
-		for t := range counts {
-			counts[t] = make([]float64, 4*g)
+		// The placement of each concordant pair, by pair index; the
+		// region writes one entry per pair, and pairs that are
+		// filtered out or not concordant keep nil reads.
+		type placement struct {
+			r1, fwd2   []byte
+			pos1, pos2 int
 		}
+		placed := make([]placement, mine)
+		threads := env.Threads()
 		aligned := make([]int64, threads)
 		cellTot := make([]int64, threads)
-
-		pile := func(th int, seq []byte, start int) {
-			for j := 0; j < readLen; j++ {
-				pos := start + j
-				if pos >= g {
-					break
-				}
-				switch seq[j] {
-				case 'A':
-					counts[th][4*pos]++
-				case 'C':
-					counts[th][4*pos+1]++
-				case 'G':
-					counts[th][4*pos+2]++
-				case 'T':
-					counts[th][4*pos+3]++
-				}
-			}
-		}
-		filtered := make([]int64, threads)
 		env.Team.ParallelFor(sch, mine, func(th, rel int) {
 			pair := genome.MakePair(lo+rel, cfg.Seed)
 			// Stage 1 of the pipeline: quality filtering. Low-quality
 			// pairs are dropped before any alignment work.
 			if !pair.PassesQuality() {
-				filtered[th]++
 				return
 			}
 			res, fwd2, cells := AlignPair(idx, genome.Ref, pair)
@@ -399,17 +381,41 @@ func (a App) Run(cfg common.RunConfig) (common.Result, error) {
 				return
 			}
 			aligned[th]++
-			pile(th, pair.R1, res.Pos1)
-			pile(th, fwd2, res.Pos2)
+			placed[rel] = placement{r1: pair.R1, fwd2: fwd2, pos1: res.Pos1, pos2: res.Pos2}
 		}, nil)
 
-		local := make([]float64, 4*g)
+		// The rank's pileup, in pair order. The counts are small
+		// integers, exact in any order, so it equals any per-thread
+		// split of the same placements; the Allreduce below sums it
+		// across ranks in place.
+		pileup := make([]float64, 4*g)
+		pile := func(seq []byte, start int) {
+			for j := 0; j < readLen; j++ {
+				pos := start + j
+				if pos >= g {
+					break
+				}
+				switch seq[j] {
+				case 'A':
+					pileup[4*pos]++
+				case 'C':
+					pileup[4*pos+1]++
+				case 'G':
+					pileup[4*pos+2]++
+				case 'T':
+					pileup[4*pos+3]++
+				}
+			}
+		}
+		for _, p := range placed {
+			if p.r1 != nil {
+				pile(p.r1, p.pos1)
+				pile(p.fwd2, p.pos2)
+			}
+		}
 		var nAligned int64
 		var nCells int64
 		for t := 0; t < threads; t++ {
-			for i, v := range counts[t] {
-				local[i] += v
-			}
 			nAligned += aligned[t]
 			nCells += cellTot[t]
 		}
@@ -424,8 +430,7 @@ func (a App) Run(cfg common.RunConfig) (common.Result, error) {
 			return err
 		}
 
-		global, err := env.Comm.Allreduce(mpi.OpSum, local)
-		if err != nil {
+		if err := env.Comm.Allreduce(mpi.OpSum, pileup); err != nil {
 			return err
 		}
 		totalAligned, err := env.Comm.AllreduceScalar(mpi.OpSum, float64(nAligned))
@@ -444,7 +449,7 @@ func (a App) Run(cfg common.RunConfig) (common.Result, error) {
 			var depth float64
 			bestB, bestC := byte(0), 0.0
 			for b := 0; b < 4; b++ {
-				c := global[4*pos+b]
+				c := pileup[4*pos+b]
 				depth += c
 				if c > bestC {
 					bestC, bestB = c, bases[b]

@@ -133,6 +133,7 @@ type runner struct {
 	sch   omp.Schedule
 	k     core.Kernel
 	flops float64
+	sums  [2]float64 // mass's reduction buffer
 }
 
 // exchange fills the halo rows of one field (periodic in y across
@@ -275,11 +276,11 @@ func (r *runner) mass() (float64, float64, error) {
 			localQ += r.st.hq[g.Idx(i, j)]
 		}
 	}
-	sums, err := r.env.Comm.Allreduce(mpi.OpSum, []float64{local, localQ})
-	if err != nil {
+	r.sums = [2]float64{local, localQ}
+	if err := r.env.Comm.Allreduce(mpi.OpSum, r.sums[:]); err != nil {
 		return 0, 0, err
 	}
-	return sums[0], sums[1], nil
+	return r.sums[0], r.sums[1], nil
 }
 
 // Run implements common.App.

@@ -35,8 +35,8 @@ func (p *Problem) SliceAux(rank, procs int) AuxSlice {
 
 // GramDistributed assembles rows [r0, r1) of V = B^T B from
 // aux-distributed slices: each rank contracts its q-range for the
-// requested rows, then the partials are summed with an Allreduce.
-// Every rank receives the same row block.
+// requested rows, then the partials are summed in place with an
+// Allreduce. Every rank receives the same row block.
 func GramDistributed(env *common.Env, p *Problem, slice AuxSlice, r0, r1 int) ([]float64, error) {
 	if r0 < 0 || r1 < r0 || r1 > p.NOV() {
 		return nil, fmt.Errorf("ntchem: bad row range [%d,%d)", r0, r1)
@@ -64,5 +64,8 @@ func GramDistributed(env *common.Env, p *Problem, slice AuxSlice, r0, r1 int) ([
 		return nil, err
 	}
 	// Sum the aux partials across ranks.
-	return env.Comm.Allreduce(mpi.OpSum, partial)
+	if err := env.Comm.Allreduce(mpi.OpSum, partial); err != nil {
+		return nil, err
+	}
+	return partial, nil
 }

@@ -2,35 +2,35 @@ package mpi
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"fibersim/internal/vtime"
 )
 
-// phaser is the rendezvous structure behind collectives: all ranks of
-// the world deposit their contribution; the last arriver verifies that
-// everyone called the same operation, computes the result and the
-// synchronized virtual time, and wakes everyone.
+// phaser is the rendezvous structure behind collectives: each rank of
+// the world deposits its entry; the last arriver verifies that everyone
+// called the same operation, moves the data between the callers'
+// buffers, synchronizes the virtual clocks and wakes everyone.
 type phaser struct {
 	mu      sync.Mutex
-	entries []phaserEntry
-	cur     *generation
+	entries []phaserEntry // indexed by rank; set while the rank is in the round
+	arrived int
+
+	// err is the outcome of the last completed round. The last arriver
+	// sets it before waking the others, and a woken rank reads it before
+	// it can enter the next round, which cannot complete without it.
+	err error
 }
 
-// generation carries the result of one collective round; waiters keep a
-// pointer so later rounds cannot overwrite what they read.
-type generation struct {
-	result any
-	err    error
-}
-
+// phaserEntry is one rank's part in a round: data is what it
+// contributes and dst, for an Allgather, where it receives. A data-free
+// replay enters with neither.
 type phaserEntry struct {
-	rank  int
-	sig   signature // for mismatch detection
-	bytes int64     // this rank's payload
-	value any
-	clock *vtime.Clock
+	entered bool
+	sig     signature // for mismatch detection
+	bytes   int64     // this rank's payload
+	data    []float64
+	dst     []float64
 }
 
 // Collective names the collectives a Log records and ReplayCollective
@@ -82,17 +82,15 @@ func (s signature) String() string {
 }
 
 // rendezvous runs one collective round. sig is the round's signature;
-// bytes is this rank's payload contribution; value is this rank's
-// contribution; combine runs on the last arriver with all entries
-// (sorted by rank) and returns the shared result. The round costs what
-// the world's collective transport charges for its largest payload, so
-// the cost does not depend on which rank arrives last. The returned
-// value is combine's result.
-func (c *Comm) rendezvous(sig signature, bytes int64, value any,
-	combine func(entries []phaserEntry) (any, error)) (any, error) {
-
+// bytes is this rank's payload contribution; data and dst are this
+// rank's buffers (see phaserEntry). The last arriver checks the round,
+// moves the data (combine) and costs the round at what the world's
+// collective transport charges for its largest payload, so the cost
+// does not depend on which rank arrives last. A round that fails its
+// checks writes no caller's buffer, and every rank gets its error.
+func (c *Comm) rendezvous(sig signature, bytes int64, data, dst []float64) error {
 	if err := c.FaultCheck(); err != nil {
-		return nil, err
+		return err
 	}
 	c.world.stats.countCollective(sig.kind, bytes)
 	traceStart := c.Clock().Now()
@@ -105,58 +103,91 @@ func (c *Comm) rendezvous(sig signature, bytes int64, value any,
 	}()
 	ph := c.world.ph
 	ph.mu.Lock()
-	gen := ph.cur
-	ph.entries = append(ph.entries, phaserEntry{
-		rank: c.rank, sig: sig, bytes: bytes, value: value, clock: c.Clock(),
-	})
-	if len(ph.entries) == c.Size() {
-		// Last arriver: validate, combine, synchronize, wake.
-		sort.Slice(ph.entries, func(i, j int) bool { return ph.entries[i].rank < ph.entries[j].rank })
-		for _, e := range ph.entries {
-			if e.sig != sig {
-				gen.err = fmt.Errorf("mpi: mismatched collectives: rank %d called %s, rank %d called %s",
-					e.rank, e.sig, c.rank, sig)
-				break
-			}
-		}
-		for i := 1; gen.err == nil && i < len(ph.entries); i++ {
-			if r := ph.entries[i].rank; r == ph.entries[i-1].rank {
-				gen.err = fmt.Errorf("mpi: rank %d entered collective %s twice", r, sig)
-			}
-		}
-		if gen.err == nil {
-			gen.result, gen.err = combine(ph.entries)
-		}
-		var largest int64
-		clocks := make([]*vtime.Clock, len(ph.entries))
-		for i, e := range ph.entries {
-			largest = max(largest, e.bytes)
-			clocks[i] = e.clock
-		}
-		start := vtime.Max(vtime.Comm, clocks...)
-		syncT := start + c.world.collectiveCost(sig.kind, c.Size(), largest)
-		for _, cl := range clocks {
-			cl.AdvanceTo(syncT, vtime.Comm)
-		}
-		for _, e := range ph.entries {
-			if e.rank != c.rank {
-				c.world.unpark(e.rank)
-			}
-		}
-		// Reset for the next generation; the woken ranks read gen.
-		clear(ph.entries)
-		ph.entries = ph.entries[:0]
-		ph.cur = &generation{}
+	if ph.entries[c.rank].entered {
 		ph.mu.Unlock()
-		return gen.result, gen.err
+		return fmt.Errorf("mpi: rank %d entered collective %s twice", c.rank, sig)
 	}
-	c.world.blocked[c.rank] = parked{waiting: true, sig: sig, peer: -1, clock: traceStart}
+	ph.entries[c.rank] = phaserEntry{entered: true, sig: sig, bytes: bytes, data: data, dst: dst}
+	ph.arrived++
+	if ph.arrived < c.Size() {
+		c.world.blocked[c.rank] = parked{waiting: true, sig: sig, peer: -1, clock: traceStart}
+		ph.mu.Unlock()
+		if err := c.world.park(c.rank); err != nil {
+			return err
+		}
+		return ph.err
+	}
+	// Last arriver: validate, combine, synchronize, wake.
+	var err error
+	var largest int64
+	for r, e := range ph.entries {
+		if e.sig != sig && err == nil {
+			err = fmt.Errorf("mpi: mismatched collectives: rank %d called %s, rank %d called %s",
+				r, e.sig, c.rank, sig)
+		}
+		largest = max(largest, e.bytes)
+	}
+	if err == nil {
+		err = combine(sig, ph.entries)
+	}
+	// Every clock is in the round: first to the latest entry, then
+	// to the end of the round.
+	start := vtime.Max(vtime.Comm, c.world.clocks...)
+	end := start + c.world.collectiveCost(sig.kind, c.Size(), largest)
+	for _, cl := range c.world.clocks {
+		cl.AdvanceTo(end, vtime.Comm)
+	}
+	clear(ph.entries)
+	ph.arrived = 0
+	ph.err = err
+	for r := range c.Size() {
+		if r != c.rank {
+			c.world.unpark(r)
+		}
+	}
 	ph.mu.Unlock()
+	return err
+}
 
-	if err := c.world.park(c.rank); err != nil {
-		return nil, err
+// combine moves a checked round's data between its entries, which are
+// indexed by rank: an Allreduce folds ranks 1..P-1 into rank 0's
+// buffer, in rank order, and copies the result to the other ranks; an
+// Allgather copies every rank's data, in rank order, into each dst. It
+// checks the whole round before it writes any buffer. A round whose
+// every entry is data-free (a replay) moves nothing.
+func combine(sig signature, entries []phaserEntry) error {
+	switch sig.kind {
+	case CollAllreduce:
+		// The signature fixes every rank's length, and a data-free
+		// replay's nil buffers fold and copy nothing.
+		acc := entries[0].data
+		for _, e := range entries[1:] {
+			for i, x := range e.data {
+				acc[i] = sig.op.apply(acc[i], x)
+			}
+		}
+		for _, e := range entries[1:] {
+			copy(e.data, acc)
+		}
+	case CollAllgather:
+		total := 0
+		for _, e := range entries {
+			total += len(e.data)
+		}
+		for r, e := range entries {
+			if len(e.dst) != total {
+				return fmt.Errorf("mpi: allgather rank %d passed a dst of %d float64s for the %d gathered",
+					r, len(e.dst), total)
+			}
+		}
+		for _, e := range entries {
+			off := 0
+			for _, src := range entries {
+				off += copy(e.dst[off:], src.data)
+			}
+		}
 	}
-	return gen.result, gen.err
+	return nil
 }
 
 // collectiveCost returns the virtual cost of one round of kind among p
@@ -172,16 +203,12 @@ func (w *World) collectiveCost(kind Collective, p int, b int64) float64 {
 	}
 }
 
-// noCombine is the combine step of a collective that returns no data.
-func noCombine([]phaserEntry) (any, error) { return nil, nil }
-
 // collective runs one round of kind with this rank's n-float64
-// contribution value: it derives the signature and this rank's payload
-// from (kind, op, n) alone, so a data-free replay (nil value,
-// noCombine) of a logged round enters and costs exactly what the
-// logged round did.
-func (c *Comm) collective(kind Collective, op Op, n int, value any,
-	combine func([]phaserEntry) (any, error)) (any, error) {
+// contribution data (and, for an Allgather, its receive buffer dst):
+// it derives the signature and this rank's payload from (kind, op, n)
+// alone, so a data-free replay (nil data and dst) of a logged round
+// enters and costs exactly what the logged round did.
+func (c *Comm) collective(kind Collective, op Op, n int, data, dst []float64) error {
 	sig, b := signature{kind: kind}, float64Bytes(n)
 	switch kind {
 	case CollBarrier:
@@ -190,9 +217,9 @@ func (c *Comm) collective(kind Collective, op Op, n int, value any,
 		sig.op, sig.n = op, n
 	case CollAllgather:
 	default:
-		return nil, fmt.Errorf("mpi: unknown collective %d", kind)
+		return fmt.Errorf("mpi: unknown collective %d", kind)
 	}
-	return c.rendezvous(sig, b, value, combine)
+	return c.rendezvous(sig, b, data, dst)
 }
 
 // logCollective reports a collective to the log, if any.
@@ -203,84 +230,42 @@ func (c *Comm) logCollective(kind Collective, op Op, n int) {
 }
 
 // ReplayCollective repeats a logged collective with a data-free payload
-// of n float64s: every rank must replay the same round, and the signature, bytes and virtual timing are those of the
-// logged call.
+// of n float64s: every rank must replay the same round, and the
+// signature, bytes and virtual timing are those of the logged call.
 func (c *Comm) ReplayCollective(kind Collective, op Op, n int) error {
-	_, err := c.collective(kind, op, n, nil, noCombine)
-	return err
+	return c.collective(kind, op, n, nil, nil)
 }
 
 // Barrier blocks until all ranks arrive and synchronizes their virtual
 // clocks.
 func (c *Comm) Barrier() error {
 	c.logCollective(CollBarrier, 0, 0)
-	_, err := c.collective(CollBarrier, 0, 0, nil, noCombine)
-	return err
+	return c.collective(CollBarrier, 0, 0, nil, nil)
 }
 
-// reduceEntries folds the per-rank vectors element-wise with op.
-func reduceEntries(op Op, entries []phaserEntry) ([]float64, error) {
-	var acc []float64
-	for _, e := range entries {
-		v, ok := e.value.([]float64)
-		if !ok {
-			return nil, fmt.Errorf("mpi: reduce rank %d supplied no data", e.rank)
-		}
-		if acc == nil {
-			acc = append([]float64(nil), v...)
-			continue
-		}
-		if len(v) != len(acc) {
-			return nil, fmt.Errorf("mpi: reduce length mismatch: rank %d has %d elements, expected %d",
-				e.rank, len(v), len(acc))
-		}
-		for i, x := range v {
-			acc[i] = op.apply(acc[i], x)
-		}
-	}
-	return acc, nil
-}
-
-// Allreduce combines data element-wise across ranks; every rank gets
-// the result.
-func (c *Comm) Allreduce(op Op, data []float64) ([]float64, error) {
+// Allreduce combines data element-wise across ranks, in place, as
+// MPI_IN_PLACE does: when it returns, every rank's data holds the
+// result, folded in rank order. A failed round leaves data untouched.
+func (c *Comm) Allreduce(op Op, data []float64) error {
 	c.logCollective(CollAllreduce, op, len(data))
-	res, err := c.collective(CollAllreduce, op, len(data), data,
-		func(entries []phaserEntry) (any, error) { return reduceEntries(op, entries) })
-	if err != nil {
-		return nil, err
-	}
-	return append([]float64(nil), res.([]float64)...), nil
+	return c.collective(CollAllreduce, op, len(data), data, nil)
 }
 
-// AllreduceScalar is Allreduce for a single value.
+// AllreduceScalar is Allreduce for a single value, reduced through a
+// one-element buffer the Comm owns.
 func (c *Comm) AllreduceScalar(op Op, v float64) (float64, error) {
-	res, err := c.Allreduce(op, []float64{v})
-	if err != nil {
+	c.scalar[0] = v
+	if err := c.Allreduce(op, c.scalar[:]); err != nil {
 		return 0, err
 	}
-	return res[0], nil
+	return c.scalar[0], nil
 }
 
-// Allgather collects every rank's buffer on every rank, indexed by rank.
-func (c *Comm) Allgather(data []float64) ([][]float64, error) {
+// Allgather writes every rank's data into dst, in rank order. Ranks may
+// pass different lengths; dst must hold their sum, or every rank gets
+// an error naming the rank and both lengths, and no dst is written.
+// dst must not overlap data.
+func (c *Comm) Allgather(dst, data []float64) error {
 	c.logCollective(CollAllgather, 0, len(data))
-	res, err := c.collective(CollAllgather, 0, len(data), data,
-		func(entries []phaserEntry) (any, error) {
-			out := make([][]float64, len(entries))
-			for i, e := range entries {
-				v, _ := e.value.([]float64)
-				out[i] = append([]float64(nil), v...)
-			}
-			return out, nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	all := res.([][]float64)
-	out := make([][]float64, len(all))
-	for i, v := range all {
-		out[i] = append([]float64(nil), v...)
-	}
-	return out, nil
+	return c.collective(CollAllgather, 0, len(data), data, dst)
 }

@@ -343,7 +343,7 @@ func Run(cfg Config, body func(*Comm) error) (*Result, error) {
 		intra:   simnet.MustLookup("shm"),
 		boxes:   make([]*mailbox, cfg.Ranks),
 		clocks:  make([]*vtime.Clock, cfg.Ranks),
-		ph:      &phaser{cur: &generation{}},
+		ph:      &phaser{entries: make([]phaserEntry, cfg.Ranks)},
 		rec:     cfg.Recorder,
 		slots:   make(chan struct{}, min(cfg.Ranks, runtime.GOMAXPROCS(0))),
 		wake:    make([]chan struct{}, cfg.Ranks),
@@ -420,9 +420,10 @@ func Run(cfg Config, body func(*Comm) error) (*Result, error) {
 
 // Comm is one rank's handle on the world communicator.
 type Comm struct {
-	world *World
-	rank  int
-	log   Log // nil when the rank program is not being logged
+	world  *World
+	rank   int
+	log    Log        // nil when the rank program is not being logged
+	scalar [1]float64 // AllreduceScalar's buffer
 }
 
 // Log receives a rank's model-visible communication in program order,

@@ -288,8 +288,8 @@ func TestBarrierSynchronizesClocks(t *testing.T) {
 
 func TestAllreduce(t *testing.T) {
 	_, err := Run(Config{Ranks: 4}, func(c *Comm) error {
-		all, err := c.Allreduce(OpMax, []float64{float64(c.Rank()), 1})
-		if err != nil {
+		all := []float64{float64(c.Rank()), 1}
+		if err := c.Allreduce(OpMax, all); err != nil {
 			return err
 		}
 		if all[0] != 3 || all[1] != 1 {
@@ -312,8 +312,7 @@ func TestAllreduce(t *testing.T) {
 func TestReduceLengthMismatch(t *testing.T) {
 	_, err := Run(Config{Ranks: 2}, func(c *Comm) error {
 		data := make([]float64, c.Rank()+1) // ranks pass different lengths
-		_, err := c.Allreduce(OpSum, data)
-		return err
+		return c.Allreduce(OpSum, data)
 	})
 	if err == nil {
 		t.Fatal("length-mismatched Allreduce must error")
@@ -325,8 +324,7 @@ func TestMismatchedCollectivesDetected(t *testing.T) {
 		if c.Rank() == 0 {
 			return c.Barrier()
 		}
-		_, err := c.Allreduce(OpSum, []float64{1})
-		return err
+		return c.Allreduce(OpSum, []float64{1})
 	})
 	if err == nil {
 		t.Fatal("mismatched collectives must error")
@@ -341,8 +339,8 @@ func TestMismatchedCollectiveNamesBoth(t *testing.T) {
 		other func(c *Comm) error
 		want  string
 	}{
-		{"op", func(c *Comm) error { _, err := c.Allreduce(OpMax, []float64{1, 2}); return err }, "allreduce/max/n=2"},
-		{"length", func(c *Comm) error { _, err := c.Allreduce(OpSum, []float64{1, 2, 3}); return err }, "allreduce/sum/n=3"},
+		{"op", func(c *Comm) error { return c.Allreduce(OpMax, []float64{1, 2}) }, "allreduce/max/n=2"},
+		{"length", func(c *Comm) error { return c.Allreduce(OpSum, []float64{1, 2, 3}) }, "allreduce/sum/n=3"},
 		{"kind", func(c *Comm) error { return c.Barrier() }, "barrier"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -350,8 +348,7 @@ func TestMismatchedCollectiveNamesBoth(t *testing.T) {
 				if c.Rank() == 1 {
 					return tc.other(c)
 				}
-				_, err := c.Allreduce(OpSum, []float64{1, 2})
-				return err
+				return c.Allreduce(OpSum, []float64{1, 2})
 			})
 			if err == nil {
 				t.Fatal("mismatched collectives must error")
@@ -383,7 +380,7 @@ func TestAllgatherCostsLargestPayload(t *testing.T) {
 			c.Clock().Advance(float64((r+i)%ranks)*1e-6, vtime.Compute)
 			for r == i%ranks {
 				ph.mu.Lock()
-				others := len(ph.entries)
+				others := ph.arrived
 				ph.mu.Unlock()
 				if others == ranks-1 {
 					break
@@ -391,7 +388,7 @@ func TestAllgatherCostsLargestPayload(t *testing.T) {
 				runtime.Gosched()
 			}
 			entry[r][i] = c.Clock().Now()
-			if _, err := c.Allgather(make([]float64, r+1)); err != nil {
+			if err := c.Allgather(make([]float64, 6), make([]float64, r+1)); err != nil {
 				return err
 			}
 			exit[r][i] = c.Clock().Now()
@@ -411,27 +408,147 @@ func TestAllgatherCostsLargestPayload(t *testing.T) {
 	}
 }
 
+// TestAllgather: ranks pass 1, 2 and 3 floats, and every rank's dst
+// receives all six, in rank order.
 func TestAllgather(t *testing.T) {
+	want := []float64{0, 10, 11, 20, 21, 22}
 	_, err := Run(Config{Ranks: 3}, func(c *Comm) error {
 		mine := make([]float64, c.Rank()+1) // ragged contributions
 		for i := range mine {
-			mine[i] = float64(c.Rank() * 10)
+			mine[i] = float64(c.Rank()*10 + i)
 		}
-		all, err := c.Allgather(mine)
-		if err != nil {
+		dst := make([]float64, len(want))
+		if err := c.Allgather(dst, mine); err != nil {
 			return err
 		}
-		for r := 0; r < 3; r++ {
-			if len(all[r]) != r+1 || all[r][0] != float64(r*10) {
-				t.Errorf("Allgather[%d] = %v", r, all[r])
-			}
+		if !reflect.DeepEqual(dst, want) {
+			t.Errorf("rank %d gathered %v, want %v", c.Rank(), dst, want)
 		}
-		// Mutation isolation between ranks.
-		all[0][0] = -1
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAllgatherDstLength: a dst that cannot hold the gathered floats
+// fails the round on every rank, with an error naming the rank and
+// both lengths, and no rank's dst is written.
+func TestAllgatherDstLength(t *testing.T) {
+	dsts := [][]float64{make([]float64, 6), make([]float64, 5), make([]float64, 6)}
+	errs := make([]error, 3)
+	_, err := Run(Config{Ranks: 3}, func(c *Comm) error {
+		errs[c.Rank()] = c.Allgather(dsts[c.Rank()], []float64{1, 2, 3}[:c.Rank()+1])
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r, err := range errs {
+		if err == nil {
+			t.Fatalf("rank %d: want the dst length error", r)
+		}
+		for _, want := range []string{"rank 1", "dst of 5 float64s", "the 6 gathered"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("rank %d: error %q does not name %q", r, err, want)
+			}
+		}
+	}
+	for r, dst := range dsts {
+		if !reflect.DeepEqual(dst, make([]float64, len(dst))) {
+			t.Errorf("rank %d's dst = %v, want it untouched", r, dst)
+		}
+	}
+}
+
+// TestAllreduceFoldsInRankOrder: sums of 1e16, -1e16 and ones depend
+// on the order of their additions. Every rank's buffer must hold the
+// serial left fold in rank order. Element 0's reverse fold and its
+// pairwise tree give 0, and element 1's fold in rank order 0, 3, 2, 1
+// gives 0 too.
+func TestAllreduceFoldsInRankOrder(t *testing.T) {
+	vals := [][]float64{{1e16, 1e16}, {1, -1e16}, {-1e16, 1}, {1, 1}}
+	want := make([]float64, 2)
+	for _, v := range vals {
+		for i := range want {
+			want[i] += v[i]
+		}
+	}
+	if want[0] != 1 || want[1] != 2 {
+		t.Fatalf("serial left fold = %v, want [1 2]", want)
+	}
+	bufs := make([][]float64, len(vals))
+	_, err := Run(Config{Ranks: len(vals)}, func(c *Comm) error {
+		bufs[c.Rank()] = append([]float64(nil), vals[c.Rank()]...)
+		return c.Allreduce(OpSum, bufs[c.Rank()])
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r, b := range bufs {
+		if !reflect.DeepEqual(b, want) {
+			t.Errorf("rank %d's buffer = %v, want %v", r, b, want)
+		}
+	}
+}
+
+// TestFailedCollectiveWritesNoBuffer: a round whose ranks disagree on
+// the reduction operator fails on every rank and leaves every buffer
+// as it was.
+func TestFailedCollectiveWritesNoBuffer(t *testing.T) {
+	bufs := [][]float64{{1, 2}, {3, 4}, {5, 6}}
+	errs := make([]error, len(bufs))
+	_, err := Run(Config{Ranks: len(bufs)}, func(c *Comm) error {
+		op := OpSum
+		if c.Rank() == 2 {
+			op = OpMax
+		}
+		errs[c.Rank()] = c.Allreduce(op, bufs[c.Rank()])
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r, err := range errs {
+		if err == nil || !strings.Contains(err.Error(), "mismatched collectives") {
+			t.Errorf("rank %d: want the mismatch error, got %v", r, err)
+		}
+	}
+	if want := [][]float64{{1, 2}, {3, 4}, {5, 6}}; !reflect.DeepEqual(bufs, want) {
+		t.Errorf("buffers = %v, want them untouched", bufs)
+	}
+}
+
+// TestCollectivesSteadyStateAllocateNothing: collectives reduce and
+// gather in the callers' buffers, so 400 rounds of AllreduceScalar,
+// Allreduce and Allgather cost at most a few more allocations than
+// 100 rounds do.
+func TestCollectivesSteadyStateAllocateNothing(t *testing.T) {
+	rounds := func(n int) func() {
+		return func() {
+			_, err := Run(Config{Ranks: 8}, func(c *Comm) error {
+				vec, mine, all := make([]float64, 64), make([]float64, 16), make([]float64, 16*c.Size())
+				for i := 0; i < n; i++ {
+					if _, err := c.AllreduceScalar(OpSum, 1); err != nil {
+						return err
+					}
+					if err := c.Allreduce(OpMax, vec); err != nil {
+						return err
+					}
+					if err := c.Allgather(all, mine); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	short, long := testing.AllocsPerRun(3, rounds(100)), testing.AllocsPerRun(3, rounds(400))
+	if long > short+8 {
+		t.Errorf("400 rounds allocated %g objects, 100 rounds %g: want at most 8 more", long, short)
 	}
 }
 
@@ -532,8 +649,8 @@ func TestAllreduceMatchesSerialFoldProperty(t *testing.T) {
 		}
 		ok := true
 		_, err := Run(Config{Ranks: p}, func(c *Comm) error {
-			got, err := c.Allreduce(OpSum, vecs[c.Rank()])
-			if err != nil {
+			got := append([]float64(nil), vecs[c.Rank()]...)
+			if err := c.Allreduce(OpSum, got); err != nil {
 				return err
 			}
 			for i := range got {
@@ -553,8 +670,7 @@ func TestAllreduceMatchesSerialFoldProperty(t *testing.T) {
 func TestCollectiveAdvancesAllClocksEqually(t *testing.T) {
 	res, err := Run(Config{Ranks: 4}, func(c *Comm) error {
 		c.Clock().Advance(float64(4-c.Rank()), vtime.Compute)
-		_, err := c.Allreduce(OpSum, []float64{1})
-		return err
+		return c.Allreduce(OpSum, []float64{1})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -576,8 +692,7 @@ func TestCommStats(t *testing.T) {
 		if err := c.Barrier(); err != nil {
 			return err
 		}
-		_, err := c.Allreduce(OpSum, []float64{1})
-		return err
+		return c.Allreduce(OpSum, []float64{1})
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -9,10 +9,10 @@ import (
 
 func TestCollectiveBytes(t *testing.T) {
 	res, err := Run(Config{Ranks: 4}, func(c *Comm) error {
-		if _, err := c.Allreduce(OpSum, []float64{1, 2}); err != nil {
+		if err := c.Allreduce(OpSum, []float64{1, 2}); err != nil {
 			return err
 		}
-		if _, err := c.Allgather(make([]float64, c.Rank()+1)); err != nil {
+		if err := c.Allgather(make([]float64, 10), make([]float64, c.Rank()+1)); err != nil {
 			return err
 		}
 		return c.Barrier()
@@ -41,8 +41,7 @@ func TestRecorderIntegration(t *testing.T) {
 		if _, err := c.Sendrecv(1-c.Rank(), 0, []float64{1, 2}, 1-c.Rank(), 0); err != nil {
 			return err
 		}
-		_, err := c.Allreduce(OpSum, []float64{1})
-		return err
+		return c.Allreduce(OpSum, []float64{1})
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -39,7 +39,7 @@ func program(c *Comm) error {
 		return err
 	}
 	c.Clock().Advance(2e-6, vtime.Compute)
-	if _, err := c.Allgather(make([]float64, 16)); err != nil {
+	if err := c.Allgather(make([]float64, 16*c.Size()), make([]float64, 16)); err != nil {
 		return err
 	}
 	return c.Barrier()

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -98,7 +99,8 @@ func DefaultOverheads() Overheads {
 	}
 }
 
-// Team is one rank's thread team.
+// Team is one rank's thread team. It runs one region at a time, so a
+// body must not start a region on its own team.
 type Team struct {
 	machine    *arch.Machine
 	cores      []int // thread t runs on cores[t]
@@ -116,6 +118,22 @@ type Team struct {
 	// perturb, when non-nil, maps a region's critical-path time to its
 	// fault-perturbed value (stragglers, OS noise); set via Inject.
 	perturb func(start, d float64) float64
+
+	// The running region's state, reused region after region (a team
+	// runs one region at a time): its chunk plan and the arrays an
+	// on-demand schedule is simulated in, its chunk body, and the
+	// counter and WaitGroup of execute's workers. A ParallelFor's chunk
+	// body is perElem, built once per team, which runs elems per
+	// element.
+	plan    plan
+	busy    []float64 // per-thread busy time of a demand schedule
+	grabbed []chunk   // a demand schedule's chunks, in grab order
+	owner   []int     // the thread that grabbed each chunk
+	body    RangeBody
+	elems   Body
+	perElem RangeBody
+	next    atomic.Int64
+	wg      sync.WaitGroup
 }
 
 // NewTeam creates a team whose thread t is bound to cores[t] of m,
@@ -140,11 +158,18 @@ func NewTeam(m *arch.Machine, cores []int, clock *vtime.Clock, over Overheads) (
 	if clock == nil {
 		return nil, fmt.Errorf("omp: team needs a clock")
 	}
-	return &Team{
+	t := &Team{
 		machine: m, cores: append([]int(nil), cores...), clock: clock,
 		over: over, domains: len(domains), maxDomains: len(m.Domains),
 		workers: min(len(cores), runtime.GOMAXPROCS(0)),
-	}, nil
+	}
+	t.perElem = func(th, lo, hi int) {
+		body := t.elems
+		for i := lo; i < hi; i++ {
+			body(th, i)
+		}
+	}
+	return t, nil
 }
 
 // Threads returns the team size.
@@ -241,14 +266,15 @@ type plan struct {
 // of returns thread th's chunks.
 func (p plan) of(th int) []chunk { return p.chunks[p.off[th]:p.off[th+1]] }
 
-// staticPlan deals n iterations to k threads before the loop runs:
-// one contiguous block per thread, or round-robin chunks when s.Chunk
-// is set.
-func staticPlan(s Schedule, n, k int) plan {
-	p := plan{off: make([]int, k+1)}
+// buildStatic deals n iterations to k threads before the loop runs,
+// into p's arrays: one contiguous block per thread, or round-robin
+// chunks when s.Chunk is set.
+func (p *plan) buildStatic(s Schedule, n, k int) {
+	p.off = slices.Grow(p.off[:0], k+1)[:k+1]
+	p.off[0] = 0
+	p.chunks = p.chunks[:0]
 	if s.Chunk <= 0 {
 		// One contiguous block per thread, remainder spread left.
-		p.chunks = make([]chunk, 0, min(n, k))
 		base, rem := n/k, n%k
 		lo := 0
 		for t := 0; t < k; t++ {
@@ -262,11 +288,10 @@ func staticPlan(s Schedule, n, k int) plan {
 			lo += sz
 			p.off[t+1] = len(p.chunks)
 		}
-		return p
+		return
 	}
 	// Round-robin: chunk idx goes to thread idx%k.
 	m := (n + s.Chunk - 1) / s.Chunk
-	p.chunks = make([]chunk, 0, m)
 	for t := 0; t < k; t++ {
 		for idx := t; idx < m; idx += k {
 			lo := idx * s.Chunk
@@ -274,7 +299,6 @@ func staticPlan(s Schedule, n, k int) plan {
 		}
 		p.off[t+1] = len(p.chunks)
 	}
-	return p
 }
 
 // demandEnd returns where the on-demand chunk that starts at lo ends:
@@ -296,15 +320,13 @@ func demandEnd(s Schedule, n, k, lo int) int {
 // for every i of each chunk, in order. A nil body is allowed for
 // timing-only loops.
 func (t *Team) ParallelFor(s Schedule, n int, body Body, cost CostFn) {
-	var rb RangeBody
-	if body != nil {
-		rb = func(th, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				body(th, i)
-			}
-		}
+	if body == nil {
+		t.ParallelRange(s, n, nil, cost)
+		return
 	}
-	t.ParallelRange(s, n, rb, cost)
+	t.elems = body
+	t.ParallelRange(s, n, t.perElem, cost)
+	t.elems = nil
 }
 
 // ParallelRange executes body over [0,n) across the team using the
@@ -320,7 +342,8 @@ func (t *Team) ParallelFor(s Schedule, n int, body Body, cost CostFn) {
 // rather than the host's scheduler. Bodies then execute concurrently
 // with that assignment; they must be race-free. A nil body is allowed
 // for timing-only loops, and a static one with a nil cost builds no
-// plan at all.
+// plan at all. Plans are built into arrays the team reuses, so a
+// region allocates nothing for its plan.
 func (t *Team) ParallelRange(s Schedule, n int, body RangeBody, cost CostFn) {
 	if t.log != nil {
 		if cost != nil {
@@ -332,18 +355,16 @@ func (t *Team) ParallelRange(s Schedule, n int, body RangeBody, cost CostFn) {
 	k := t.Threads()
 	var busy []float64 // per-thread busy time; nil while every thread's is 0
 	if n > 0 {
-		var p plan
 		switch {
 		case s.Kind != Static:
-			busy = make([]float64, k)
-			p = t.assignDemand(s, n, cost, busy, body != nil)
+			busy = t.assignDemand(s, n, cost, body != nil)
 		case body != nil || cost != nil:
-			p = staticPlan(s, n, k)
+			t.plan.buildStatic(s, n, k)
 			if cost != nil {
 				// Busy time is the serial sum of the thread's costs.
 				busy = make([]float64, k)
 				for th := range busy {
-					for _, ch := range p.of(th) {
+					for _, ch := range t.plan.of(th) {
 						for i := ch.lo; i < ch.hi; i++ {
 							busy[th] += cost(i)
 						}
@@ -352,7 +373,7 @@ func (t *Team) ParallelRange(s Schedule, n int, body RangeBody, cost CostFn) {
 			}
 		}
 		if body != nil {
-			t.execute(p, body)
+			t.execute(body)
 		}
 	}
 	var maxT, sum float64
@@ -377,15 +398,15 @@ func (t *Team) ParallelRange(s Schedule, n int, body RangeBody, cost CostFn) {
 // chunks are handed out in order, each to the virtual thread with the
 // smallest busy time so far, which pays a grab cost plus the chunk's
 // iteration costs. This is deterministic and mirrors how a dynamic
-// schedule balances skewed work. It adds each thread's busy time to
-// busy, and returns the plan only when withPlan is set.
-func (t *Team) assignDemand(s Schedule, n int, cost CostFn, busy []float64, withPlan bool) plan {
-	k := len(busy)
-	var grabbed []chunk // in grab order
-	var owner []int
-	if c := max(s.Chunk, 1); withPlan && s.Kind == Dynamic {
-		grabbed, owner = make([]chunk, 0, (n+c-1)/c), make([]int, 0, (n+c-1)/c)
-	}
+// schedule balances skewed work. It returns each thread's busy time,
+// and builds the plan into t.plan only when withPlan is set; both live
+// in the team's arrays until its next region.
+func (t *Team) assignDemand(s Schedule, n int, cost CostFn, withPlan bool) []float64 {
+	k := t.Threads()
+	t.busy = slices.Grow(t.busy[:0], k)[:k]
+	busy := t.busy
+	clear(busy)
+	grabbed, owner := t.grabbed[:0], t.owner[:0]
 	for lo := 0; lo < n; {
 		hi := demandEnd(s, n, k, lo)
 		// Least-busy thread; ties broken by lowest id, as a real runtime's
@@ -409,11 +430,13 @@ func (t *Team) assignDemand(s Schedule, n int, cost CostFn, busy []float64, with
 		lo = hi
 	}
 	if !withPlan {
-		return plan{}
+		return busy
 	}
+	t.grabbed, t.owner = grabbed, owner
 	// Stable counting sort by owner: off[th] first marks the end of
 	// thread th's range, then counts down to its start as it fills.
-	off := make([]int, k+1)
+	off := slices.Grow(t.plan.off[:0], k+1)[:k+1]
+	clear(off)
 	for _, th := range owner {
 		off[th]++
 	}
@@ -421,43 +444,47 @@ func (t *Team) assignDemand(s Schedule, n int, cost CostFn, busy []float64, with
 		off[th] += off[th-1]
 	}
 	off[k] = len(grabbed)
-	chunks := make([]chunk, len(grabbed))
+	chunks := slices.Grow(t.plan.chunks[:0], len(grabbed))[:len(grabbed)]
 	for c := len(grabbed) - 1; c >= 0; c-- {
 		off[owner[c]]--
 		chunks[off[owner[c]]] = grabbed[c]
 	}
-	return plan{chunks, off}
+	t.plan = plan{chunks, off}
+	return busy
 }
 
-// execute hands each planned chunk to body once. Virtual threads are
-// claimed from an atomic counter by t.workers goroutines, the caller
-// and t.workers-1 helpers; with one worker the region runs inline. A
-// thread's chunks run in order on the goroutine that claimed it, so
-// thread ids, chunk assignment and per-thread order never depend on
-// the host.
-func (t *Team) execute(p plan, body RangeBody) {
-	k := t.Threads()
+// execute hands each chunk of t.plan to body once. Virtual threads
+// are claimed from the team's atomic counter by t.workers goroutines,
+// the caller and t.workers-1 helpers; with one worker the region runs
+// inline. A thread's chunks run in order on the goroutine that claimed
+// it, so thread ids, chunk assignment and per-thread order never
+// depend on the host.
+func (t *Team) execute(body RangeBody) {
 	if t.workers <= 1 {
-		for th := 0; th < k; th++ {
-			runThread(p, th, body)
+		for th := range t.Threads() {
+			runThread(t.plan, th, body)
 		}
 		return
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	work := func() {
-		defer wg.Done()
-		for th := int(next.Add(1)) - 1; th < k; th = int(next.Add(1)) - 1 {
-			runThread(p, th, body)
-		}
-	}
-	wg.Add(1) // the caller's share
+	t.body = body
+	t.next.Store(0)
+	t.wg.Add(1) // the caller's share
 	for w := 1; w < t.workers; w++ {
-		wg.Add(1)
-		go work()
+		t.wg.Add(1)
+		go t.work()
 	}
-	work()
-	wg.Wait()
+	t.work()
+	t.wg.Wait()
+	t.body = nil
+}
+
+// work claims virtual threads and runs them until none is left.
+func (t *Team) work() {
+	defer t.wg.Done()
+	k := t.Threads()
+	for th := int(t.next.Add(1)) - 1; th < k; th = int(t.next.Add(1)) - 1 {
+		runThread(t.plan, th, t.body)
+	}
 }
 
 // runThread runs virtual thread th's chunks in order.

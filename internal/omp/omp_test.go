@@ -312,25 +312,33 @@ func TestRegionAllocs(t *testing.T) {
 	empty := func(int, int) {}
 	t1 := team(t, []int{0})
 	// A 1-thread region runs inline on the caller: no goroutine is
-	// spawned, and it allocates only its plan and body adapter.
+	// spawned, and its plan is built into the team's arrays, so it
+	// allocates nothing.
 	before := runtime.NumGoroutine()
 	t1.ParallelFor(Schedule{}, 1, func(int, int) {
 		if g := runtime.NumGoroutine(); g > before {
 			t.Errorf("1-thread region body sees %d goroutines, caller had %d", g, before)
 		}
 	}, nil)
-	if a := testing.AllocsPerRun(100, func() { t1.ParallelFor(Schedule{}, 1, empty, nil) }); a > 3 {
-		t.Errorf("1-thread region allocates %v, want <= 3", a)
+	for _, s := range []Schedule{{}, {Kind: Static, Chunk: 4}, {Kind: Dynamic, Chunk: 4}, {Kind: Guided}} {
+		if a := testing.AllocsPerRun(100, func() { t1.ParallelFor(s, 64, empty, nil) }); a != 0 {
+			t.Errorf("1-thread %v region allocates %v, want 0", s, a)
+		}
 	}
+	// A wider region allocates only the go statement of each helper
+	// goroutine.
 	t48 := team(t, coresRange(48, 1))
-	if a := testing.AllocsPerRun(100, func() { t48.ParallelFor(Schedule{}, 48, empty, nil) }); a > 6 {
-		t.Errorf("48-thread region allocates %v, want <= 6", a)
+	if a, want := testing.AllocsPerRun(100, func() { t48.ParallelFor(Schedule{}, 48, empty, nil) }), float64(t48.workers-1); a > want {
+		t.Errorf("48-thread region on %d workers allocates %v, want <= %v", t48.workers, a, want)
 	}
-	// A replayed static region has neither body nor cost: it builds no
-	// plan and allocates nothing.
+	// A replayed region has neither body nor cost: a static one builds
+	// no plan, a dynamic one only simulates its grabs, and neither
+	// allocates.
 	for _, tm := range []*Team{t1, t48} {
-		if a := testing.AllocsPerRun(100, func() { tm.ParallelRange(Schedule{}, 480, nil, nil) }); a != 0 {
-			t.Errorf("%d-thread replayed region allocates %v, want 0", tm.Threads(), a)
+		for _, s := range []Schedule{{}, {Kind: Dynamic, Chunk: 4}} {
+			if a := testing.AllocsPerRun(100, func() { tm.ParallelRange(s, 480, nil, nil) }); a != 0 {
+				t.Errorf("%d-thread replayed %v region allocates %v, want 0", tm.Threads(), s, a)
+			}
 		}
 	}
 }
