@@ -47,7 +47,7 @@ func apiServer(t *testing.T, cfg jobs.Config, start bool) (*server, http.Handler
 			}
 		})
 	}
-	s := newServer(cfg.Registry, t.TempDir(), "", time.Millisecond, jm, resolveSpec)
+	s := newServer(cfg.Registry, t.TempDir(), jm, resolveSpec)
 	return s, s.handler(), jm
 }
 
@@ -356,7 +356,7 @@ func TestReadyzReady(t *testing.T) {
 
 func TestJobsAPIWithoutEngine(t *testing.T) {
 	// Manifest-only mode: no manager wired at all.
-	s := newServer(obs.NewRegistry(), t.TempDir(), "", time.Millisecond, nil, nil)
+	s := newServer(obs.NewRegistry(), t.TempDir(), nil, nil)
 	h := s.handler()
 	for _, req := range []*http.Request{
 		httptest.NewRequest("POST", "/jobs", strings.NewReader(`{"app":"stream"}`)),

@@ -1,8 +1,8 @@
 // Command fiberd is the long-running simulation service: it executes
 // submitted run specs through a resilient job engine, exposes serving
 // metrics in the Prometheus text format, lists and serves run
-// manifests from a directory, and streams live sweep progress over
-// Server-Sent Events.
+// manifests from a directory, and keeps recent request traces in
+// memory.
 //
 //	fiberd -addr :8080 -manifests runs -journal jobs.journal
 //
@@ -17,8 +17,13 @@
 //	GET  /jobs/{id}   one job's state
 //	GET  /runs        JSON listing of the manifest directory
 //	GET  /runs/{name} one manifest, parsed and validated
-//	GET  /runs/live   SSE stream of fibersweep -progress output
+//	GET  /traces      the finished-trace ring, newest first
+//	GET  /traces/{id} one finished trace (?format=json|text|chrome)
 //	GET  /debug/pprof/  the process's own pprof profiles (with -pprof)
+//
+// A client follows a job by polling GET /jobs/{id} until its state is
+// terminal, then reads where its time went at GET /traces/{id}, the
+// id the submission returned as trace_id.
 //
 // Every job state transition is appended to the -journal JSONL file
 // (schema fibersim/job-journal/v2; v1 files replay cleanly) and
@@ -61,8 +66,6 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	manifests := flag.String("manifests", "runs", "directory of run manifests to serve")
-	progress := flag.String("progress", "", "sweep progress file (JSONL) to stream on /runs/live")
-	poll := flag.Duration("poll", 500*time.Millisecond, "progress file poll interval")
 	drain := flag.Duration("drain", 5*time.Second, "graceful shutdown drain window")
 	journalPath := flag.String("journal", "", "job journal path (JSONL, crash-safe); empty keeps job state in memory only")
 	queueCap := flag.Int("queue", 64, "admission queue bound; submissions beyond it get 429")
@@ -86,16 +89,10 @@ func main() {
 	logf := func(format string, args ...any) {
 		logger.Warn(fmt.Sprintf(format, args...))
 	}
-	hub := newEventHub()
 	tracer, err := obs.NewTracer(obs.TracerConfig{
 		Now:      time.Now,
 		Seed:     time.Now().UnixNano(),
 		Capacity: *traceCap,
-		OnSpanEnd: func(sc obs.SpanContext, rec obs.SpanRecord) {
-			hub.publish("trace:"+sc.TraceID.String(), jobEvent{
-				Type: "span", Span: &rec, TraceID: sc.TraceID.String(),
-			})
-		},
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fiberd:", err)
@@ -151,7 +148,6 @@ func main() {
 		Registry:         reg,
 		Logf:             logf,
 		OnTransition: func(job jobs.Job) {
-			hub.publish("job:"+job.ID, jobEvent{Type: "state", Job: &job})
 			logger.Info("job transition", "job_id", job.ID, "state", string(job.State),
 				"attempt", job.Attempt, "error", job.Err, "trace_id", job.TraceID)
 		},
@@ -163,9 +159,8 @@ func main() {
 	manager.Recover(recovered)
 	manager.Start()
 
-	s := newServer(reg, *manifests, *progress, *poll, manager, resolveSpec)
+	s := newServer(reg, *manifests, manager, resolveSpec)
 	s.tracer = tracer
-	s.events = hub
 	s.log = logger
 	s.pprofOn = *pprofOn
 	code := serve(ctx, *addr, s.handler(), *drain, os.Stderr, manager)

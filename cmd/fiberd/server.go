@@ -21,15 +21,12 @@ import (
 
 // server holds fiberd's state: its metrics registry (shared with the
 // job manager — these are serving metrics), the manifest directory it
-// exposes, the sweep progress file it streams, and the job manager
-// behind POST /jobs. The clock is injectable so the /metrics
-// exposition is testable verbatim.
+// exposes, and the job manager behind POST /jobs. The clock is
+// injectable so the /metrics exposition is testable verbatim.
 type server struct {
-	reg          *obs.Registry
-	manifestDir  string
-	progressPath string
-	now          func() time.Time
-	pollEvery    time.Duration
+	reg         *obs.Registry
+	manifestDir string
+	now         func() time.Time
 	// jobs executes submitted run specs; nil disables the job API
 	// (405-free: the routes then answer 503).
 	jobs *jobs.Manager
@@ -40,9 +37,6 @@ type server struct {
 	// tracer owns the service traces behind GET /traces; nil disables
 	// request tracing (jobs still run, untraced).
 	tracer *obs.Tracer
-	// events fans job transitions and span completions out to
-	// /jobs/{id}/events subscribers.
-	events *eventHub
 	// log is the structured operational log; every line about a traced
 	// request carries its trace_id so logs and traces join on it.
 	log *slog.Logger
@@ -51,18 +45,14 @@ type server struct {
 	pprofOn bool
 }
 
-func newServer(reg *obs.Registry, manifestDir, progressPath string, pollEvery time.Duration,
-	jm *jobs.Manager, resolve func(jobs.Spec) error) *server {
+func newServer(reg *obs.Registry, manifestDir string, jm *jobs.Manager, resolve func(jobs.Spec) error) *server {
 	return &server{
-		reg:          reg,
-		manifestDir:  manifestDir,
-		progressPath: progressPath,
-		now:          time.Now,
-		pollEvery:    pollEvery,
-		jobs:         jm,
-		resolve:      resolve,
-		events:       newEventHub(),
-		log:          slog.New(slog.NewJSONHandler(io.Discard, nil)),
+		reg:         reg,
+		manifestDir: manifestDir,
+		now:         time.Now,
+		jobs:        jm,
+		resolve:     resolve,
+		log:         slog.New(slog.NewJSONHandler(io.Discard, nil)),
 	}
 }
 
@@ -75,12 +65,10 @@ func (s *server) handler() http.Handler {
 	mux.Handle("GET /readyz", s.instrument("/readyz", s.handleReadyz))
 	mux.Handle("GET /metrics", s.instrument("/metrics", s.handleMetrics))
 	mux.Handle("GET /runs", s.instrument("/runs", s.handleRuns))
-	mux.Handle("GET /runs/live", s.instrument("/runs/live", s.handleLive))
 	mux.Handle("GET /runs/{name}", s.instrument("/runs/{name}", s.handleRun))
 	mux.Handle("POST /jobs", s.instrument("/jobs", s.handleSubmitJob))
 	mux.Handle("GET /jobs", s.instrument("/jobs", s.handleJobs))
 	mux.Handle("GET /jobs/{id}", s.instrument("/jobs/{id}", s.handleJob))
-	mux.Handle("GET /jobs/{id}/events", s.instrument("/jobs/{id}/events", s.handleJobEvents))
 	mux.Handle("GET /traces", s.instrument("/traces", s.handleTraces))
 	mux.Handle("GET /traces/{id}", s.instrument("/traces/{id}", s.handleTrace))
 	if s.pprofOn {
@@ -96,7 +84,6 @@ func (s *server) handler() http.Handler {
 }
 
 // statusRecorder captures the response code for the request counter.
-// It forwards Flush so SSE streaming survives the wrapping.
 type statusRecorder struct {
 	http.ResponseWriter
 	code int
@@ -114,12 +101,6 @@ func (sr *statusRecorder) Write(b []byte) (int, error) {
 		sr.code = http.StatusOK
 	}
 	return sr.ResponseWriter.Write(b)
-}
-
-func (sr *statusRecorder) Flush() {
-	if f, ok := sr.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
 }
 
 func (s *server) instrument(route string, h http.HandlerFunc) http.Handler {
@@ -170,10 +151,6 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		s.reg.Gauge("fiberd_traces_stored", "Finished traces held in the ring.", nil).Set(float64(st.Stored))
 		s.reg.Gauge("fiberd_traces_evicted", "Finished traces evicted from the ring, cumulative.", nil).Set(float64(st.Evicted))
 		s.reg.Gauge("fiberd_trace_spans_dropped", "Spans dropped at per-trace capacity or after finalization, cumulative.", nil).Set(float64(st.SpansDropped))
-	}
-	if s.events != nil {
-		s.reg.Gauge("fiberd_job_events_dropped", "Job events dropped on slow /jobs/{id}/events subscribers, cumulative.", nil).
-			Set(float64(s.events.droppedCount()))
 	}
 	// Render to a buffer first so a slow client cannot hold the
 	// registry in a half-written state, then send in one go.
@@ -256,88 +233,4 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if err := m.Encode(w); err != nil {
 		return
 	}
-}
-
-// handleLive streams sweep progress as Server-Sent Events. Each
-// complete, valid progress line in the file becomes one "run" event;
-// the file is re-read from the last offset every poll tick, so a
-// fibersweep -progress redirect can be tailed live. The stream ends
-// when the client disconnects.
-func (s *server) handleLive(w http.ResponseWriter, r *http.Request) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
-		return
-	}
-	if s.progressPath == "" {
-		http.Error(w, "no progress file configured (-progress)", http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	fl.Flush()
-
-	ticker := time.NewTicker(s.pollEvery)
-	defer ticker.Stop()
-	var off int64
-	for {
-		lines, n, err := readNewLines(s.progressPath, off)
-		if err == nil {
-			off = n
-			sent := false
-			for _, ln := range lines {
-				// Forward only lines that parse as progress; a torn
-				// tail or stray log line must not corrupt the stream.
-				if _, perr := obs.ParseProgress(ln); perr != nil {
-					continue
-				}
-				if _, werr := fmt.Fprintf(w, "event: run\ndata: %s\n\n", ln); werr != nil {
-					return
-				}
-				sent = true
-			}
-			if sent {
-				fl.Flush()
-			}
-		}
-		select {
-		case <-r.Context().Done():
-			return
-		case <-ticker.C:
-		}
-	}
-}
-
-// readNewLines returns the complete lines appended to path since
-// offset, plus the new offset (just past the last newline). A missing
-// file is not an error — the sweep may simply not have started.
-func readNewLines(path string, offset int64) ([][]byte, int64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, offset, nil
-		}
-		return nil, offset, err
-	}
-	defer f.Close()
-	if _, err := f.Seek(offset, io.SeekStart); err != nil {
-		return nil, offset, err
-	}
-	data, err := io.ReadAll(f)
-	if err != nil {
-		return nil, offset, err
-	}
-	last := bytes.LastIndexByte(data, '\n')
-	if last < 0 {
-		return nil, offset, nil
-	}
-	var out [][]byte
-	for _, ln := range bytes.Split(data[:last], []byte("\n")) {
-		ln = bytes.TrimSpace(ln)
-		if len(ln) > 0 {
-			out = append(out, ln)
-		}
-	}
-	return out, offset + int64(last) + 1, nil
 }

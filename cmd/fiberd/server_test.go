@@ -1,14 +1,12 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -39,7 +37,7 @@ func testServer(t *testing.T) (*server, http.Handler) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newServer(reg, t.TempDir(), "", time.Millisecond, jm, nil)
+	s := newServer(reg, t.TempDir(), jm, nil)
 	s.now = fakeClock()
 	tracer, err := obs.NewTracer(obs.TracerConfig{Now: s.now, Seed: 1})
 	if err != nil {
@@ -77,9 +75,6 @@ fiberd_http_requests_total{code="200",path="/healthz"} 1
 # HELP fiberd_http_responses_total HTTP responses by route and status class (2xx..5xx).
 # TYPE fiberd_http_responses_total counter
 fiberd_http_responses_total{class="2xx",path="/healthz"} 1
-# HELP fiberd_job_events_dropped Job events dropped on slow /jobs/{id}/events subscribers, cumulative.
-# TYPE fiberd_job_events_dropped gauge
-fiberd_job_events_dropped 0
 # HELP fiberd_jobs_queue_capacity Admission queue bound; submissions beyond it are shed with 429.
 # TYPE fiberd_jobs_queue_capacity gauge
 fiberd_jobs_queue_capacity 16
@@ -202,149 +197,9 @@ func TestRunsListingAndFetch(t *testing.T) {
 	}
 }
 
-func TestRunsLiveSSE(t *testing.T) {
-	progress := filepath.Join(t.TempDir(), "sweep.progress")
-	s := newServer(obs.NewRegistry(), t.TempDir(), progress, 5*time.Millisecond, nil, nil)
-	ts := httptest.NewServer(s.handler())
-	defer ts.Close()
-
-	row := func(done int) string {
-		p := &obs.SweepProgress{
-			Schema: obs.ProgressSchema,
-			App:    "stream", Machine: "a64fx", Procs: 4, Threads: 12,
-			Compiler: "as-is", Size: "test",
-			Done: done, Total: 6,
-			TimeSeconds: 0.25, GFlops: 80, Verified: true,
-		}
-		var b strings.Builder
-		if err := p.Encode(&b); err != nil {
-			t.Fatal(err)
-		}
-		return b.String()
-	}
-	// One complete row, one torn tail: only the complete row streams.
-	if err := os.WriteFile(progress, []byte(row(1)+`{"torn`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, "GET", ts.URL+"/runs/live", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("content type = %q", ct)
-	}
-
-	sc := bufio.NewScanner(resp.Body)
-	readEvent := func() (string, string) {
-		var event, data string
-		for sc.Scan() {
-			line := sc.Text()
-			switch {
-			case strings.HasPrefix(line, "event: "):
-				event = strings.TrimPrefix(line, "event: ")
-			case strings.HasPrefix(line, "data: "):
-				data = strings.TrimPrefix(line, "data: ")
-			case line == "" && event != "":
-				return event, data
-			}
-		}
-		t.Fatalf("stream ended early: %v", sc.Err())
-		return "", ""
-	}
-
-	event, data := readEvent()
-	if event != "run" {
-		t.Fatalf("event = %q", event)
-	}
-	p, err := obs.ParseProgress([]byte(data))
-	if err != nil || p.Done != 1 {
-		t.Fatalf("first event = %+v, err %v", p, err)
-	}
-
-	// Complete the torn line and append another row; both must arrive.
-	f, err := os.OpenFile(progress, os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString("\"}\n" + row(2)); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	event, data = readEvent()
-	if event != "run" {
-		t.Fatalf("second event = %q", event)
-	}
-	if p, err = obs.ParseProgress([]byte(data)); err != nil || p.Done != 2 {
-		t.Fatalf("second event = %+v, err %v (the healed torn line must be skipped, row 2 delivered)", p, err)
-	}
-	cancel()
-}
-
-// TestRunsLiveNoGoroutineLeak opens a batch of /runs/live streams,
-// drops each client mid-stream, and requires the goroutine count to
-// settle back. Guards the SSE handler's exit paths: it must return on
-// r.Context().Done() (client gone between ticks) and on a failed
-// write (client gone mid-event), never loop on a dead connection.
-func TestRunsLiveNoGoroutineLeak(t *testing.T) {
-	progress := filepath.Join(t.TempDir(), "sweep.progress")
-	if err := os.WriteFile(progress, nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s := newServer(obs.NewRegistry(), t.TempDir(), progress, time.Millisecond, nil, nil)
-	ts := httptest.NewServer(s.handler())
-	defer ts.Close()
-	client := &http.Client{}
-	defer client.CloseIdleConnections()
-
-	before := runtime.NumGoroutine()
-	for i := 0; i < 20; i++ {
-		ctx, cancel := context.WithCancel(context.Background())
-		req, err := http.NewRequestWithContext(ctx, "GET", ts.URL+"/runs/live", nil)
-		if err != nil {
-			cancel()
-			t.Fatal(err)
-		}
-		resp, err := client.Do(req)
-		if err != nil {
-			cancel()
-			t.Fatal(err)
-		}
-		// Headers arrived: the handler goroutine is inside its poll
-		// loop. Drop the client without reading any event.
-		cancel()
-		resp.Body.Close()
-	}
-
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		runtime.Gosched()
-		// Allow a little slack for the server's own accept/idle
-		// machinery; 20 leaked handlers would blow well past it.
-		if n := runtime.NumGoroutine(); n <= before+5 {
-			return
-		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			t.Fatalf("goroutines leaked: before=%d now=%d\n%s",
-				before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
 func TestServeGracefulShutdown(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	s := newServer(obs.NewRegistry(), t.TempDir(), "", time.Millisecond, nil, nil)
+	s := newServer(obs.NewRegistry(), t.TempDir(), nil, nil)
 	done := make(chan int, 1)
 	var errb strings.Builder
 	go func() { done <- serve(ctx, "127.0.0.1:0", s.handler(), time.Second, &errb, nil) }()
@@ -365,7 +220,7 @@ func TestServeGracefulShutdown(t *testing.T) {
 
 func TestServeBadAddressFails(t *testing.T) {
 	var errb strings.Builder
-	s := newServer(obs.NewRegistry(), t.TempDir(), "", time.Millisecond, nil, nil)
+	s := newServer(obs.NewRegistry(), t.TempDir(), nil, nil)
 	if code := serve(context.Background(), "256.0.0.1:bogus", s.handler(), time.Second, &errb, nil); code != 1 {
 		t.Fatalf("bad address exit = %d\n%s", code, errb.String())
 	}

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"io"
@@ -9,7 +8,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -18,23 +16,14 @@ import (
 	"fibersim/internal/obs"
 )
 
-// tracedServer mirrors main's production wiring: tracer with an
-// OnSpanEnd feed into the event hub, OnTransition into the hub, a real
+// tracedServer mirrors main's production wiring: a tracer keeping the
+// newest ring finished traces (0 keeps the tracer's default), a real
 // journal, and the Execute-based runner (so run spans and manifest
 // links are the real thing, not stubs).
-func tracedServer(t *testing.T, cfg jobs.Config) (*server, http.Handler, *jobs.Manager) {
+func tracedServer(t *testing.T, cfg jobs.Config, ring int) (*server, http.Handler, *jobs.Manager) {
 	t.Helper()
 	reg := obs.NewRegistry()
-	hub := newEventHub()
-	tracer, err := obs.NewTracer(obs.TracerConfig{
-		Now:  time.Now,
-		Seed: 42,
-		OnSpanEnd: func(sc obs.SpanContext, rec obs.SpanRecord) {
-			hub.publish("trace:"+sc.TraceID.String(), jobEvent{
-				Type: "span", Span: &rec, TraceID: sc.TraceID.String(),
-			})
-		},
-	})
+	tracer, err := obs.NewTracer(obs.TracerConfig{Now: time.Now, Seed: 42, Capacity: ring})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,9 +38,6 @@ func tracedServer(t *testing.T, cfg jobs.Config) (*server, http.Handler, *jobs.M
 	}
 	cfg.Registry = reg
 	cfg.Journal = journal
-	cfg.OnTransition = func(job jobs.Job) {
-		hub.publish("job:"+job.ID, jobEvent{Type: "state", Job: &job})
-	}
 	jm, err := jobs.NewManager(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -64,9 +50,8 @@ func tracedServer(t *testing.T, cfg jobs.Config) (*server, http.Handler, *jobs.M
 			t.Errorf("drain: %v", err)
 		}
 	})
-	s := newServer(reg, t.TempDir(), "", time.Millisecond, jm, resolveSpec)
+	s := newServer(reg, t.TempDir(), jm, resolveSpec)
 	s.tracer = tracer
-	s.events = hub
 	return s, s.handler(), jm
 }
 
@@ -96,7 +81,7 @@ func fetchTrace(t *testing.T, h http.Handler, id string) *obs.Trace {
 // attempt, harness run and the terminal journal write, with the run
 // span linking back from the saved manifest.
 func TestTracedSubmitEndToEnd(t *testing.T) {
-	s, h, _ := tracedServer(t, jobs.Config{QueueCap: 16, Workers: 2})
+	s, h, _ := tracedServer(t, jobs.Config{QueueCap: 16, Workers: 2}, 0)
 
 	// Submit as a child of a remote trace, like a CI driver would.
 	remote := "00-0123456789abcdef0123456789abcdef-00f067aa0ba902b7-01"
@@ -186,7 +171,7 @@ func TestTracedShedEndsSpan(t *testing.T) {
 			<-block
 			return jobs.Result{}, nil
 		},
-	})
+	}, 0)
 	if rr := postJob(t, h, `{"app":"stream"}`); rr.Code != http.StatusAccepted {
 		t.Fatalf("first submit = %d", rr.Code)
 	}
@@ -222,214 +207,5 @@ func TestTracedShedEndsSpan(t *testing.T) {
 	}
 	if outcome != "shed-queue-full" {
 		t.Errorf("shed outcome = %q", outcome)
-	}
-}
-
-// sseEvents reads SSE events off a response body until the stream ends.
-type sseEvent struct {
-	name string
-	data string
-}
-
-func readSSE(t *testing.T, body io.Reader) []sseEvent {
-	t.Helper()
-	var out []sseEvent
-	sc := bufio.NewScanner(body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	var ev sseEvent
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "event: "):
-			ev.name = strings.TrimPrefix(line, "event: ")
-		case strings.HasPrefix(line, "data: "):
-			ev.data = strings.TrimPrefix(line, "data: ")
-		case line == "" && ev.name != "":
-			out = append(out, ev)
-			ev = sseEvent{}
-		}
-	}
-	return out
-}
-
-// TestJobEventsSSE subscribes to a live job and requires the stream to
-// deliver its transitions and span completions, then close itself at
-// the root span's end.
-func TestJobEventsSSE(t *testing.T) {
-	release := make(chan struct{})
-	_, h, _ := tracedServer(t, jobs.Config{
-		QueueCap: 16, Workers: 1,
-		Runner: func(ctx context.Context, spec jobs.Spec) (jobs.Result, error) {
-			<-release
-			return jobs.Result{TimeSeconds: 0.5, GFlops: 2, Verified: true}, nil
-		},
-	})
-	ts := httptest.NewServer(h)
-	defer ts.Close()
-
-	rr := postJob(t, h, `{"app":"stream"}`)
-	if rr.Code != http.StatusAccepted {
-		t.Fatalf("submit = %d", rr.Code)
-	}
-	var job jobs.Job
-	if err := json.Unmarshal(rr.Body.Bytes(), &job); err != nil {
-		t.Fatal(err)
-	}
-
-	resp, err := http.Get(ts.URL + "/jobs/" + job.ID + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("content type = %q", ct)
-	}
-	// Subscription is active; let the job finish. The stream must end
-	// on its own (root span completion), so readSSE terminates.
-	close(release)
-	events := readSSE(t, resp.Body)
-
-	var states []string
-	spans := map[string]int{}
-	var rootLast bool
-	for i, ev := range events {
-		switch ev.name {
-		case "state":
-			var e jobEvent
-			if err := json.Unmarshal([]byte(ev.data), &e); err != nil || e.Job == nil {
-				t.Fatalf("state event %q: %v", ev.data, err)
-			}
-			states = append(states, string(e.Job.State))
-		case "span":
-			var e jobEvent
-			if err := json.Unmarshal([]byte(ev.data), &e); err != nil || e.Span == nil {
-				t.Fatalf("span event %q: %v", ev.data, err)
-			}
-			spans[e.Span.Name]++
-			rootLast = e.Span.Parent == "" && i == len(events)-1
-		default:
-			t.Errorf("unknown event %q", ev.name)
-		}
-	}
-	if len(states) == 0 || states[0] != "accepted" && states[0] != "running" {
-		t.Errorf("states = %v", states)
-	}
-	if states[len(states)-1] != "done" {
-		t.Errorf("last state = %v", states)
-	}
-	// The blocked stub runner opens no "run" child; the manager-side
-	// spans must still stream.
-	if spans["attempt"] == 0 || spans["journal-append"] == 0 {
-		t.Errorf("span events = %v", spans)
-	}
-	if !rootLast {
-		t.Errorf("stream did not end on the root span completion: %v", events)
-	}
-}
-
-// TestJobEventsTerminalReplay: subscribing after the job finished must
-// deliver the final state plus a replay of the trace's spans, then
-// close.
-func TestJobEventsTerminalReplay(t *testing.T) {
-	_, h, _ := tracedServer(t, jobs.Config{QueueCap: 16, Workers: 1})
-	ts := httptest.NewServer(h)
-	defer ts.Close()
-
-	rr := postJob(t, h, `{"app":"stream"}`)
-	var job jobs.Job
-	if err := json.Unmarshal(rr.Body.Bytes(), &job); err != nil {
-		t.Fatal(err)
-	}
-	waitJobState(t, h, job.ID)
-	fetchTrace(t, h, job.TraceID) // trace finalized in the ring
-
-	resp, err := http.Get(ts.URL + "/jobs/" + job.ID + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	events := readSSE(t, resp.Body)
-	if len(events) < 2 || events[0].name != "state" {
-		t.Fatalf("replay events = %+v", events)
-	}
-	var e jobEvent
-	if err := json.Unmarshal([]byte(events[0].data), &e); err != nil || e.Job.State != jobs.StateDone {
-		t.Fatalf("replay state = %q", events[0].data)
-	}
-	spanCount := 0
-	for _, ev := range events[1:] {
-		if ev.name == "span" {
-			spanCount++
-		}
-	}
-	if spanCount < 4 {
-		t.Errorf("replayed %d spans, want the full lifecycle", spanCount)
-	}
-
-	rr = httptest.NewRecorder()
-	h.ServeHTTP(rr, httptest.NewRequest("GET", "/jobs/job-999999/events", nil))
-	if rr.Code != http.StatusNotFound {
-		t.Errorf("missing job events = %d, want 404", rr.Code)
-	}
-}
-
-// TestJobEventsNoGoroutineLeak mirrors the /runs/live leak test for
-// the job event stream: clients dropped mid-stream must not strand
-// handler goroutines, and their hub subscriptions must be released.
-func TestJobEventsNoGoroutineLeak(t *testing.T) {
-	release := make(chan struct{})
-	defer close(release)
-	s, h, _ := tracedServer(t, jobs.Config{
-		QueueCap: 16, Workers: 1,
-		Runner: func(ctx context.Context, spec jobs.Spec) (jobs.Result, error) {
-			<-release
-			return jobs.Result{}, nil
-		},
-	})
-	ts := httptest.NewServer(h)
-	defer ts.Close()
-	client := &http.Client{}
-	defer client.CloseIdleConnections()
-
-	rr := postJob(t, h, `{"app":"stream"}`)
-	var job jobs.Job
-	if err := json.Unmarshal(rr.Body.Bytes(), &job); err != nil {
-		t.Fatal(err)
-	}
-
-	before := runtime.NumGoroutine()
-	for i := 0; i < 20; i++ {
-		ctx, cancel := context.WithCancel(context.Background())
-		req, err := http.NewRequestWithContext(ctx, "GET", ts.URL+"/jobs/"+job.ID+"/events", nil)
-		if err != nil {
-			cancel()
-			t.Fatal(err)
-		}
-		resp, err := client.Do(req)
-		if err != nil {
-			cancel()
-			t.Fatal(err)
-		}
-		cancel()
-		resp.Body.Close()
-	}
-
-	// Handler goroutines must unwind and every cancel() must release
-	// its hub subscription (both lag the client drop slightly).
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		runtime.Gosched()
-		s.events.mu.Lock()
-		subs := len(s.events.subs)
-		s.events.mu.Unlock()
-		if n := runtime.NumGoroutine(); n <= before+5 && subs == 0 {
-			return
-		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			t.Fatalf("leak: goroutines before=%d now=%d, hub keys=%d\n%s",
-				before, runtime.NumGoroutine(), subs, buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }

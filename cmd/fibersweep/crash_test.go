@@ -3,7 +3,6 @@ package main
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -137,10 +136,13 @@ func checkpointLines(t *testing.T, path string) (lines []string, tail string) {
 // TestSweepResumesAfterSIGKILL pins fibersweep's crash contract: a
 // sweep stopped by -max-runs, killed with SIGKILL after a checkpointed
 // row, and killed again with a half-written row, resumes to the CSV of
-// an uninterrupted sweep, byte for byte. The final resume must report
-// exactly the checkpointed rows as resumed: CSV equality alone cannot
-// tell a resume from a sweep that ignored its checkpoint, and one more
-// resumed row would mean the torn row was taken as done.
+// an uninterrupted sweep, byte for byte. The final resume must run
+// exactly the rows the checkpoint lacks: CSV equality alone cannot
+// tell a resume from a sweep that ignored its checkpoint, so the
+// checkpoint must end with each row once, and -selfprofile, which
+// profiles fresh runs only, must hold one profile per rerun row. One
+// more profile would mean a checkpointed row ran again; one fewer, that
+// the torn row was taken as done.
 func TestSweepResumesAfterSIGKILL(t *testing.T) {
 	dir := t.TempDir()
 	ref := filepath.Join(dir, "ref.state")
@@ -175,7 +177,7 @@ func TestSweepResumesAfterSIGKILL(t *testing.T) {
 	}
 
 	profiles := filepath.Join(dir, "profiles")
-	gotCSV, stderr, code := runSweep(t, "-resume", state, "-progress", "-selfprofile", profiles)
+	gotCSV, stderr, code := runSweep(t, "-resume", state, "-selfprofile", profiles)
 	if code != 0 {
 		t.Fatalf("resumed sweep exit %d:\n%s", code, stderr)
 	}
@@ -185,32 +187,22 @@ func TestSweepResumesAfterSIGKILL(t *testing.T) {
 	if !strings.Contains(stderr, "dropping torn final line") {
 		t.Errorf("resume did not report the torn row:\n%s", stderr)
 	}
-	var rows, resumed int
-	for _, line := range strings.Split(stderr, "\n") {
-		if !strings.HasPrefix(line, "{") {
-			continue
-		}
-		var p obs.SweepProgress
-		if err := json.Unmarshal([]byte(line), &p); err != nil {
-			t.Fatalf("progress line %q: %v", line, err)
-		}
-		rows++
-		if p.Resumed {
-			resumed++
-			continue
-		}
-		// A fresh row's wall time is its cell's measured elapsed time.
-		self, err := obs.ReadSelfProfileFile(filepath.Join(profiles, fmt.Sprintf("selfprofile-%s-%s-%dx%d-%s.json",
-			p.App, p.Machine, p.Procs, p.Threads, sanitize(p.Compiler))))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p.WallSeconds != self.ElapsedSeconds || p.WallSeconds <= 0 {
-			t.Errorf("%s %dx%d %s: progress wall_seconds %g, self-profile elapsed_seconds %g",
-				p.App, p.Procs, p.Threads, p.Compiler, p.WallSeconds, self.ElapsedSeconds)
-		}
+	if lines, tail := checkpointLines(t, state); len(lines) != crashSweepRows || tail != "" {
+		t.Errorf("after the resume the checkpoint has %d rows and tail %q, want %d and none", len(lines), tail, crashSweepRows)
 	}
-	if rows != crashSweepRows || resumed != k2 {
-		t.Errorf("resume reported %d rows with %d resumed, want %d with %d", rows, resumed, crashSweepRows, k2)
+	names, err := filepath.Glob(filepath.Join(profiles, "selfprofile-*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(names) != crashSweepRows-k2 {
+		t.Errorf("resume profiled %d fresh runs, want the %d rows the checkpoint lacked", len(names), crashSweepRows-k2)
+	}
+	for _, name := range names {
+		self, err := obs.ReadSelfProfileFile(name)
+		if err != nil {
+			t.Error(err)
+		} else if self.ElapsedSeconds <= 0 {
+			t.Errorf("%s: elapsed_seconds %g, want positive", filepath.Base(name), self.ElapsedSeconds)
+		}
 	}
 }

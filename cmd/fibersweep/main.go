@@ -56,7 +56,6 @@ func main() {
 	resumePath := flag.String("resume", "", "checkpoint file: configurations already recorded there are replayed, not rerun; new rows are appended as they finish")
 	retries := flag.Int("retries", 0, "retry a failed run up to N times with doubling backoff before recording the error")
 	maxRuns := flag.Int("max-runs", 0, "stop after N fresh (non-resumed) runs; exits 3 if configurations remain")
-	progress := flag.Bool("progress", false, "emit one JSON progress line per completed configuration on stderr (machine-readable; fiberd streams it)")
 	selfProfileDir := flag.String("selfprofile", "", "write one self-profile JSON (the simulator's own wall/alloc cost) per fresh configuration into this directory")
 	flag.Parse()
 
@@ -114,8 +113,8 @@ func main() {
 			"figure", "unit", "verified", "comm%"},
 	}
 
-	// Pre-parse machines and compilers so the total configuration count
-	// is known before the first run: -progress reports done/total.
+	// Parse every machine and compiler before the first run, so a typo
+	// in the last entry fails the sweep before it starts.
 	var machineList []*arch.Machine
 	for _, mn := range strings.Split(*machines, ",") {
 		m, err := arch.Lookup(strings.TrimSpace(mn))
@@ -143,14 +142,8 @@ func main() {
 		}
 		return decompsFor(m)
 	}
-	total := 0
-	for _, m := range machineList {
-		total += len(decompsOf(m)) * len(ccList)
-	}
-	total *= len(apps)
-
 	traced := false
-	freshRuns, doneRuns, truncated := 0, 0, false
+	freshRuns, truncated := 0, false
 sweep:
 	for _, app := range apps {
 		for _, m := range machineList {
@@ -171,12 +164,6 @@ sweep:
 					key := fmt.Sprintf("%s|%s|%dx%d|%s", app.Name(), m.Name, d[0], d[1], cc.String())
 					if cells, ok := state.done[key]; ok {
 						t.AddRow(cells...)
-						doneRuns++
-						if *progress {
-							p := progressRow(app.Name(), m.Name, d, cc.String(), sz,
-								doneRuns, total, common.Result{}, nil, true, nil)
-							emitProgress(&p)
-						}
 						continue
 					}
 					if *maxRuns > 0 && freshRuns >= *maxRuns {
@@ -229,23 +216,15 @@ sweep:
 						fatal(err)
 					}
 					cost.Finish()
-					var prof *obs.SelfProfile
 					if cost != nil {
-						prof = cost.Profile(app.Name())
 						path := filepath.Join(*selfProfileDir, fmt.Sprintf("selfprofile-%s-%s-%dx%d-%s.json",
 							app.Name(), m.Name, d[0], d[1], sanitize(cc.String())))
-						if err := prof.WriteFile(path); err != nil {
+						if err := cost.Profile(app.Name()).WriteFile(path); err != nil {
 							fatal(err)
 						}
 					}
 					if afterCheckpoint != nil {
 						afterCheckpoint(state)
-					}
-					doneRuns++
-					if *progress {
-						p := progressRow(app.Name(), m.Name, d, cc.String(), sz,
-							doneRuns, total, res, err, false, prof)
-						emitProgress(&p)
 					}
 				}
 			}
@@ -508,47 +487,6 @@ func writeTrace(app common.App, rc common.RunConfig, path string) error {
 	}
 	fmt.Fprintf(os.Stderr, "fibersweep: wrote timeline of %s (%s) to %s\n", app.Name(), rc.String(), path)
 	return nil
-}
-
-// progressRow builds the machine-readable progress line for one
-// finished configuration: numbers for a fresh success, the error text
-// for a failed run, and the bare identity for a resumed row (whose
-// numbers live only as formatted cells in the checkpoint). A fresh
-// row's self-profile, non-nil under -selfprofile, adds the cell's
-// measured elapsed time and the process's heap peak so far.
-func progressRow(appName, machine string, d [2]int, compiler string, sz common.Size,
-	done, total int, res common.Result, runErr error, resumed bool, self *obs.SelfProfile) obs.SweepProgress {
-	p := obs.SweepProgress{
-		Schema: obs.ProgressSchema,
-		App:    appName, Machine: machine,
-		Procs: d[0], Threads: d[1],
-		Compiler: compiler, Size: sz.String(),
-		Done: done, Total: total,
-		Resumed: resumed,
-	}
-	switch {
-	case resumed:
-	case runErr != nil:
-		p.Err = runErr.Error()
-	default:
-		p.TimeSeconds = res.Time
-		p.GFlops = res.GFlops()
-		p.Verified = res.Verified
-	}
-	if self != nil {
-		p.WallSeconds = self.ElapsedSeconds
-		p.HeapPeakBytes = self.HeapPeakBytes
-	}
-	return p
-}
-
-// emitProgress writes one progress line to stderr (stdout is reserved
-// for the result table). A progress line that fails to encode is a
-// bug worth dying for: consumers like fiberd trust the stream.
-func emitProgress(p *obs.SweepProgress) {
-	if err := p.Encode(os.Stderr); err != nil {
-		fatal(err)
-	}
 }
 
 func fatal(err error) {

@@ -71,7 +71,7 @@ type Config struct {
 	// write failures, recovery summary).
 	Logf func(format string, args ...any)
 	// OnTransition, when non-nil, observes every job state change with
-	// a snapshot taken just after the transition (the SSE event feed).
+	// a snapshot taken just after the transition (fiberd logs each one).
 	// Called without manager locks held; must not block for long.
 	OnTransition func(Job)
 }

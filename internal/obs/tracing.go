@@ -236,19 +236,6 @@ func ParseTrace(r io.Reader) (*Trace, error) {
 	return &t, nil
 }
 
-// SpanSeconds sums the durations of spans with the given name — the
-// accessor load tooling uses to split a job's latency ("queue-wait"
-// vs "run") without walking the tree by hand.
-func (t *Trace) SpanSeconds(name string) float64 {
-	var sum float64
-	for _, sp := range t.Spans {
-		if sp.Name == name {
-			sum += sp.DurationSeconds
-		}
-	}
-	return sum
-}
-
 // WriteText renders the trace as an indented human-readable tree:
 // children under parents, each line with offset from trace start,
 // duration, and attributes in insertion order.
@@ -339,9 +326,6 @@ type TracerConfig struct {
 	// MaxSpans bounds the spans kept per trace (the rest are counted
 	// as dropped); default 512.
 	MaxSpans int
-	// OnSpanEnd, when non-nil, observes every completed span (the SSE
-	// event feed). It is called without tracer locks held.
-	OnSpanEnd func(SpanContext, SpanRecord)
 }
 
 // Tracer creates traces, collects their spans and retains completed
@@ -356,7 +340,6 @@ type Tracer struct {
 	ring         []*Trace // oldest first
 	evicted      int64
 	spansDropped int64
-	onSpanEnd    func(SpanContext, SpanRecord)
 }
 
 type activeTrace struct {
@@ -383,12 +366,11 @@ func NewTracer(cfg TracerConfig) (*Tracer, error) {
 		seed = cfg.Now().UnixNano()
 	}
 	return &Tracer{
-		now:       cfg.Now,
-		rng:       rand.New(rand.NewSource(seed)),
-		capacity:  cfg.Capacity,
-		maxSpans:  cfg.MaxSpans,
-		active:    map[TraceID]*activeTrace{},
-		onSpanEnd: cfg.OnSpanEnd,
+		now:      cfg.Now,
+		rng:      rand.New(rand.NewSource(seed)),
+		capacity: cfg.Capacity,
+		maxSpans: cfg.MaxSpans,
+		active:   map[TraceID]*activeTrace{},
 	}, nil
 }
 
@@ -531,22 +513,12 @@ func (s *Span) End() {
 
 	t := s.tr
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	end := t.now()
-	rec := SpanRecord{
-		ID:              s.ctx.SpanID.String(),
-		Name:            s.name,
-		StartUnixNanos:  s.start.UnixNano(),
-		DurationSeconds: end.Sub(s.start).Seconds(),
-		Attrs:           attrs,
-	}
-	if !s.parent.IsZero() {
-		rec.Parent = s.parent.String()
-	}
 	at, ok := t.active[s.ctx.TraceID]
 	if !ok {
 		// Trace already finalized: the root ended before this span.
 		t.spansDropped++
-		t.mu.Unlock()
 		return
 	}
 	at.open--
@@ -555,16 +527,20 @@ func (s *Span) End() {
 	if len(at.spans) >= t.maxSpans && !s.parent.IsZero() {
 		t.spansDropped++
 	} else {
+		rec := SpanRecord{
+			ID:              s.ctx.SpanID.String(),
+			Name:            s.name,
+			StartUnixNanos:  s.start.UnixNano(),
+			DurationSeconds: end.Sub(s.start).Seconds(),
+			Attrs:           attrs,
+		}
+		if !s.parent.IsZero() {
+			rec.Parent = s.parent.String()
+		}
 		at.spans = append(at.spans, rec)
 	}
 	if s.parent.IsZero() {
 		t.finalizeLocked(s.ctx.TraceID, at, end)
-	}
-	hook := t.onSpanEnd
-	t.mu.Unlock()
-
-	if hook != nil {
-		hook(s.ctx, rec)
 	}
 }
 

@@ -21,10 +21,9 @@ type Thresholds struct {
 	MinRel float64
 }
 
-// DefaultThresholds returns the gate's defaults: a 20-sample window
-// and a 4-sigma threshold floored at 2% of the median. With the
-// MinRel floor active (deterministic baselines), the gate fires at an
-// 8% runtime shift.
+// DefaultThresholds returns the detector's defaults: a 20-sample window
+// and a 4-sigma threshold floored at 2% of the median. With the MinRel
+// floor active (a quiet baseline), a sample fires at an 8% shift.
 func DefaultThresholds() Thresholds {
 	return Thresholds{Window: 20, Z: 4, MinRel: 0.02}
 }
@@ -45,8 +44,8 @@ func (th Thresholds) withDefaults() Thresholds {
 }
 
 // Verdict classifies one configuration's fresh sample against its
-// baseline. Runtime is the watched number, so direction matters:
-// slower is a regression, faster an improvement.
+// baseline. Every gated metric is a host cost, so direction matters:
+// a higher cost is a regression, a lower one an improvement.
 type Verdict int
 
 const (
@@ -55,9 +54,9 @@ const (
 	VerdictNoBaseline Verdict = iota
 	// VerdictOK means the sample sits inside the noise band.
 	VerdictOK
-	// VerdictImprove means the sample is significantly faster.
+	// VerdictImprove means the sample is significantly cheaper.
 	VerdictImprove
-	// VerdictRegress means the sample is significantly slower.
+	// VerdictRegress means the sample is significantly costlier.
 	VerdictRegress
 )
 
@@ -83,14 +82,14 @@ type Finding struct {
 	Verdict Verdict `json:"-"`
 	// VerdictLabel mirrors Verdict for the JSON form.
 	VerdictLabel string `json:"verdict"`
-	// Value is the fresh sample (virtual seconds).
+	// Value is the fresh sample.
 	Value float64 `json:"value"`
 	// Median and MAD describe the baseline window; Scale is the
 	// floored deviation the z-score divides by.
 	Median float64 `json:"median,omitempty"`
 	MAD    float64 `json:"mad,omitempty"`
 	Scale  float64 `json:"scale,omitempty"`
-	// Z is the signed robust z-score (positive = slower).
+	// Z is the signed robust z-score (positive = costlier).
 	Z float64 `json:"z"`
 	// Ratio is value/median (1 when there is no baseline).
 	Ratio float64 `json:"ratio,omitempty"`
@@ -167,24 +166,9 @@ func Detect(key string, baseline []float64, value float64, th Thresholds) Findin
 	return f
 }
 
-// Check scores every fresh record against the trajectory's baseline
-// window for the same configuration key, returning one finding per
-// fresh record in input order.
-func (t *Trajectory) Check(fresh []Record, th Thresholds) []Finding {
-	series := map[string][]float64{}
-	for _, r := range t.Records {
-		k := r.Key()
-		series[k] = append(series[k], r.TimeSeconds)
-	}
-	out := make([]Finding, 0, len(fresh))
-	for _, r := range fresh {
-		out = append(out, Detect(r.Key(), series[r.Key()], r.TimeSeconds, th))
-	}
-	return out
-}
-
-// CheckMetric scores an arbitrary per-record metric the way Check
-// scores TimeSeconds. Keys carry a "#name" suffix so the findings of
+// CheckMetric scores one per-record metric of every fresh record
+// against the trajectory's baseline window for the same configuration
+// key, in input order. Keys carry a "#name" suffix so the findings of
 // different metrics never collide in reports. Records where metric
 // returns zero — e.g. wall_seconds on history written before
 // self-observability — contribute nothing: they are skipped both in
@@ -210,14 +194,12 @@ func (t *Trajectory) CheckMetric(fresh []Record, name string, metric func(Record
 	return out
 }
 
-// Regressions filters findings down to the failing verdicts. With
-// failOnChange, significant improvements also fail: a gate in that
-// mode demands the trajectory be re-recorded whenever a number moves,
-// keeping the committed baseline honest in both directions.
-func Regressions(fs []Finding, failOnChange bool) []Finding {
+// Regressions filters findings down to the failing verdicts: the gate
+// is regress-only, so a cheaper simulator never fails it.
+func Regressions(fs []Finding) []Finding {
 	var out []Finding
 	for _, f := range fs {
-		if f.Verdict == VerdictRegress || (failOnChange && f.Verdict == VerdictImprove) {
+		if f.Verdict == VerdictRegress {
 			out = append(out, f)
 		}
 	}

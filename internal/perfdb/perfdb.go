@@ -1,13 +1,15 @@
 // Package perfdb is the append-only benchmark trajectory store: one
 // JSONL record per benchmarked configuration per revision, keyed by
 // app/machine/decomposition/compiler/size, carrying the virtual
-// runtime, the ECM-style attribution split, the communication volume
-// and the git revision that produced it.
+// runtime, the ECM-style attribution split, the communication volume,
+// the host cost of producing them and the git revision that did.
 //
 // The store is the cross-run half of the observability layer: the run
 // manifest (internal/obs) captures one run in depth, the trajectory
-// captures the same few numbers across many revisions so regressions
-// and improvements are detectable statistically. Detection uses a
+// captures the same few numbers across many revisions. Its model
+// fields are history; the exact model golden in tier-1
+// (internal/miniapps/common) is what checks them. Its host-cost fields
+// are what `fiberperf check` gates, statistically: detection uses a
 // median/MAD baseline window (see detect.go), so a handful of noisy
 // historical samples cannot poison the gate.
 //
@@ -61,7 +63,8 @@ type Record struct {
 	// UnixTime stamps the wall-clock recording time (informational;
 	// detection never consults it).
 	UnixTime int64 `json:"unix_time,omitempty"`
-	// TimeSeconds is the virtual makespan — the number the gate watches.
+	// TimeSeconds is the virtual makespan: the modelled A64FX time,
+	// which no gate reads from the trajectory.
 	TimeSeconds float64 `json:"time_seconds"`
 	GFlops      float64 `json:"gflops"`
 	Verified    bool    `json:"verified"`
@@ -72,8 +75,9 @@ type Record struct {
 	CommBytes int64 `json:"comm_bytes"`
 	// WallSeconds/AllocsPerRun measure the simulator process itself:
 	// the real wall-clock cost of the cell and its heap allocation
-	// count. Zero on records written before self-observability existed
-	// (and on records taken without a clock); the gate skips them.
+	// count, the two numbers the gate watches. Zero on records written
+	// before self-observability existed (and on records taken without a
+	// clock); the gate skips them.
 	WallSeconds  float64 `json:"wall_seconds,omitempty"`
 	AllocsPerRun float64 `json:"allocs_per_run,omitempty"`
 }
@@ -229,18 +233,6 @@ func (t *Trajectory) Append(recs ...Record) error {
 	}
 	t.Records = append(t.Records, recs...)
 	return nil
-}
-
-// Series returns the runtime samples of one configuration key in
-// append (chronological) order.
-func (t *Trajectory) Series(key string) []float64 {
-	var out []float64
-	for _, r := range t.Records {
-		if r.Key() == key {
-			out = append(out, r.TimeSeconds)
-		}
-	}
-	return out
 }
 
 // Keys returns the distinct configuration keys, sorted.

@@ -89,8 +89,8 @@ func TestFileRoundTrip(t *testing.T) {
 	if len(back.Records) != 3 {
 		t.Fatalf("reloaded %d records, want 3", len(back.Records))
 	}
-	if got := back.Series("stream|a64fx|4x12|as-is|test"); len(got) != 2 || got[0] != 1 || got[1] != 1.1 {
-		t.Fatalf("Series = %v, want [1 1.1] in append order", got)
+	if got := back.Records; got[0].TimeSeconds != 1 || got[1].TimeSeconds != 1.1 || got[2].App != "mvmc" {
+		t.Fatalf("Records = %+v, want append order", got)
 	}
 	if keys := back.Keys(); len(keys) != 2 || keys[0] != "mvmc|a64fx|4x12|as-is|test" {
 		t.Fatalf("Keys = %v", keys)
@@ -289,8 +289,8 @@ func TestDetectEmptyBaselineNeverFails(t *testing.T) {
 	if f.Z != 0 || f.Baseline != 0 {
 		t.Fatalf("empty baseline finding = %+v", f)
 	}
-	if len(Regressions([]Finding{f}, true)) != 0 {
-		t.Fatal("no-baseline must never gate, even in fail-on-change mode")
+	if len(Regressions([]Finding{f})) != 0 {
+		t.Fatal("no-baseline must never gate")
 	}
 }
 
@@ -352,28 +352,42 @@ func TestDetectNoisyBaselineUsesMAD(t *testing.T) {
 	}
 }
 
+// TestTrajectoryCheck scores one host-cost metric of fresh records
+// against the trajectory: one finding per fresh record that has a
+// reading, in input order, keyed with the metric's name. A zero
+// reading (a record from before self-observability) neither joins a
+// baseline nor gets a finding.
 func TestTrajectoryCheck(t *testing.T) {
+	withWall := func(app string, wall float64) Record {
+		r := rec(app, 1)
+		r.WallSeconds = wall
+		return r
+	}
 	tr := &Trajectory{}
 	for i := 0; i < 3; i++ {
-		if err := tr.Append(rec("stream", 1.0), rec("mvmc", 2.0)); err != nil {
+		if err := tr.Append(withWall("stream", 1.0), withWall("mvmc", 2.0), withWall("ffb", 0)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	fresh := []Record{rec("stream", 1.0), rec("mvmc", 4.0), rec("ngsa", 7.0)}
-	fs := tr.Check(fresh, DefaultThresholds())
-	if len(fs) != 3 {
-		t.Fatalf("got %d findings, want 3", len(fs))
+	fresh := []Record{withWall("stream", 1.0), withWall("mvmc", 4.0), withWall("ngsa", 0), withWall("ffb", 3.0)}
+	fs := tr.CheckMetric(fresh, "wall", func(r Record) float64 { return r.WallSeconds }, DefaultThresholds())
+	want := []struct {
+		key     string
+		verdict Verdict
+	}{
+		{fresh[0].Key() + "#wall", VerdictOK},
+		{fresh[1].Key() + "#wall", VerdictRegress},
+		{fresh[3].Key() + "#wall", VerdictNoBaseline},
 	}
-	if fs[0].Verdict != VerdictOK {
-		t.Errorf("unchanged stream = %v", fs[0].Verdict)
+	if len(fs) != len(want) {
+		t.Fatalf("got %d findings, want %d: %+v", len(fs), len(want), fs)
 	}
-	if fs[1].Verdict != VerdictRegress {
-		t.Errorf("2x mvmc = %v, want regress", fs[1].Verdict)
+	for i, w := range want {
+		if fs[i].Key != w.key || fs[i].Verdict != w.verdict {
+			t.Errorf("finding %d = %s %v, want %s %v", i, fs[i].Key, fs[i].Verdict, w.key, w.verdict)
+		}
 	}
-	if fs[2].Verdict != VerdictNoBaseline {
-		t.Errorf("new ngsa key = %v, want no-baseline", fs[2].Verdict)
-	}
-	if got := Regressions(fs, false); len(got) != 1 || got[0].Key != fresh[1].Key() {
+	if got := Regressions(fs); len(got) != 1 || got[0].Key != want[1].key {
 		t.Fatalf("Regressions = %+v", got)
 	}
 }
